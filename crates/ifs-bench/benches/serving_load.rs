@@ -1,6 +1,6 @@
 //! Criterion: the sketch-serving tier under batched query load.
 //!
-//! Drives a [`SketchServer`] through its byte-level `handle` entry point —
+//! Drives a [`SketchServer`] through its byte-level `handle_into` entry point —
 //! the same request/response frames a socket carries, minus the socket —
 //! so the measured cost is the full serving path: request decode, hot-set
 //! lookup, sharded batch execution, response encode. Three things are
@@ -14,12 +14,10 @@
 //! 3. **Refusals stay cheap and typed** — a garbage frame and an unknown
 //!    id produce error responses, not panics, mid-load.
 //!
-//! The gate emits `bench_results/BENCH_serving.json` (p50/p99/p99.9
-//! batch latency, queries/sec) so the serving tier's perf trajectory is
-//! machine-readable across PRs. The standalone `ifs-loadgen` binary
-//! measures the same workload *across a real TCP connection* and, when CI
-//! runs it after this bench, overwrites the artifact with two-process
-//! numbers — the `source` field records which path produced them.
+//! The timed pass prints p50/p99/p99.9 batch latency and queries/sec for
+//! the in-process path. It writes no artifact: `BENCH_serving.json` has
+//! one producer, `ifs-loadgen --bench-matrix`, which measures the serving
+//! tier across real TCP connections.
 //!
 //! Run with `cargo bench -p ifs-bench --bench serving_load`; under
 //! `cargo test --benches` each body runs once as a smoke test.
@@ -82,9 +80,15 @@ fn assert_identical(served: &Response, oracle: &Answers) {
     }
 }
 
+/// One request frame through `handle_into`, decoded.
+fn serve(server: &SketchServer, request: &[u8], buf: &mut EncodeBuf) -> Response {
+    Response::from_bytes(server.handle_into(request, buf)).expect("response decodes")
+}
+
 /// Identity at 1 and 4 threads, eviction transparency, refusal totality —
 /// the correctness half, asserted before any timing.
 fn assert_serving_invariants(frames: &[Vec<u8>]) {
+    let mut buf = EncodeBuf::new();
     for threads in [1usize, 4] {
         let server =
             SketchServer::new(ServeConfig { default_threads: threads, ..Default::default() });
@@ -98,10 +102,8 @@ fn assert_serving_invariants(frames: &[Vec<u8>]) {
             let id = b % oracle.len();
             let (mode, queries) = batch_for(&oracle[id], &mut rng);
             let expected = oracle[id].answer(mode, &queries).expect("oracle answers");
-            let resp_bytes =
-                server.handle(&Request::Query { id: id as u64, mode, queries }.to_bytes());
-            let resp = Response::from_bytes(&resp_bytes).expect("response decodes");
-            assert_identical(&resp, &expected);
+            let request = Request::Query { id: id as u64, mode, queries }.to_bytes();
+            assert_identical(&serve(&server, &request, &mut buf), &expected);
         }
     }
 
@@ -119,18 +121,16 @@ fn assert_serving_invariants(frames: &[Vec<u8>]) {
         let id = b % oracle.len();
         let (mode, queries) = batch_for(&oracle[id], &mut rng);
         let expected = oracle[id].answer(mode, &queries).expect("oracle answers");
-        let resp_bytes = tight.handle(&Request::Query { id: id as u64, mode, queries }.to_bytes());
-        let resp = Response::from_bytes(&resp_bytes).expect("response decodes");
-        assert_identical(&resp, &expected);
+        let request = Request::Query { id: id as u64, mode, queries }.to_bytes();
+        assert_identical(&serve(&tight, &request, &mut buf), &expected);
     }
     assert!(tight.stats().evictions > 0, "a one-sketch budget under round-robin load must evict");
 
     // Refusals: garbage and unknown ids answer typed errors mid-load.
-    let garbage = tight.handle(b"definitely not a frame");
-    assert!(matches!(Response::from_bytes(&garbage), Ok(Response::Error(_))));
-    let unknown = tight
-        .handle(&Request::Query { id: 999, mode: QueryMode::Estimate, queries: vec![] }.to_bytes());
-    assert!(matches!(Response::from_bytes(&unknown), Ok(Response::Error(_))));
+    let garbage = serve(&tight, b"definitely not a frame", &mut buf);
+    assert!(matches!(garbage, Response::Error(_)));
+    let unknown = Request::Query { id: 999, mode: QueryMode::Estimate, queries: vec![] };
+    assert!(matches!(serve(&tight, &unknown.to_bytes(), &mut buf), Response::Error(_)));
 }
 
 fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
@@ -142,7 +142,7 @@ fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// The timed half: a warm server under round-robin batched load, measured
-/// through the byte-level `handle` path.
+/// through the byte-level `handle_into` path.
 fn run_load(frames: &[Vec<u8>]) -> (f64, f64, f64, f64) {
     let server = SketchServer::new(ServeConfig::default());
     let oracle: Vec<ServedSketch> =
@@ -180,32 +180,6 @@ fn run_load(frames: &[Vec<u8>]) -> (f64, f64, f64, f64) {
     )
 }
 
-/// Hand-rolled JSON (DESIGN.md §6: no serde) under the workspace's
-/// `bench_results/`; the `mode` field records debug smoke vs release
-/// bench, and `source` records in-process bench vs the TCP loadgen.
-fn write_bench_json(p50_ms: f64, p99_ms: f64, p999_ms: f64, qps: f64) {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("serving_load: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mode = if cfg!(debug_assertions) { "debug" } else { "release" };
-    let queries_total = BATCHES * BATCH_SIZE;
-    let json = format!(
-        "{{\n  \"bench\": \"serving_load\",\n  \"mode\": \"{mode}\",\n  \
-         \"source\": \"bench\",\n  \"sketches\": 3,\n  \"connections\": 1,\n  \
-         \"pipeline_depth\": 1,\n  \"batches\": {BATCHES},\n  \
-         \"batch_size\": {BATCH_SIZE},\n  \"queries_total\": {queries_total},\n  \
-         \"p50_ms\": {p50_ms:.3},\n  \"p99_ms\": {p99_ms:.3},\n  \"p999_ms\": {p999_ms:.3},\n  \
-         \"queries_per_sec\": {qps:.1},\n  \"identity_checked\": true\n}}\n"
-    );
-    let path = dir.join("BENCH_serving.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("serving_load: wrote {}", path.display()),
-        Err(e) => eprintln!("serving_load: cannot write {}: {e}", path.display()),
-    }
-}
-
 fn bench_serving_load(c: &mut Criterion) {
     let mut rng = Rng64::seeded(0x5E17E);
     let frames = fleet(&mut rng);
@@ -216,7 +190,6 @@ fn bench_serving_load(c: &mut Criterion) {
          ({ROWS} rows x {DIMS} dims): p50 {p50:.3} ms, p99 {p99:.3} ms, \
          p99.9 {p999:.3} ms, {qps:.0} queries/s"
     );
-    write_bench_json(p50, p99, p999, qps);
     // Keep criterion's group bookkeeping consistent even though the gate
     // does its own timing.
     let mut g = c.benchmark_group("serving_load_gate");

@@ -44,8 +44,8 @@
 use ifs_core::{ReleaseAnswersEstimator, ReleaseAnswersIndicator, ReleaseDb, Snapshot, Subsample};
 use ifs_database::{generators, Itemset};
 use ifs_serve::{
-    net, pool, Answers, Client, PoolConfig, QueryMode, Request, Response, ServeConfig,
-    ServedSketch, SketchServer,
+    net, pool, Answers, Client, QueryMode, Request, Response, ServeConfig, ServedSketch,
+    SketchServer,
 };
 use ifs_util::Rng64;
 use std::collections::VecDeque;
@@ -549,14 +549,12 @@ fn bench_matrix(args: &Args) -> Result<(), String> {
             };
             // The loader client plus the driving connections.
             let accept = Some(args.connections + 1);
-            let pool_config = PoolConfig::default();
             let measured = std::thread::scope(|scope| {
                 let server = &server;
                 let listener = &listener;
-                let pool_config = &pool_config;
                 scope.spawn(move || {
                     let served = if pooled {
-                        pool::serve_pooled(server, listener, pool_config, accept)
+                        pool::serve_pooled(server, listener, 0, accept)
                     } else {
                         net::serve_listener(server, listener, accept)
                     };

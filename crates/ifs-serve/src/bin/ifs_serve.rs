@@ -35,9 +35,9 @@
 //! or corrupt snapshot file, or an unbindable address all exit 2 with the
 //! typed error printed.
 
-use ifs_serve::{net, pool, PoolConfig, ServeConfig, ServeError, SketchServer};
+use ifs_serve::{net, pool, ServeConfig, ServeError, SketchServer};
 use ifs_store::SketchLog;
-use ifs_util::threads::{try_env_threads, try_env_threads_var};
+use ifs_util::threads::env_threads;
 use std::net::TcpListener;
 use std::process::ExitCode;
 
@@ -121,15 +121,16 @@ fn parse_args() -> Result<Args, String> {
 fn preload(server: &SketchServer, path: &str) -> Result<u64, String> {
     let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let mut reader = std::io::BufReader::new(file);
+    let mut frame = Vec::new();
     let mut id = 0u64;
     let mut offset = 0u64;
     loop {
         let at =
             |e: &dyn std::fmt::Display| format!("{path}: frame {id} at byte offset {offset}: {e}");
-        match net::read_frame(&mut reader).map_err(|e| at(&e))? {
+        match net::read_frame_into(&mut reader, &mut frame).map_err(|e| at(&e))? {
             None => return Ok(id),
             Some(Err(e)) => return Err(at(&e)),
-            Some(Ok(frame)) => {
+            Some(Ok(())) => {
                 server.load_frame(id, 0, &frame).map_err(|e| at(&e))?;
                 offset += frame.len() as u64;
                 id += 1;
@@ -172,14 +173,14 @@ fn preload_log(server: &SketchServer, path: &str) -> Result<(u64, u64), String> 
 }
 
 fn run() -> Result<(), String> {
-    // The non-panicking env parses: a bad IFS_THREADS or IFS_SERVE_WORKERS
+    // The env knobs parse up front: a bad IFS_THREADS or IFS_SERVE_WORKERS
     // refuses the whole process startup with a message instead of a panic
     // mid-serve.
-    let env_threads = try_env_threads().map_err(|e| e.to_string())?;
-    let env_workers = try_env_threads_var("IFS_SERVE_WORKERS").map_err(|e| e.to_string())?;
+    let default_threads = env_threads("IFS_THREADS").map_err(|e| e.to_string())?.unwrap_or(1);
+    let env_workers = env_threads("IFS_SERVE_WORKERS").map_err(|e| e.to_string())?;
     let mut args = parse_args()?;
     if args.threads == 0 {
-        args.threads = env_threads;
+        args.threads = default_threads;
     }
     let server = SketchServer::new(ServeConfig {
         budget_bits: args.budget_bits,
@@ -202,12 +203,9 @@ fn run() -> Result<(), String> {
         net::serve_listener(&server, &listener, args.accept).map_err(|e| e.to_string())
     } else {
         // Flag beats environment beats auto, like --threads/IFS_THREADS.
-        let config = PoolConfig {
-            workers: args.workers.or(env_workers).unwrap_or(0),
-            ..PoolConfig::default()
-        };
-        println!("ifs-serve listening on {local} (pooled, {} workers)", config.resolved_workers());
-        pool::serve_pooled(&server, &listener, &config, args.accept).map_err(|e| e.to_string())
+        let workers = pool::resolve_workers(args.workers.or(env_workers).unwrap_or(0));
+        println!("ifs-serve listening on {local} (pooled, {workers} workers)");
+        pool::serve_pooled(&server, &listener, workers, args.accept).map_err(|e| e.to_string())
     }
 }
 

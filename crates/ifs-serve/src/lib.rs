@@ -32,8 +32,9 @@
 //! - [`hot`] — [`HotSet`], the LRU over decoded sketches bounded by
 //!   measured bits.
 //! - [`server`] — [`SketchServer`], gluing the above behind one
-//!   `handle(request bytes) -> response bytes` entry point, with explicit
-//!   backpressure ([`BatchSlot`]).
+//!   request → response map ([`SketchServer::respond`]) and its byte-level
+//!   form ([`SketchServer::handle_into`]), with explicit backpressure
+//!   ([`BatchSlot`]).
 //! - [`net`] — blocking TCP transport and a [`Client`], plus the
 //!   `ifs-serve` and `ifs-loadgen` binaries on top.
 //! - [`pool`] — the pooled transport (DESIGN.md §13): a fixed worker
@@ -54,7 +55,7 @@ pub mod sketch;
 pub use error::ServeError;
 pub use hot::HotSet;
 pub use net::{Client, MAX_WIRE_FRAME};
-pub use pool::{serve_pooled, PoolConfig, PoolWorker};
+pub use pool::{serve_pooled, PoolWorker};
 pub use protocol::{
     EncodeBuf, QueryMode, Request, Response, ServerStats, PROTOCOL_VERSION, REQUEST_KIND,
     RESPONSE_KIND,

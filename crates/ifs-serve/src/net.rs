@@ -25,26 +25,28 @@ use std::net::{TcpListener, TcpStream};
 /// than this (plus the fixed header/checksum overhead) per frame.
 pub const MAX_WIRE_FRAME: usize = 1 << 30;
 
-/// Reads one complete frame from `stream`.
+/// Largest first body read in [`read_frame_into`]. The buffer grows as
+/// bytes arrive — at most this much, or as much as has already arrived,
+/// per read — so a peer that declares a huge body and then stops costs
+/// about what it actually sent, not what it declared.
+const BODY_READ_STEP: usize = 64 * 1024;
+
+/// Reads one complete frame from `stream` into a caller-owned buffer:
+/// `frame` is cleared and overwritten with the complete frame bytes,
+/// retaining its capacity, so a connection that reads every frame through
+/// one buffer stops allocating once it has seen its largest frame.
 ///
 /// - `Ok(None)` — the peer closed the connection cleanly at a frame
 ///   boundary.
-/// - `Ok(Some(Ok(bytes)))` — one whole frame, ready for the codec layer.
+/// - `Ok(Some(Ok(())))` — one whole frame spans all of `frame`, ready for
+///   the codec layer.
 /// - `Ok(Some(Err(e)))` — the stream is not speaking the frame format
 ///   (bad magic, oversized or malformed length); the caller should answer
 ///   once and close, since the next frame boundary is unknowable.
 /// - `Err(_)` — transport failure (including mid-frame EOF).
-pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Option<Result<Vec<u8>, DecodeError>>> {
-    let mut frame = Vec::new();
-    Ok(read_frame_into(stream, &mut frame)?.map(|r| r.map(|()| frame)))
-}
-
-/// [`read_frame`] into a caller-owned buffer: `frame` is cleared and
-/// overwritten with the complete frame bytes, retaining its capacity, so a
-/// connection that reads every frame through one buffer stops allocating
-/// once it has seen its largest frame. The `Option`/`Result` layering is
-/// exactly [`read_frame`]'s; on `Some(Ok(()))` the frame spans all of
-/// `frame`.
+///
+/// Every framing check is shared with the pooled transport's
+/// [`frame_boundary`], so both refuse the same streams identically.
 pub fn read_frame_into<R: Read>(
     stream: &mut R,
     frame: &mut Vec<u8>,
@@ -59,42 +61,26 @@ pub fn read_frame_into<R: Read>(
         Err(e) => return Err(e),
     }
     stream.read_exact(&mut header[1..])?;
-    let magic = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    if magic != SNAPSHOT_MAGIC {
-        return Ok(Some(Err(DecodeError::BadMagic(magic))));
-    }
     frame.extend_from_slice(&header);
-    // Varint body length, byte-wise off the stream.
-    let mut body_len = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut b = [0u8; 1];
-        stream.read_exact(&mut b)?;
-        frame.push(b[0]);
-        let payload = u64::from(b[0] & 0x7F);
-        if shift >= 63 && payload > 1 {
-            return Ok(Some(Err(DecodeError::Corrupt("frame length varint overflows u64".into()))));
+    // Varint body length, byte-wise off the stream, until the total is known.
+    let total = loop {
+        match frame_len(frame) {
+            Ok(Some(total)) => break total,
+            Ok(None) => {
+                let mut b = [0u8; 1];
+                stream.read_exact(&mut b)?;
+                frame.push(b[0]);
+            }
+            Err(e) => return Ok(Some(Err(e))),
         }
-        body_len |= payload << shift;
-        if b[0] & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-        if shift > 63 {
-            return Ok(Some(Err(DecodeError::Corrupt(
-                "frame length varint continues beyond 10 bytes".into(),
-            ))));
-        }
+    };
+    // Body + trailing u64 checksum (validated by the codec layer), in one
+    // read for frames up to `BODY_READ_STEP`, growing geometrically past it.
+    while frame.len() < total {
+        let start = frame.len();
+        frame.resize(start + (total - start).min(BODY_READ_STEP.max(start)), 0);
+        stream.read_exact(&mut frame[start..])?;
     }
-    if body_len > MAX_WIRE_FRAME as u64 {
-        return Ok(Some(Err(DecodeError::Corrupt(format!(
-            "frame declares a {body_len}-byte body, transport cap is {MAX_WIRE_FRAME}"
-        )))));
-    }
-    // Body + trailing u64 checksum; validated by the codec layer.
-    let start = frame.len();
-    frame.resize(start + body_len as usize + 8, 0);
-    stream.read_exact(&mut frame[start..])?;
     Ok(Some(Ok(())))
 }
 
@@ -104,33 +90,33 @@ pub fn write_frame<W: Write>(stream: &mut W, frame: &[u8]) -> io::Result<()> {
     stream.flush()
 }
 
-/// Finds the first frame boundary in a buffered prefix of a byte stream —
-/// the incremental-parse form of [`read_frame_into`] the pooled
-/// (nonblocking) transport uses, where bytes arrive in arbitrary chunks
-/// and a partial frame must simply wait for more.
+/// The total length of the frame that `prefix` begins, once its 8-byte
+/// header and varint body length are visible — the one place the
+/// transport judges framing (magic, varint overflow, [`MAX_WIRE_FRAME`]).
 ///
-/// - `Ok(Some(len))` — `buf[..len]` is one complete frame.
-/// - `Ok(None)` — `buf` is a valid but incomplete prefix; read more.
-/// - `Err(_)` — `buf` can never extend to a frame (bad magic, malformed
-///   or oversized length); the stream position is meaningless and the
-///   connection should be closed after one typed error response.
+/// - `Ok(Some(total))` — the frame spans `total` bytes (header, length,
+///   body and checksum); `prefix` may hold fewer or more.
+/// - `Ok(None)` — the header or length is not complete yet; read more.
+/// - `Err(_)` — `prefix` can never extend to a frame (bad magic,
+///   malformed or oversized length); the stream position is meaningless
+///   and the connection should be closed after one typed error response.
 ///
-/// Exactly the checks [`read_frame_into`] performs, judged over a slice:
-/// both transports refuse the same streams with the same errors.
-pub fn frame_boundary(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
-    if buf.len() < 4 {
+/// Inline so that [`read_frame_into`], instantiated in its callers' crates,
+/// does not pay a call per varint byte.
+#[inline]
+fn frame_len(prefix: &[u8]) -> Result<Option<usize>, DecodeError> {
+    let Some(header) = prefix.get(..8) else {
         return Ok(None);
-    }
-    let magic = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
+    };
+    let magic = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
     if magic != SNAPSHOT_MAGIC {
         return Err(DecodeError::BadMagic(magic));
     }
-    // Header is magic u32 + kind u16 + version u16; varint length follows.
     let mut body_len = 0u64;
     let mut shift = 0u32;
     let mut at = 8;
     loop {
-        let Some(&b) = buf.get(at) else {
+        let Some(&b) = prefix.get(at) else {
             return Ok(None);
         };
         at += 1;
@@ -155,8 +141,21 @@ pub fn frame_boundary(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
         )));
     }
     // Body + trailing u64 checksum.
-    let total = at + body_len as usize + 8;
-    Ok(if buf.len() >= total { Some(total) } else { None })
+    Ok(Some(at + body_len as usize + 8))
+}
+
+/// Finds the first frame boundary in a buffered prefix of a byte stream —
+/// the incremental form of [`read_frame_into`] the pooled (nonblocking)
+/// transport uses, where bytes arrive in arbitrary chunks and a partial
+/// frame must simply wait for more.
+///
+/// - `Ok(Some(len))` — `buf[..len]` is one complete frame.
+/// - `Ok(None)` — `buf` is a valid but incomplete prefix; read more.
+/// - `Err(_)` — `buf` can never extend to a frame (bad magic, malformed
+///   or oversized length); the stream position is meaningless and the
+///   connection should be closed after one typed error response.
+pub fn frame_boundary(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
+    Ok(frame_len(buf)?.filter(|&total| buf.len() >= total))
 }
 
 /// Serves one connection to completion: one response frame per request
@@ -286,56 +285,125 @@ mod tests {
         write_frame(&mut wire, &frame).unwrap();
         write_frame(&mut wire, &frame).unwrap();
         let mut cursor = &wire[..];
+        let mut got = Vec::new();
         for _ in 0..2 {
-            let got = read_frame(&mut cursor).unwrap().expect("frame").expect("well-formed");
+            read_frame_into(&mut cursor, &mut got).unwrap().expect("frame").expect("well-formed");
             assert_eq!(got, frame);
         }
-        assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF after the last frame");
+        let end = read_frame_into(&mut cursor, &mut got).unwrap();
+        assert!(end.is_none(), "clean EOF after the last frame");
+    }
+
+    /// A frame header followed by the varint body length `varint`.
+    fn header_with_len(varint: &[u8]) -> Vec<u8> {
+        let mut frame = SNAPSHOT_MAGIC.to_le_bytes().to_vec();
+        frame.extend_from_slice(&64u16.to_le_bytes());
+        frame.extend_from_slice(&1u16.to_le_bytes());
+        frame.extend_from_slice(varint);
+        frame
     }
 
     #[test]
     fn unframeable_streams_refuse_without_panicking() {
+        let mut frame = Vec::new();
         // Wrong magic.
         let mut junk = &b"NOTAFRAMEATALL!!"[..];
-        assert!(matches!(read_frame(&mut junk).unwrap(), Some(Err(DecodeError::BadMagic(_)))));
+        let got = read_frame_into(&mut junk, &mut frame).unwrap();
+        assert!(matches!(got, Some(Err(DecodeError::BadMagic(_)))));
         // A declared body length over the transport cap.
-        let mut frame = SNAPSHOT_MAGIC.to_le_bytes().to_vec();
-        frame.extend_from_slice(&64u16.to_le_bytes());
-        frame.extend_from_slice(&1u16.to_le_bytes());
-        frame.extend_from_slice(&[0xFF; 9]); // huge varint
-        frame.push(0x01);
-        let mut cursor = &frame[..];
-        assert!(matches!(read_frame(&mut cursor).unwrap(), Some(Err(DecodeError::Corrupt(_)))));
+        let huge = header_with_len(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]);
+        let got = read_frame_into(&mut &huge[..], &mut frame).unwrap();
+        assert!(matches!(got, Some(Err(DecodeError::Corrupt(_)))));
         // Mid-frame EOF is a transport error, not a panic.
         let whole = Request::Stats.to_bytes();
         let mut cut = &whole[..whole.len() - 3];
-        assert!(read_frame(&mut cut).is_err());
+        assert!(read_frame_into(&mut cut, &mut frame).is_err());
     }
 
-    /// The incremental parser must agree with the blocking reader on
-    /// every prefix: incomplete prefixes wait, the exact frame length is
-    /// found, trailing bytes are left alone, and unframeable prefixes
-    /// refuse with the same errors.
+    /// A peer that declares a 2^30-byte body and then closes costs the
+    /// reader about what it sent, not the gigabyte it declared.
+    #[test]
+    fn declared_body_length_is_not_allocated_up_front() {
+        let prefix = header_with_len(&[0x80, 0x80, 0x80, 0x80, 0x04]);
+        assert_eq!(prefix.len(), 13);
+        assert_eq!(frame_len(&prefix), Ok(Some(13 + MAX_WIRE_FRAME + 8)), "2^30 is within the cap");
+        let mut frame = Vec::new();
+        let err = read_frame_into(&mut &prefix[..], &mut frame).expect_err("EOF mid-body");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(frame.capacity() <= 2 * BODY_READ_STEP, "capacity {}", frame.capacity());
+    }
+
+    /// What one entry point made of a byte string.
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Frame(usize),
+        Incomplete,
+        Refused(DecodeError),
+    }
+
+    fn sliced(buf: &[u8]) -> Outcome {
+        match frame_boundary(buf) {
+            Ok(Some(len)) => Outcome::Frame(len),
+            Ok(None) => Outcome::Incomplete,
+            Err(e) => Outcome::Refused(e),
+        }
+    }
+
+    fn blocking(mut buf: &[u8]) -> Outcome {
+        let mut frame = Vec::new();
+        match read_frame_into(&mut buf, &mut frame) {
+            Ok(Some(Ok(()))) => Outcome::Frame(frame.len()),
+            Ok(Some(Err(e))) => Outcome::Refused(e),
+            // A clean close before the first byte, or EOF mid-frame.
+            Ok(None) => Outcome::Incomplete,
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Outcome::Incomplete,
+            Err(e) => panic!("an in-memory read failed: {e}"),
+        }
+    }
+
+    /// The slice parser and the blocking reader agree on every prefix of
+    /// every input: incomplete prefixes wait, the exact frame length is
+    /// found, trailing bytes are left alone, and each malformed header
+    /// refuses with the same error at the same byte.
     #[test]
     fn frame_boundary_agrees_with_the_blocking_reader() {
         let frame = Request::Stats.to_bytes();
-        for cut in 0..frame.len() {
-            assert_eq!(frame_boundary(&frame[..cut]), Ok(None), "prefix of {cut} bytes");
-        }
-        assert_eq!(frame_boundary(&frame), Ok(Some(frame.len())));
-        // A second frame's bytes behind the first are not consumed.
         let mut two = frame.clone();
         two.extend_from_slice(&frame);
-        assert_eq!(frame_boundary(&two), Ok(Some(frame.len())));
-        // Bad magic refuses as soon as 4 bytes are visible.
-        assert!(matches!(frame_boundary(b"NOTAFRAME"), Err(DecodeError::BadMagic(_))));
-        // Oversized declared length refuses like the blocking reader.
-        let mut huge = SNAPSHOT_MAGIC.to_le_bytes().to_vec();
-        huge.extend_from_slice(&64u16.to_le_bytes());
-        huge.extend_from_slice(&1u16.to_le_bytes());
-        huge.extend_from_slice(&[0xFF; 9]);
-        huge.push(0x01);
-        assert!(matches!(frame_boundary(&huge), Err(DecodeError::Corrupt(_))));
+        let corrupt = |msg: &str| Outcome::Refused(DecodeError::Corrupt(msg.into()));
+        let cases = [
+            // A second frame's bytes behind the first are not consumed.
+            (two, Outcome::Frame(frame.len())),
+            (
+                b"NOTAFRAMEATALL!!".to_vec(),
+                Outcome::Refused(DecodeError::BadMagic(u32::from_le_bytes(*b"NOTA"))),
+            ),
+            (
+                header_with_len(&[0x80, 0x80, 0x80, 0x80, 0x08]),
+                corrupt(&format!(
+                    "frame declares a {}-byte body, transport cap is {MAX_WIRE_FRAME}",
+                    1u64 << 31
+                )),
+            ),
+            (
+                header_with_len(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02]),
+                corrupt("frame length varint overflows u64"),
+            ),
+            (
+                header_with_len(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x81]),
+                corrupt("frame length varint continues beyond 10 bytes"),
+            ),
+        ];
+        for (input, whole) in &cases {
+            for cut in 0..=input.len() {
+                let prefix = &input[..cut];
+                assert_eq!(sliced(prefix), blocking(prefix), "{input:?}, prefix of {cut} bytes");
+            }
+            assert_eq!(&sliced(input), whole, "{input:?}");
+        }
+        for cut in 0..frame.len() {
+            assert_eq!(sliced(&frame[..cut]), Outcome::Incomplete, "prefix of {cut} bytes");
+        }
     }
 
     #[test]

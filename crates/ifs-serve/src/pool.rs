@@ -39,7 +39,7 @@
 
 use crate::net::frame_boundary;
 use crate::protocol::{EncodeBuf, QueryMode, Request, Response};
-use crate::server::{LoadOutcome, SketchServer};
+use crate::server::SketchServer;
 use crate::sketch::Answers;
 use ifs_database::Itemset;
 use ifs_util::threads::clamp_threads;
@@ -50,37 +50,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Operator knobs of the pooled transport.
-#[derive(Debug, Clone)]
-pub struct PoolConfig {
-    /// Handler workers. `0` means auto: `available_parallelism`, clamped
-    /// like every other worker-count knob. The `ifs-serve` binary feeds
-    /// `IFS_SERVE_WORKERS` through here.
-    pub workers: usize,
-    /// Read-ahead bound: parsed-but-unanswered requests buffered per
-    /// connection. A pipelining client deeper than this is simply not
-    /// read from until responses drain — flow control, not an error.
-    pub readahead: usize,
-    /// How long an idle worker sleeps between polls of its connections.
-    pub idle_sleep: Duration,
-}
+/// Read-ahead bound: parsed-but-unanswered requests buffered per
+/// connection. A pipelining client deeper than this is simply not read
+/// from until responses drain — flow control, not an error.
+const READAHEAD: usize = 64;
 
-impl Default for PoolConfig {
-    fn default() -> Self {
-        Self { workers: 0, readahead: 64, idle_sleep: Duration::from_micros(50) }
-    }
-}
+/// How long an idle worker sleeps between polls of its connections.
+const IDLE_SLEEP: Duration = Duration::from_micros(50);
 
-impl PoolConfig {
-    /// The worker count this config resolves to: `workers` if nonzero,
-    /// otherwise the machine's available parallelism, clamped either way.
-    pub fn resolved_workers(&self) -> usize {
-        let n = if self.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.workers
-        };
-        clamp_threads(n)
+/// The handler count a `workers` knob resolves to: `workers` if nonzero,
+/// otherwise the machine's available parallelism, clamped like every
+/// other worker-count knob either way.
+pub fn resolve_workers(workers: usize) -> usize {
+    if workers == 0 {
+        clamp_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    } else {
+        clamp_threads(workers)
     }
 }
 
@@ -150,19 +135,13 @@ fn mode_tag(mode: QueryMode) -> u8 {
 pub struct PoolWorker<'s, S> {
     server: &'s SketchServer,
     conns: Vec<Conn<S>>,
-    readahead: usize,
     chunk: Vec<u8>,
 }
 
 impl<'s, S: Read + Write> PoolWorker<'s, S> {
     /// A worker with no connections yet.
-    pub fn new(server: &'s SketchServer, config: &PoolConfig) -> Self {
-        Self {
-            server,
-            conns: Vec::new(),
-            readahead: config.readahead.max(1),
-            chunk: vec![0; 16 * 1024],
-        }
+    pub fn new(server: &'s SketchServer) -> Self {
+        Self { server, conns: Vec::new(), chunk: vec![0; 16 * 1024] }
     }
 
     /// Adopts a connection. For TCP the stream must already be
@@ -190,7 +169,7 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
     pub fn pass(&mut self) -> bool {
         let mut did = false;
         for conn in &mut self.conns {
-            did |= Self::read_and_parse(conn, self.readahead, &mut self.chunk);
+            did |= Self::read_and_parse(conn, &mut self.chunk);
         }
         did |= self.dispatch();
         for conn in &mut self.conns {
@@ -206,9 +185,9 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
     /// blocks. An unframeable prefix queues one typed error response and
     /// marks the connection closing (the stream position is meaningless,
     /// exactly the blocking transport's contract).
-    fn read_and_parse(conn: &mut Conn<S>, readahead: usize, chunk: &mut [u8]) -> bool {
+    fn read_and_parse(conn: &mut Conn<S>, chunk: &mut [u8]) -> bool {
         let mut did = false;
-        if !conn.eof && !conn.closing && conn.queue.len() < readahead {
+        if !conn.eof && !conn.closing && conn.queue.len() < READAHEAD {
             loop {
                 match conn.stream.read(chunk) {
                     Ok(0) => {
@@ -232,7 +211,7 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
             }
         }
         let mut consumed = 0;
-        while !conn.closing && conn.queue.len() < readahead {
+        while !conn.closing && conn.queue.len() < READAHEAD {
             match frame_boundary(&conn.inbuf[consumed..]) {
                 Ok(None) => break,
                 Ok(Some(len)) => {
@@ -275,7 +254,7 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
                     }
                     let resp = match conn.queue.pop_front().expect("front was Some") {
                         Pending::Immediate(resp) => resp,
-                        Pending::Request(req) => Self::respond_control(self.server, req),
+                        Pending::Request(req) => self.server.respond(&req),
                     };
                     let frame = resp.encode_into(&mut conn.buf);
                     conn.outbuf.extend_from_slice(frame);
@@ -309,30 +288,6 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
             if !round {
                 return did;
             }
-        }
-    }
-
-    /// Answers one non-query request — identical response surface to
-    /// [`SketchServer::handle_into`]'s Load and Stats arms.
-    fn respond_control(server: &SketchServer, req: Request) -> Response {
-        match req {
-            Request::Load { id, threads, frame } => match server.load_frame(id, threads, &frame) {
-                Ok(LoadOutcome {
-                    kind,
-                    size_bits,
-                    generation,
-                    previous_kind: Some(previous_kind),
-                    evicted,
-                }) => {
-                    Response::Reloaded { id, kind, size_bits, generation, previous_kind, evicted }
-                }
-                Ok(LoadOutcome { kind, size_bits, evicted, .. }) => {
-                    Response::Loaded { id, kind, size_bits, evicted }
-                }
-                Err(e) => Response::Error(e),
-            },
-            Request::Stats => Response::Stats(server.stats()),
-            Request::Query { .. } => unreachable!("queries go through execute()"),
         }
     }
 
@@ -410,8 +365,7 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
                 Err(_) => {
                     for &m in &valid {
                         responses[m] = Some(match sketch.answer(mode, &taken[m].3) {
-                            Ok(Answers::Estimates(v)) => Response::Estimates(v),
-                            Ok(Answers::Indicators(v)) => Response::Indicators(v),
+                            Ok(answers) => answers.into(),
                             Err(e) => Response::Error(e),
                         });
                         self.server.record_dispatch();
@@ -458,20 +412,20 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
     }
 }
 
-/// Pooled accept loop: `workers` handler threads (see
-/// [`PoolConfig::resolved_workers`]) each multiplex a share of the
-/// accepted connections; the calling thread accepts and deals
-/// connections round-robin. With `accept_limit = Some(n)`, returns after
+/// Pooled accept loop: `workers` handler threads (`0` = auto, see
+/// [`resolve_workers`]) each multiplex a share of the accepted
+/// connections; the calling thread accepts and deals connections
+/// round-robin. With `accept_limit = Some(n)`, returns after
 /// `n` connections have been accepted *and served to completion* —
 /// the same contract as [`crate::net::serve_listener`]; `None` loops
 /// forever.
 pub fn serve_pooled(
     server: &SketchServer,
     listener: &TcpListener,
-    config: &PoolConfig,
+    workers: usize,
     accept_limit: Option<usize>,
 ) -> io::Result<()> {
-    let workers = config.resolved_workers();
+    let workers = resolve_workers(workers);
     let inboxes: Vec<Mutex<Vec<TcpStream>>> =
         (0..workers).map(|_| Mutex::new(Vec::new())).collect();
     let accepting = AtomicBool::new(true);
@@ -479,9 +433,8 @@ pub fn serve_pooled(
     std::thread::scope(|scope| {
         for inbox in &inboxes {
             let accepting = &accepting;
-            let idle = config.idle_sleep;
             scope.spawn(move || {
-                let mut worker = PoolWorker::new(server, config);
+                let mut worker = PoolWorker::new(server);
                 loop {
                     {
                         let mut inbox = inbox.lock().expect("pool inbox poisoned");
@@ -497,7 +450,7 @@ pub fn serve_pooled(
                         }
                     }
                     if !did {
-                        std::thread::sleep(idle);
+                        std::thread::sleep(IDLE_SLEEP);
                     }
                 }
             });
@@ -643,7 +596,7 @@ mod tests {
         let queries = vec![Itemset::empty(), Itemset::new(vec![0, 1])];
         let expected = Response::Estimates(offline.estimate_batch(&queries));
 
-        let mut worker = PoolWorker::new(&server, &PoolConfig::default());
+        let mut worker = PoolWorker::new(&server);
         let (slow, slow_out) = ScriptStream::new(ScriptStream::dribble(&query(1, queries.clone())));
         let (fast, fast_out) = ScriptStream::new(ScriptStream::whole(query(1, queries.clone())));
         worker.push(slow);
@@ -670,7 +623,7 @@ mod tests {
         let qa = vec![Itemset::empty(), Itemset::singleton(0)];
         let qb = vec![Itemset::new(vec![0, 1])];
 
-        let mut worker = PoolWorker::new(&server, &PoolConfig::default());
+        let mut worker = PoolWorker::new(&server);
         let (a, a_out) = ScriptStream::new(ScriptStream::whole(query(1, qa.clone())));
         let (b, b_out) = ScriptStream::new(ScriptStream::whole(query(1, qb.clone())));
         worker.push(a);
@@ -708,7 +661,7 @@ mod tests {
         );
         wire.extend_from_slice(&query(1, queries.clone()));
 
-        let mut worker = PoolWorker::new(&server, &PoolConfig::default());
+        let mut worker = PoolWorker::new(&server);
         let (conn, out) = ScriptStream::new(ScriptStream::whole(wire));
         worker.push(conn);
         run_until_drained(&mut worker);
@@ -737,7 +690,7 @@ mod tests {
 
         let mut bad_wire = query(1, queries.clone());
         bad_wire.extend_from_slice(b"!!!! this is not a frame");
-        let mut worker = PoolWorker::new(&server, &PoolConfig::default());
+        let mut worker = PoolWorker::new(&server);
         let (bad, bad_out) = ScriptStream::new(ScriptStream::whole(bad_wire));
         let (good, good_out) = ScriptStream::new(ScriptStream::whole(query(1, queries.clone())));
         worker.push(bad);
@@ -773,7 +726,7 @@ mod tests {
         let mut wire = corrupt;
         wire.extend_from_slice(&query(1, queries.clone()));
 
-        let mut worker = PoolWorker::new(&server, &PoolConfig::default());
+        let mut worker = PoolWorker::new(&server);
         let (conn, out) = ScriptStream::new(ScriptStream::whole(wire));
         worker.push(conn);
         worker.pass();
@@ -795,7 +748,7 @@ mod tests {
         server.load_frame(1, 1, &frame).expect("admit");
         let queries = vec![Itemset::empty()];
 
-        let mut worker = PoolWorker::new(&server, &PoolConfig::default());
+        let mut worker = PoolWorker::new(&server);
         let (conn, out) = ScriptStream::new(vec![
             Some(query(1, queries.clone())),
             None,

@@ -1,12 +1,14 @@
 //! The sketch server: admitted frames, a hot set, and bounded in-flight
 //! query batches.
 //!
-//! [`SketchServer`] is transport-agnostic — [`handle`](SketchServer::handle)
-//! maps one request frame to one response frame, and the TCP layer
-//! ([`crate::net`]) is just a loop around it. All state sits behind one
-//! mutex, but query batches execute *outside* it on an [`Arc`]'d sketch,
-//! so concurrent connections overlap their (dominant) batch work and the
-//! lock guards only admissions and LRU bookkeeping.
+//! [`SketchServer`] is transport-agnostic —
+//! [`respond`](SketchServer::respond) maps one decoded request to one
+//! response, [`handle_into`](SketchServer::handle_into) is the same map
+//! over frame bytes, and the TCP layers ([`crate::net`], [`crate::pool`])
+//! are loops around them. All state sits behind one mutex, but query
+//! batches execute *outside* it on an [`Arc`]'d sketch, so concurrent
+//! connections overlap their (dominant) batch work and the lock guards
+//! only admissions and LRU bookkeeping.
 //!
 //! Backpressure is explicit: at most
 //! [`max_in_flight`](ServeConfig::max_in_flight) query batches may be
@@ -130,7 +132,7 @@ impl SketchServer {
 
     /// Tries to occupy an in-flight batch slot, refusing with a typed
     /// [`ServeError::Overloaded`] when the bound is reached. The TCP layer
-    /// and [`handle`](Self::handle) call this per query batch; tests hold
+    /// and [`respond`](Self::respond) call this per query batch; tests hold
     /// slots directly to drive the server to saturation deterministically.
     pub fn try_begin_batch(&self) -> Result<BatchSlot<'_>, ServeError> {
         let limit = self.config.max_in_flight;
@@ -207,19 +209,6 @@ impl SketchServer {
     /// once per aggregated micro-batch so every request in the batch
     /// answers against the same snapshot generation.
     pub fn sketch(&self, id: u64) -> Result<Arc<ServedSketch>, ServeError> {
-        self.hot_or_reload(id)
-    }
-
-    /// Counts one served dispatch. [`query`](Self::query) calls this
-    /// internally; the pooled path, which executes batches on the [`Arc`]
-    /// from [`sketch`](Self::sketch) directly, calls it once per
-    /// aggregated dispatch — so `served_batches` counts *dispatches on
-    /// the engine*, not client-visible query responses.
-    pub fn record_dispatch(&self) {
-        self.state.lock().expect("server state poisoned").served_batches += 1;
-    }
-
-    fn hot_or_reload(&self, id: u64) -> Result<Arc<ServedSketch>, ServeError> {
         let mut state = self.state.lock().expect("server state poisoned");
         if let Some(sketch) = state.hot.get(id) {
             return Ok(sketch);
@@ -233,6 +222,15 @@ impl SketchServer {
         Ok(sketch)
     }
 
+    /// Counts one served dispatch. [`query`](Self::query) calls this
+    /// internally; the pooled path, which executes batches on the [`Arc`]
+    /// from [`sketch`](Self::sketch) directly, calls it once per
+    /// aggregated dispatch — so `served_batches` counts *dispatches on
+    /// the engine*, not client-visible query responses.
+    pub fn record_dispatch(&self) {
+        self.state.lock().expect("server state poisoned").served_batches += 1;
+    }
+
     /// Answers one query batch from the sketch at `id`. The caller must
     /// hold a [`BatchSlot`]; batch execution runs outside the state lock.
     pub fn query(
@@ -242,7 +240,7 @@ impl SketchServer {
         mode: QueryMode,
         queries: &[Itemset],
     ) -> Result<Answers, ServeError> {
-        let sketch = self.hot_or_reload(id)?;
+        let sketch = self.sketch(id)?;
         let answers = sketch.answer(mode, queries)?;
         self.record_dispatch();
         Ok(answers)
@@ -270,54 +268,55 @@ impl SketchServer {
         self.state.lock().expect("server state poisoned").hot.ids_by_recency().to_vec()
     }
 
-    /// Maps one request frame to one response frame — the whole serving
-    /// tier as a pure function over byte strings. Malformed requests,
-    /// refusals, and answers all come back as encoded [`Response`]s; no
-    /// input can panic this path.
-    pub fn handle(&self, request: &[u8]) -> Vec<u8> {
-        let mut buf = EncodeBuf::new();
-        self.handle_into(request, &mut buf).to_vec()
-    }
-
-    /// [`handle`](Self::handle) through a per-connection reusable
-    /// [`EncodeBuf`]: identical response bytes, but the response frame is
-    /// built in the buffer instead of a fresh allocation, so a warm
-    /// connection's encode path stops touching the allocator. The returned
-    /// slice is valid until the buffer's next encode.
-    pub fn handle_into<'a>(&self, request: &[u8], buf: &'a mut EncodeBuf) -> &'a [u8] {
-        let response = match Request::from_bytes(request) {
-            Err(e) => Response::Error(ServeError::Decode(e)),
-            Ok(Request::Load { id, threads, frame }) => {
-                match self.load_frame(id, threads, &frame) {
-                    Ok(LoadOutcome {
-                        kind,
-                        size_bits,
-                        generation,
-                        previous_kind: Some(previous_kind),
-                        evicted,
-                    }) => Response::Reloaded {
-                        id,
-                        kind,
-                        size_bits,
-                        generation,
-                        previous_kind,
-                        evicted,
-                    },
-                    Ok(LoadOutcome { kind, size_bits, evicted, .. }) => {
-                        Response::Loaded { id, kind, size_bits, evicted }
-                    }
+    /// Maps one decoded request to its response: Load (or reload),
+    /// Stats, and a single query batch under its own [`BatchSlot`]. Every
+    /// refusal comes back as [`Response::Error`]. Both transports answer
+    /// Load and Stats through here; the pooled transport answers queries
+    /// through its cross-connection aggregation instead ([`crate::pool`]).
+    pub fn respond(&self, request: &Request) -> Response {
+        match request {
+            Request::Load { id, threads, frame } => match self.load_frame(*id, *threads, frame) {
+                Ok(LoadOutcome {
+                    kind,
+                    size_bits,
+                    generation,
+                    previous_kind: Some(previous_kind),
+                    evicted,
+                }) => Response::Reloaded {
+                    id: *id,
+                    kind,
+                    size_bits,
+                    generation,
+                    previous_kind,
+                    evicted,
+                },
+                Ok(LoadOutcome { kind, size_bits, evicted, .. }) => {
+                    Response::Loaded { id: *id, kind, size_bits, evicted }
+                }
+                Err(e) => Response::Error(e),
+            },
+            Request::Query { id, mode, queries } => {
+                match self.try_begin_batch().and_then(|slot| self.query(&slot, *id, *mode, queries))
+                {
+                    Ok(answers) => answers.into(),
                     Err(e) => Response::Error(e),
                 }
             }
-            Ok(Request::Query { id, mode, queries }) => match self.try_begin_batch() {
-                Err(e) => Response::Error(e),
-                Ok(slot) => match self.query(&slot, id, mode, &queries) {
-                    Ok(Answers::Estimates(v)) => Response::Estimates(v),
-                    Ok(Answers::Indicators(v)) => Response::Indicators(v),
-                    Err(e) => Response::Error(e),
-                },
-            },
-            Ok(Request::Stats) => Response::Stats(self.stats()),
+            Request::Stats => Response::Stats(self.stats()),
+        }
+    }
+
+    /// Maps one request frame to one response frame — the whole serving
+    /// tier as a pure function over byte strings. Malformed requests,
+    /// refusals, and answers all come back as encoded [`Response`]s; no
+    /// input can panic this path. The response is built in a
+    /// per-connection reusable [`EncodeBuf`], so a warm connection's
+    /// encode path stops touching the allocator; the returned slice is
+    /// valid until the buffer's next encode.
+    pub fn handle_into<'a>(&self, request: &[u8], buf: &'a mut EncodeBuf) -> &'a [u8] {
+        let response = match Request::from_bytes(request) {
+            Ok(request) => self.respond(&request),
+            Err(e) => Response::Error(ServeError::Decode(e)),
         };
         response.encode_into(buf)
     }
@@ -435,26 +434,27 @@ mod tests {
     #[test]
     fn handle_is_total_over_byte_strings() {
         let server = SketchServer::new(ServeConfig::default());
+        let mut buf = EncodeBuf::new();
         // Garbage, truncation, and a valid frame all produce decodable
         // responses.
         for input in [&b""[..], b"garbage", &Request::Stats.to_bytes()] {
-            let out = server.handle(input);
-            Response::from_bytes(&out).expect("every response must decode");
+            Response::from_bytes(server.handle_into(input, &mut buf))
+                .expect("every response must decode");
         }
     }
 
     #[test]
-    fn handle_into_reusing_one_buffer_matches_handle() {
+    fn handle_into_reusing_one_buffer_matches_a_fresh_buffer() {
         let (_, frame) = demo();
         // Two identical servers, fed the same request sequence: one
-        // through the reusable buffer, one through the allocating path.
-        // (One server would see the second Load of each pair as a
-        // reload and answer a different generation.)
+        // through one reused buffer, one through a fresh buffer per
+        // request. (One server would see the second Load of each pair as
+        // a reload and answer a different generation.)
         let reusing = SketchServer::new(ServeConfig::default());
-        let allocating = SketchServer::new(ServeConfig::default());
+        let fresh = SketchServer::new(ServeConfig::default());
         let mut buf = EncodeBuf::new();
         // One buffer across loads, queries of both modes, stats, and
-        // refusals — every response must equal the allocating path's bytes
+        // refusals — every response must equal the fresh buffer's bytes
         // even after the buffer has held a longer frame.
         let requests = [
             Request::Load { id: 0, threads: 1, frame: frame.clone() },
@@ -466,10 +466,11 @@ mod tests {
             Request::Stats,
             Request::Query { id: 9, mode: QueryMode::Indicator, queries: vec![] },
         ];
-        for req in &requests {
-            let bytes = req.to_bytes();
-            assert_eq!(reusing.handle_into(&bytes, &mut buf), allocating.handle(&bytes), "{req:?}");
+        let mut inputs: Vec<Vec<u8>> = requests.iter().map(Request::to_bytes).collect();
+        inputs.push(b"garbage".to_vec());
+        for input in &inputs {
+            let want = fresh.handle_into(input, &mut EncodeBuf::new()).to_vec();
+            assert_eq!(reusing.handle_into(input, &mut buf), want, "{input:?}");
         }
-        assert_eq!(reusing.handle_into(b"garbage", &mut buf), allocating.handle(b"garbage"));
     }
 }

@@ -17,7 +17,7 @@
 //! no byte string a client sends can reach a panic.
 
 use crate::error::ServeError;
-use crate::protocol::QueryMode;
+use crate::protocol::{QueryMode, Response};
 use ifs_core::snapshot::{
     KIND_COUNT_MIN, KIND_COUNT_SKETCH, KIND_RELEASE_ANSWERS_ESTIMATOR,
     KIND_RELEASE_ANSWERS_INDICATOR, KIND_RELEASE_DB, KIND_SUBSAMPLE, KIND_SUBSAMPLE_BUILDER,
@@ -36,6 +36,15 @@ pub enum Answers {
     Estimates(Vec<f64>),
     /// Indicator-mode answers, in query order.
     Indicators(Vec<bool>),
+}
+
+impl From<Answers> for Response {
+    fn from(answers: Answers) -> Self {
+        match answers {
+            Answers::Estimates(v) => Response::Estimates(v),
+            Answers::Indicators(v) => Response::Indicators(v),
+        }
+    }
 }
 
 /// A decoded sketch the server can answer queries from.

@@ -17,8 +17,10 @@
 //!   to change between Rust releases, which would silently relocate every
 //!   Count-Min/Count-Sketch bucket.
 //! * [`threads`] — the thread-count knob shared by the parallel execution
-//!   layer (DESIGN.md §8): clamping and the `IFS_THREADS` environment
-//!   override used by CI's determinism matrix.
+//!   layer (DESIGN.md §8): clamping, one parser and one environment reader
+//!   for every worker-count variable (the `IFS_THREADS` override used by
+//!   CI's determinism matrix, the server's `IFS_SERVE_WORKERS`), both
+//!   refusing malformed values with a typed `ThreadsParseError`.
 //! * [`tail`] — the Chernoff bounds of Lemmas 10 and 11 of the paper, exact
 //!   binomial tails for small sample counts, and the sample-size calculators
 //!   behind the `SUBSAMPLE` sketch (Lemma 9).

@@ -26,10 +26,10 @@ pub fn clamp_threads(threads: usize) -> usize {
 
 /// A worker-count environment value that did not parse as an integer.
 ///
-/// Carries the variable name and the offending value so a boundary that
-/// refuses to start (a long-running server, say) can name exactly what
-/// was malformed; the [`Display`](std::fmt::Display) text is the same
-/// sentence [`parse_threads`] panics with.
+/// Carries the variable name and the offending value, and its
+/// [`Display`](std::fmt::Display) text names both plus the accepted
+/// range, so a process that refuses to start — or a test suite that
+/// panics on it — says exactly what was malformed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadsParseError {
     /// The environment variable that carried the value.
@@ -51,73 +51,30 @@ impl std::fmt::Display for ThreadsParseError {
 
 impl std::error::Error for ThreadsParseError {}
 
-/// [`try_parse_threads`] for an arbitrarily named worker-count variable:
-/// the same integer-parse-and-clamp, with the refusal naming `var`
-/// instead of `IFS_THREADS`. The serving tier's `IFS_SERVE_WORKERS` knob
-/// parses through here so every worker-count variable refuses with the
-/// same sentence shape.
-pub fn try_parse_threads_var(var: &str, value: &str) -> Result<usize, ThreadsParseError> {
+/// Parses the value of the worker-count variable `var` (`IFS_THREADS`,
+/// `IFS_SERVE_WORKERS`, …), clamping it like [`clamp_threads`]. A value
+/// that is not an integer refuses with a [`ThreadsParseError`] naming
+/// `var`: silently falling back to serial would skip exactly the
+/// configuration the knob exists to select.
+pub fn parse_threads(var: &str, value: &str) -> Result<usize, ThreadsParseError> {
     match value.trim().parse::<usize>() {
         Ok(n) => Ok(clamp_threads(n)),
         Err(_) => Err(ThreadsParseError { var: var.to_owned(), value: value.to_owned() }),
     }
 }
 
-/// Parses an `IFS_THREADS` value, clamping it like [`clamp_threads`] —
-/// the non-panicking form for process boundaries.
+/// Reads the worker-count environment variable `var`: `Ok(None)` when
+/// unset (the caller picks its own default), `Ok(Some(clamped))` when
+/// well-formed, and the [`parse_threads`] refusal when set but malformed.
 ///
-/// CLI and bench tools want the [`parse_threads`] panic (fail loud, right
-/// now, in the operator's face); a long-running server must instead refuse
-/// to *start* with a typed error and keep its ability to report it over
-/// its own channels. Both behaviors share this parse.
-pub fn try_parse_threads(value: &str) -> Result<usize, ThreadsParseError> {
-    try_parse_threads_var("IFS_THREADS", value)
-}
-
-/// Reads and parses an arbitrarily named worker-count environment
-/// variable: `Ok(None)` when unset (the caller picks its own default),
-/// `Ok(Some(clamped))` when well-formed, and a typed
-/// [`ThreadsParseError`] naming the variable when set but malformed.
-pub fn try_env_threads_var(var: &str) -> Result<Option<usize>, ThreadsParseError> {
+/// The integration suites build their sketches and miners with
+/// `IFS_THREADS` (default 1), so CI can run the same tests under
+/// `IFS_THREADS=1` and `IFS_THREADS=4` and enforce the determinism
+/// contract on every push.
+pub fn env_threads(var: &str) -> Result<Option<usize>, ThreadsParseError> {
     match std::env::var(var) {
-        Ok(v) => try_parse_threads_var(var, &v).map(Some),
+        Ok(v) => parse_threads(var, &v).map(Some),
         Err(_) => Ok(None),
-    }
-}
-
-/// Parses an `IFS_THREADS` value, clamping it like [`clamp_threads`].
-///
-/// A value that does not parse **panics**, and the message names the
-/// offending value and the accepted range: silently falling back to serial
-/// would skip exactly the configuration the knob exists to test, and a bare
-/// parse error would leave the operator hunting for which variable was
-/// malformed. Servers use [`try_parse_threads`] instead.
-pub fn parse_threads(value: &str) -> usize {
-    match try_parse_threads(value) {
-        Ok(n) => n,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// The `IFS_THREADS` environment override as a `Result`: `Ok(1)` when
-/// unset, `Ok(clamped)` when well-formed, and a typed
-/// [`ThreadsParseError`] when set but malformed — the startup check for
-/// processes that must not die on a bad env var (see [`try_parse_threads`]).
-pub fn try_env_threads() -> Result<usize, ThreadsParseError> {
-    Ok(try_env_threads_var("IFS_THREADS")?.unwrap_or(1))
-}
-
-/// The thread count requested via the `IFS_THREADS` environment variable,
-/// defaulting to 1 (serial) when unset.
-///
-/// The integration suites build their sketches and miners with this value,
-/// so CI can run the same tests under `IFS_THREADS=1` and `IFS_THREADS=4`
-/// and enforce the determinism contract on every push. A value that is set
-/// but malformed panics via [`parse_threads`].
-pub fn env_threads() -> usize {
-    match std::env::var("IFS_THREADS") {
-        Ok(v) => parse_threads(&v),
-        Err(_) => 1,
     }
 }
 
@@ -183,75 +140,45 @@ mod tests {
     fn env_default_is_one() {
         // The test harness does not set IFS_THREADS for unit tests; if a
         // developer exports it the value must still be clamped and sane.
-        let t = env_threads();
+        let t = env_threads("IFS_THREADS").expect("unset or well-formed").unwrap_or(1);
         assert!((1..=MAX_THREADS).contains(&t));
     }
 
     #[test]
     fn parse_accepts_integers_and_clamps() {
-        assert_eq!(parse_threads("0"), 1);
-        assert_eq!(parse_threads(" 4 "), 4);
-        assert_eq!(parse_threads("999999"), MAX_THREADS);
-    }
-
-    /// The panic message must name the offending value and the accepted
-    /// range, so a malformed `IFS_THREADS` in CI is diagnosable from the
-    /// failure output alone.
-    #[test]
-    #[should_panic(expected = "in 0..=256 (0 means serial), got \"soup\"")]
-    fn parse_panic_names_value_and_range() {
-        parse_threads("soup");
+        assert_eq!(parse_threads("IFS_THREADS", "0"), Ok(1));
+        assert_eq!(parse_threads("IFS_THREADS", " 4 "), Ok(4));
+        assert_eq!(parse_threads("IFS_THREADS", "999999"), Ok(MAX_THREADS));
     }
 
     #[test]
-    #[should_panic(expected = "got \"-3\"")]
     fn parse_rejects_negative_values() {
-        parse_threads("-3");
+        let err = parse_threads("IFS_THREADS", "-3").expect_err("negative");
+        assert!(err.to_string().contains("got \"-3\""), "{err}");
     }
 
-    #[test]
-    fn try_parse_is_the_non_panicking_form() {
-        assert_eq!(try_parse_threads("0"), Ok(1));
-        assert_eq!(try_parse_threads(" 4 "), Ok(4));
-        assert_eq!(try_parse_threads("999999"), Ok(MAX_THREADS));
-        let err = try_parse_threads("soup").expect_err("malformed value must refuse");
-        assert_eq!(err.value, "soup");
-        // The refusal text matches the panic text, value and range included.
-        let msg = err.to_string();
-        assert!(msg.contains("0..=256"), "{msg}");
-        assert!(msg.contains("\"soup\""), "{msg}");
-    }
-
-    /// The named-variable form refuses with the caller's variable name,
-    /// so a malformed `IFS_SERVE_WORKERS` is diagnosable without grepping
-    /// for which knob produced the sentence.
+    /// The refusal names the variable, the offending value and the
+    /// accepted range, so a malformed `IFS_THREADS` in CI or
+    /// `IFS_SERVE_WORKERS` at server startup is diagnosable from the
+    /// message alone.
     #[test]
     fn named_var_parse_names_the_variable() {
-        assert_eq!(try_parse_threads_var("IFS_SERVE_WORKERS", "8"), Ok(8));
-        assert_eq!(try_parse_threads_var("IFS_SERVE_WORKERS", "0"), Ok(1));
-        let err = try_parse_threads_var("IFS_SERVE_WORKERS", "many").expect_err("malformed");
+        assert_eq!(parse_threads("IFS_SERVE_WORKERS", "8"), Ok(8));
+        let err = parse_threads("IFS_SERVE_WORKERS", "many").expect_err("malformed");
         assert_eq!(err.var, "IFS_SERVE_WORKERS");
         assert_eq!(err.value, "many");
         let msg = err.to_string();
-        assert!(msg.contains("IFS_SERVE_WORKERS"), "{msg}");
-        assert!(msg.contains("\"many\""), "{msg}");
+        assert!(msg.starts_with("IFS_SERVE_WORKERS"), "{msg}");
+        assert!(msg.contains("in 0..=256 (0 means serial), got \"many\""), "{msg}");
     }
 
     #[test]
     fn named_env_var_is_none_when_unset() {
         assert_eq!(
-            try_env_threads_var("IFS_THREADS_SURELY_UNSET_IN_ANY_HARNESS"),
+            env_threads("IFS_THREADS_SURELY_UNSET_IN_ANY_HARNESS"),
             Ok(None),
             "an unset variable must let the caller pick its own default"
         );
-    }
-
-    #[test]
-    fn env_try_parse_defaults_to_serial_when_unset() {
-        // The harness does not set IFS_THREADS for unit tests; a developer
-        // override must still land in the clamped range.
-        let t = try_env_threads().expect("unset or well-formed in the test env");
-        assert!((1..=MAX_THREADS).contains(&t));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! Run with: `cargo run --release --example crash_recovery`
 
 use itemset_sketches::prelude::*;
-use itemset_sketches::serve::{QueryMode, Request, Response, ServeConfig, SketchServer};
+use itemset_sketches::serve::{EncodeBuf, QueryMode, Request, Response, ServeConfig, SketchServer};
 use itemset_sketches::store::materialize;
 
 const ROWS: usize = 2_000;
@@ -154,10 +154,11 @@ fn main() {
 
 /// One estimate batch through the server's byte-level entry point.
 fn query(server: &SketchServer, id: u64, queries: &[Itemset]) -> Vec<f64> {
-    let bytes = server.handle(
-        &Request::Query { id, mode: QueryMode::Estimate, queries: queries.to_vec() }.to_bytes(),
-    );
-    match Response::from_bytes(&bytes).expect("decodable response") {
+    let request = Request::Query { id, mode: QueryMode::Estimate, queries: queries.to_vec() };
+    let mut buf = EncodeBuf::new();
+    match Response::from_bytes(server.handle_into(&request.to_bytes(), &mut buf))
+        .expect("decodable response")
+    {
         Response::Estimates(v) => v,
         Response::Error(e) => panic!("{e}"),
         other => panic!("unexpected response {other:?}"),

@@ -23,7 +23,7 @@
 
 use itemset_sketches::prelude::*;
 use itemset_sketches::serve::{
-    net, QueryMode, Request, Response, ServeConfig, ServeError, SketchServer,
+    net, EncodeBuf, QueryMode, Request, Response, ServeConfig, ServeError, SketchServer,
 };
 use itemset_sketches::streaming::{CountMinSketch, StreamCounter};
 use std::net::TcpListener;
@@ -183,8 +183,8 @@ fn main() {
     let refusal = Subsample::from_snapshot(&skewed).expect_err("future version must refuse");
     println!("version skew refused as expected: {refusal}");
     let offline = SketchServer::new(ServeConfig::default());
-    let wire_refusal =
-        Response::from_bytes(&offline.handle(&skewed)).expect("refusals are valid responses");
+    let wire_refusal = Response::from_bytes(offline.handle_into(&skewed, &mut EncodeBuf::new()))
+        .expect("refusals are valid responses");
     match wire_refusal {
         Response::Error(e) => println!("and over the wire it is still typed: {e}"),
         other => panic!("expected a typed wire refusal, got {other:?}"),

@@ -21,17 +21,21 @@
 
 use itemset_sketches::prelude::*;
 use itemset_sketches::serve::{
-    net, pool, Answers, Client, PoolConfig, QueryMode, Request, Response, ServeConfig, ServeError,
-    SketchServer,
+    net, pool, Answers, Client, QueryMode, Request, Response, ServeConfig, ServeError, SketchServer,
 };
 use proptest::prelude::*;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 
-/// A pool config shaped for tests: fixed worker count (no dependence on
-/// the host's parallelism) and a short idle sleep.
-fn test_pool() -> PoolConfig {
-    PoolConfig { workers: 2, ..PoolConfig::default() }
+/// The pool size for tests: fixed, so nothing depends on the host's
+/// parallelism.
+const TEST_WORKERS: usize = 2;
+
+/// Reads one response off a raw stream: `None` on a clean close.
+fn read_response(stream: &mut TcpStream) -> Option<Response> {
+    let mut frame = Vec::new();
+    net::read_frame_into(stream, &mut frame).expect("transport")?.expect("well-formed");
+    Some(Response::from_bytes(&frame).expect("decodes"))
 }
 
 /// Binds a loopback listener and returns it with its address.
@@ -83,10 +87,9 @@ proptest! {
             let sharded = offline.clone().with_threads(threads);
             let server = SketchServer::new(ServeConfig::default());
             let (listener, addr) = loopback();
-            let config = test_pool();
             std::thread::scope(|scope| {
                 scope.spawn(|| {
-                    pool::serve_pooled(&server, &listener, &config, Some(2))
+                    pool::serve_pooled(&server, &listener, TEST_WORKERS, Some(2))
                         .expect("pooled server serves");
                 });
                 let mut a = Client::connect(&addr, 2_000).expect("connect a");
@@ -143,10 +146,9 @@ fn tcp_slowloris_does_not_stall_other_connections() {
     server.load_frame(1, 1, &frame).expect("admit");
     let (listener, addr) = loopback();
     // One worker: the slow and fast connections share it by construction.
-    let config = PoolConfig { workers: 1, ..PoolConfig::default() };
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            pool::serve_pooled(&server, &listener, &config, Some(2)).expect("pooled server serves");
+            pool::serve_pooled(&server, &listener, 1, Some(2)).expect("pooled server serves");
         });
         let mut slow = TcpStream::connect(&addr).expect("connect slow");
         let mut fast = Client::connect(&addr, 2_000).expect("connect fast");
@@ -167,11 +169,7 @@ fn tcp_slowloris_does_not_stall_other_connections() {
             slow.write_all(&[b]).expect("dribble");
             slow.flush().expect("flush");
         }
-        let resp = net::read_frame(&mut slow)
-            .expect("transport")
-            .expect("a response arrives")
-            .expect("well-formed");
-        let resp = Response::from_bytes(&resp).expect("decodes");
+        let resp = read_response(&mut slow).expect("a response arrives");
         assert_eq!(expect_answers(resp), expected, "slow connection diverged");
     });
 }
@@ -192,10 +190,9 @@ fn tcp_garbage_closes_only_the_offending_connection() {
     let server = SketchServer::new(ServeConfig::default());
     server.load_frame(1, 1, &frame).expect("admit");
     let (listener, addr) = loopback();
-    let config = PoolConfig { workers: 1, ..PoolConfig::default() };
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            pool::serve_pooled(&server, &listener, &config, Some(2)).expect("pooled server serves");
+            pool::serve_pooled(&server, &listener, 1, Some(2)).expect("pooled server serves");
         });
         let mut bad = TcpStream::connect(&addr).expect("connect bad");
         let mut good = Client::connect(&addr, 2_000).expect("connect good");
@@ -205,22 +202,19 @@ fn tcp_garbage_closes_only_the_offending_connection() {
         bad.write_all(&wire).expect("write");
         bad.flush().expect("flush");
         // In order: the real answer, then the typed framing error.
-        let first = net::read_frame(&mut bad).expect("transport").expect("frame").expect("valid");
+        let first = read_response(&mut bad).expect("frame");
         assert_eq!(
-            expect_answers(Response::from_bytes(&first).expect("decodes")),
+            expect_answers(first),
             expected,
             "the pipelined request before the garbage must be answered"
         );
-        let second = net::read_frame(&mut bad).expect("transport").expect("frame").expect("valid");
+        let second = read_response(&mut bad).expect("frame");
         assert!(
-            matches!(Response::from_bytes(&second), Ok(Response::Error(ServeError::Decode(_)))),
+            matches!(second, Response::Error(ServeError::Decode(_))),
             "garbage must be refused typed"
         );
         // Then the connection is closed: clean EOF.
-        assert!(
-            net::read_frame(&mut bad).expect("clean close").is_none(),
-            "the offending connection must be closed"
-        );
+        assert!(read_response(&mut bad).is_none(), "the offending connection must be closed");
         // The healthy connection never noticed.
         let resp = good.call(&request).expect("transport").expect("decodes");
         assert_eq!(expect_answers(resp), expected, "the healthy connection was affected");
@@ -243,10 +237,10 @@ fn tcp_overload_saturates_and_recovers_through_the_pool() {
     let server = SketchServer::new(ServeConfig { max_in_flight: 1, ..ServeConfig::default() });
     server.load_frame(1, 1, &frame).expect("admit");
     let (listener, addr) = loopback();
-    let config = test_pool();
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            pool::serve_pooled(&server, &listener, &config, Some(1)).expect("pooled server serves");
+            pool::serve_pooled(&server, &listener, TEST_WORKERS, Some(1))
+                .expect("pooled server serves");
         });
         let mut client = Client::connect(&addr, 2_000).expect("connect");
         // Saturate: the test holds the server's only slot directly, so
@@ -279,10 +273,10 @@ fn tcp_hot_reload_answers_reloaded_and_switches_snapshots() {
 
     let server = SketchServer::new(ServeConfig::default());
     let (listener, addr) = loopback();
-    let config = test_pool();
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            pool::serve_pooled(&server, &listener, &config, Some(1)).expect("pooled server serves");
+            pool::serve_pooled(&server, &listener, TEST_WORKERS, Some(1))
+                .expect("pooled server serves");
         });
         let mut client = Client::connect(&addr, 2_000).expect("connect");
         let query = Request::Query { id: 7, mode: QueryMode::Estimate, queries: queries.clone() };
@@ -341,13 +335,12 @@ fn tcp_hot_reload_hammer_never_observes_torn_state() {
     let server = SketchServer::new(ServeConfig::default());
     server.load_frame(7, 1, &sketch_a.snapshot_bytes()).expect("admit generation 1");
     let (listener, addr) = loopback();
-    let config = test_pool();
     const QUERIERS: usize = 3;
     const CALLS: usize = 40;
     const RELOADS: u64 = 30;
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            pool::serve_pooled(&server, &listener, &config, Some(QUERIERS + 1))
+            pool::serve_pooled(&server, &listener, TEST_WORKERS, Some(QUERIERS + 1))
                 .expect("pooled server serves");
         });
         // The reloader: flips the snapshot under id 7, over the wire.
@@ -417,12 +410,11 @@ fn pooled_and_threaded_transports_answer_identically() {
     for pooled in [false, true] {
         let server = SketchServer::new(ServeConfig::default());
         let (listener, addr) = loopback();
-        let config = test_pool();
         let requests = &requests;
         let transcript = std::thread::scope(|scope| {
             scope.spawn(|| {
                 if pooled {
-                    pool::serve_pooled(&server, &listener, &config, Some(1)).expect("serves");
+                    pool::serve_pooled(&server, &listener, TEST_WORKERS, Some(1)).expect("serves");
                 } else {
                     net::serve_listener(&server, &listener, Some(1)).expect("serves");
                 }

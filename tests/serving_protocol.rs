@@ -27,7 +27,7 @@
 use itemset_sketches::database::codec::DecodeError;
 use itemset_sketches::prelude::*;
 use itemset_sketches::serve::{
-    net, Answers, QueryMode, Request, Response, ServeConfig, ServeError, ServedSketch,
+    net, Answers, EncodeBuf, QueryMode, Request, Response, ServeConfig, ServeError, ServedSketch,
     SketchServer, PROTOCOL_VERSION, REQUEST_KIND,
 };
 use itemset_sketches::streaming::StreamCounter;
@@ -44,11 +44,16 @@ fn random_queries(d: usize, count: usize, rng: &mut Rng64) -> Vec<Itemset> {
         .collect()
 }
 
-/// Round-trips one query batch through the server's byte-level entry
-/// point and returns the decoded answers.
+/// Passes one request frame through the server's byte-level entry point
+/// and returns the decoded response.
+fn handle(server: &SketchServer, request: &[u8]) -> Response {
+    Response::from_bytes(server.handle_into(request, &mut EncodeBuf::new()))
+        .expect("every server output must decode as a response")
+}
+
+/// Round-trips one query batch through [`handle`].
 fn serve_batch(server: &SketchServer, id: u64, mode: QueryMode, queries: &[Itemset]) -> Response {
-    let bytes = server.handle(&Request::Query { id, mode, queries: queries.to_vec() }.to_bytes());
-    Response::from_bytes(&bytes).expect("every server output must decode as a response")
+    handle(server, &Request::Query { id, mode, queries: queries.to_vec() }.to_bytes())
 }
 
 fn expect_error(resp: Response) -> ServeError {
@@ -78,9 +83,8 @@ proptest! {
         let queries = random_queries(dims, 40, &mut rng);
         for threads in [1usize, 4] {
             let server = SketchServer::new(ServeConfig::default());
-            let loaded = Response::from_bytes(
-                &server.handle(&Request::Load { id: 1, threads, frame: frame.clone() }.to_bytes()),
-            ).expect("load response decodes");
+            let loaded =
+                handle(&server, &Request::Load { id: 1, threads, frame: frame.clone() }.to_bytes());
             prop_assert_eq!(
                 loaded,
                 Response::Loaded {
@@ -165,8 +169,7 @@ proptest! {
         // And the server turns each into a decodable error response.
         let server = SketchServer::new(ServeConfig::default());
         for attack in [&bad_magic, &future, &flipped, &long, &bytes[..bytes.len() / 2].to_vec()] {
-            let out = server.handle(attack);
-            match Response::from_bytes(&out).expect("refusals must decode") {
+            match handle(&server, attack) {
                 Response::Error(ServeError::Decode(_)) => {}
                 other => {
                     prop_assert!(false, "expected refusal: {other:?}");
@@ -293,10 +296,10 @@ fn contract_edges_refuse_typed() {
     // An unservable kind (a counter sketch) refuses over the wire too.
     let mut cm = itemset_sketches::streaming::CountMinSketch::<u32>::new(64, 2, false, 7);
     cm.update(3);
-    let resp = Response::from_bytes(
-        &server.handle(&Request::Load { id: 9, threads: 1, frame: cm.snapshot_bytes() }.to_bytes()),
-    )
-    .expect("refusal decodes");
+    let resp = handle(
+        &server,
+        &Request::Load { id: 9, threads: 1, frame: cm.snapshot_bytes() }.to_bytes(),
+    );
     assert_eq!(
         expect_error(resp),
         ServeError::UnservableKind { kind: itemset_sketches::core::snapshot::KIND_COUNT_MIN }
@@ -332,8 +335,7 @@ fn tcp_roundtrip_serves_identical_answers() {
         assert_eq!(resp, Response::Indicators(offline.is_frequent_batch(&queries)));
         // A garbage request on the same connection gets a typed refusal
         // (and, being unframeable, a close).
-        let err =
-            expect_error(Response::from_bytes(&server.handle(b"junk")).expect("refusal decodes"));
+        let err = expect_error(handle(&server, b"junk"));
         assert!(matches!(err, ServeError::Decode(DecodeError::BadMagic(_))), "{err}");
     });
 }

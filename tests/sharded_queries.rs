@@ -10,7 +10,7 @@
 //! words are exercised).
 //!
 //! The sketch and miner property tests build their threaded side at
-//! `env_threads()` (the `IFS_THREADS` override, default 1) plus one fixed
+//! `ci_threads()` (the `IFS_THREADS` override, default 1) plus one fixed
 //! 2-thread leg, so CI's two runs — `IFS_THREADS=1` and `IFS_THREADS=4` —
 //! genuinely exercise the serial and 4-worker configurations of every
 //! sketch and miner, and the contract is enforced on every push.
@@ -19,6 +19,12 @@ use itemset_sketches::database::{ColumnStore, Itemset, ShardedColumnStore};
 use itemset_sketches::prelude::*;
 use itemset_sketches::util::threads::env_threads;
 use proptest::prelude::*;
+
+/// The CI-driven `IFS_THREADS` knob, default 1. A malformed value fails
+/// the suite with a message naming the variable, the value and the range.
+fn ci_threads() -> usize {
+    env_threads("IFS_THREADS").unwrap_or_else(|e| panic!("{e}")).unwrap_or(1)
+}
 
 /// A random query log over `d` attributes: cardinalities 0..=4, duplicates
 /// allowed (repeated queries exercise scratch reuse).
@@ -107,10 +113,10 @@ proptest! {
         let queries = random_queries(d, 15, &mut rng);
         let sub_serial = Subsample::with_sample_count(&db, s, 0.1, &mut Rng64::seeded(seed ^ 1));
         let rel_serial = ReleaseDb::build(&db, 0.2);
-        // env_threads() is the CI-driven knob (IFS_THREADS=1 and =4 legs);
+        // ci_threads() is the CI-driven knob (IFS_THREADS=1 and =4 legs);
         // the fixed 2-thread leg keeps a parallel path exercised even in a
         // plain serial `cargo test` run.
-        for threads in [2usize, env_threads()] {
+        for threads in [2usize, ci_threads()] {
             let sub = Subsample::with_sample_count(&db, s, 0.1, &mut Rng64::seeded(seed ^ 1))
                 .with_threads(threads);
             prop_assert_eq!(
@@ -154,7 +160,7 @@ proptest! {
         let thresh = 0.2;
         let eclat_serial = itemset_sketches::mining::eclat::mine(&db, thresh, usize::MAX);
         let apriori_serial = itemset_sketches::mining::apriori::mine(&db, thresh, usize::MAX);
-        for threads in [2usize, env_threads()] {
+        for threads in [2usize, ci_threads()] {
             let e = itemset_sketches::mining::eclat::mine_with_threads(
                 &db, thresh, usize::MAX, threads,
             );

@@ -9,7 +9,7 @@
 //! the decoded numbers.
 
 use itemset_sketches::prelude::*;
-use itemset_sketches::serve::{QueryMode, Request, Response, ServeConfig, SketchServer};
+use itemset_sketches::serve::{EncodeBuf, QueryMode, Request, Response, ServeConfig, SketchServer};
 use itemset_sketches::store::materialize;
 use itemset_sketches::streaming::{CountMinSketch, StreamCounter};
 use std::collections::BTreeMap;
@@ -97,6 +97,7 @@ fn queries(seed: u64, k: Option<usize>) -> Vec<Itemset> {
 /// bytes of one fixed query batch per live servable id.
 fn serve_all(live: &BTreeMap<u64, Vec<u8>>, threads: usize) -> Vec<(u64, Vec<u8>)> {
     let server = SketchServer::new(ServeConfig::default());
+    let mut buf = EncodeBuf::new();
     let mut out = Vec::new();
     for (&id, frame) in live {
         let info = itemset_sketches::database::codec::peek_frame(frame).expect("valid frame");
@@ -109,10 +110,11 @@ fn serve_all(live: &BTreeMap<u64, Vec<u8>>, threads: usize) -> Vec<(u64, Vec<u8>
             4 => (QueryMode::Estimate, queries(0xBEEF, Some(RAI_K))),
             _ => (QueryMode::Estimate, queries(0xBEEF, None)),
         };
-        let resp = server.handle(&Request::Query { id, mode, queries: qs }.to_bytes());
-        match Response::from_bytes(&resp).expect("decodable response") {
+        let resp =
+            server.handle_into(&Request::Query { id, mode, queries: qs }.to_bytes(), &mut buf);
+        match Response::from_bytes(resp).expect("decodable response") {
             Response::Error(e) => panic!("id {id}: {e}"),
-            _ => out.push((id, resp)),
+            _ => out.push((id, resp.to_vec())),
         }
     }
     out
