@@ -90,7 +90,7 @@ fn bench_sharded_build(c: &mut Criterion) {
 /// acceptance criterion on capable hosts on every CI run.
 fn bench_speedup_gate(c: &mut Criterion) {
     let (db, queries) = workload();
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = ifs_util::threads::host_cores();
     let _ = db.columns(); // pay the serial transpose before timing
     let sharded = ShardedColumnStore::build(db.matrix(), cores);
 

@@ -302,13 +302,19 @@ impl ColumnStore {
     /// [`Self::support_batch`] chunked across up to `threads` workers
     /// (DESIGN.md §8). Row sharding is pointless for a store that fits one
     /// shard, but query-log chunking still parallelizes; each worker runs
-    /// the blocked kernel over its chunk. Element `i` equals
+    /// the blocked kernel over its chunk, and a batch too cheap to repay a
+    /// spawn runs inline. Element `i` equals
     /// `self.support(&itemsets[i])` regardless of `threads`.
     pub fn support_batch_with_threads(&self, itemsets: &[Itemset], threads: usize) -> Vec<usize> {
         let mut out = vec![0usize; itemsets.len()];
-        crate::sharded::chunked_query_batch(self, itemsets, threads, &mut out, |s, qs, os| {
-            s.add_supports_blocked(qs, os, QUERY_BLOCK_WORDS, &mut Vec::new());
-        });
+        crate::sharded::chunked_query_batch(
+            self,
+            self.rows,
+            itemsets,
+            threads,
+            &mut out,
+            |s, qs, os| s.add_supports_blocked(qs, os, QUERY_BLOCK_WORDS, &mut Vec::new()),
+        );
         out
     }
 

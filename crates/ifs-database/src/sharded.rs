@@ -17,7 +17,8 @@
 //! * **Query batches**: a query log is split into contiguous chunks, one
 //!   worker per chunk, each with its own scratch buffer, writing into
 //!   disjoint slices of the output vector. Per-query answers never depend
-//!   on which worker computed them.
+//!   on which worker computed them. A batch too cheap to repay a thread
+//!   spawn runs inline on the caller ([`fanout`]).
 //!
 //! The shard **layout is a function of the data only** (row count), never of
 //! the thread count: `threads` decides how many workers drain the queues,
@@ -167,7 +168,7 @@ impl ShardedColumnStore {
     /// `self.support(&itemsets[i])` regardless of `threads`.
     pub fn support_batch(&self, itemsets: &[Itemset], threads: usize) -> Vec<usize> {
         let mut out = vec![0usize; itemsets.len()];
-        chunked_query_batch(self, itemsets, threads, &mut out, |store, qs, os| {
+        chunked_query_batch(self, self.rows, itemsets, threads, &mut out, |store, qs, os| {
             store.add_supports(qs, os, &mut Vec::new());
         });
         out
@@ -185,27 +186,59 @@ impl ShardedColumnStore {
     }
 }
 
+/// Tid words one worker must have to scan before a fan-out pays off.
+///
+/// Derived from two measured numbers on a 2-core x86-64 host: opening a
+/// [`std::thread::scope`] and joining two spawned workers costs about
+/// 51 µs (perfbench's `engine.fanout_us`), and the wide `and_count` kernel
+/// streams about 2.3 Gwords/s on one core (`BENCH_kernels.json`). One
+/// spawn therefore costs as much as about 51 µs × 2.3 Gwords/s ≈ 117k tid
+/// words of kernel work; a worker with less than that to do finishes
+/// sooner inline than it takes to start. 2^17 ≈ 131k rounds that up.
+const MIN_WORDS_PER_WORKER: usize = 1 << 17;
+
+/// How many workers a batch of `itemsets` over a `rows`-row store fans out
+/// to at a `threads` knob: `min(threads, queries, cost /
+/// MIN_WORDS_PER_WORKER)`, and at least 1.
+///
+/// The cost is `Σ max(|T|, 1) · rows.div_ceil(64)`: the tid words the
+/// kernels read, with the empty itemset charged as one column. A batch
+/// that cannot give every worker [`MIN_WORDS_PER_WORKER`] words gets
+/// fewer workers, down to 1: the caller's thread, with no scope and no
+/// spawn. `threads` keeps its meaning of "up to".
+fn fanout(threads: usize, itemsets: &[Itemset], rows: usize) -> usize {
+    let words_per_col = rows.div_ceil(64);
+    let cost = itemsets
+        .iter()
+        .map(|t| t.len().max(1))
+        .fold(0usize, |sum, k| sum.saturating_add(k.saturating_mul(words_per_col)));
+    clamp_threads(threads).min(itemsets.len()).min(cost / MIN_WORDS_PER_WORKER).max(1)
+}
+
 /// Chunked-batch driver shared by [`ShardedColumnStore`] and the threaded
 /// [`ColumnStore`] batch methods: splits `itemsets` and `out` into the same
 /// contiguous chunks and hands each (queries, outputs) chunk pair to
-/// `kernel` on its own worker. Chunk-level granularity lets the kernel
-/// iterate cache-blocked *within* its chunk (shard-outer or block-outer)
-/// instead of being forced through a per-query callback; outputs live in
-/// disjoint slices, so per-query answers never depend on which worker
-/// computed them.
+/// `kernel` on its own worker, with the worker count chosen by [`fanout`]
+/// from the batch's cost over the store's `rows`. A single chunk runs on
+/// the calling thread. Chunk-level granularity lets the kernel iterate
+/// cache-blocked *within* its chunk (shard-outer or block-outer) instead
+/// of being forced through a per-query callback; outputs live in disjoint
+/// slices, so per-query answers never depend on which worker computed
+/// them.
 pub(crate) fn chunked_query_batch<S: Sync + ?Sized, R: Send>(
     store: &S,
+    rows: usize,
     itemsets: &[Itemset],
     threads: usize,
     out: &mut [R],
     kernel: impl Fn(&S, &[Itemset], &mut [R]) + Sync,
 ) {
-    let threads = clamp_threads(threads).min(itemsets.len().max(1));
-    if threads == 1 {
+    let workers = fanout(threads, itemsets, rows);
+    if workers == 1 {
         kernel(store, itemsets, out);
         return;
     }
-    let chunk = itemsets.len().div_ceil(threads);
+    let chunk = itemsets.len().div_ceil(workers);
     std::thread::scope(|s| {
         for (qs, os) in itemsets.chunks(chunk).zip(out.chunks_mut(chunk)) {
             let kernel = &kernel;
@@ -218,6 +251,7 @@ pub(crate) fn chunked_query_batch<S: Sync + ?Sized, R: Send>(
 mod tests {
     use super::*;
     use crate::Database;
+    use ifs_util::threads::MAX_THREADS;
     use ifs_util::Rng64;
 
     fn random_db(n: usize, d: usize, p: f64, seed: u64) -> Database {
@@ -333,6 +367,47 @@ mod tests {
         store.append_rows(&(0..db.rows()).map(|r| db.row_itemset(r)).collect::<Vec<_>>());
         assert_eq!(store, ShardedColumnStore::build_with_shard_rows(db.matrix(), 64, 1));
         assert_eq!(store.shard_count(), 3);
+    }
+
+    /// `count` singleton queries over `rows` rows cost `count ·
+    /// rows.div_ceil(64)` words.
+    fn singletons(count: usize) -> Vec<Itemset> {
+        vec![Itemset::singleton(0); count]
+    }
+
+    #[test]
+    fn fanout_runs_cheap_batches_inline() {
+        // 16 queries over 8192 rows: 2048 words, far below one share.
+        assert_eq!(fanout(2, &singletons(16), 8192), 1);
+        // Two columns of one word short of a share each: two words short
+        // of two shares, so still inline.
+        assert_eq!(fanout(8, &singletons(2), 64 * (MIN_WORDS_PER_WORKER - 1)), 1);
+        // Exactly two shares fan out to two.
+        assert_eq!(fanout(8, &singletons(2), 64 * MIN_WORDS_PER_WORKER), 2);
+    }
+
+    #[test]
+    fn fanout_of_costly_batches_is_min_of_threads_and_queries() {
+        let rows = 1 << 30;
+        assert_eq!(fanout(4, &singletons(1000), rows), 4);
+        assert_eq!(fanout(64, &singletons(3), rows), 3);
+        assert_eq!(fanout(usize::MAX, &singletons(1000), rows), MAX_THREADS);
+        // The empty itemset is charged one column, like a singleton.
+        assert_eq!(fanout(4, &vec![Itemset::empty(); 1000], rows), 4);
+    }
+
+    #[test]
+    fn fanout_is_never_zero_nor_above_the_query_count() {
+        for threads in [0usize, 1, 2, 3, 8, 300] {
+            for queries in [0usize, 1, 2, 5, 40] {
+                for rows in [0usize, 1, 64, 100_000, 1 << 24, usize::MAX] {
+                    let w = fanout(threads, &singletons(queries), rows);
+                    assert!(w >= 1, "threads={threads} queries={queries} rows={rows}");
+                    assert!(w <= queries.max(1), "threads={threads} queries={queries} rows={rows}");
+                    assert!(w <= clamp_threads(threads));
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //! servers over loopback TCP — thread-per-connection and pooled, at
 //! engine thread counts 1 and 4 — drives each with the identical
 //! workload, and writes one JSON with all four runs plus each pooled
-//! run's speedup over its thread-count-matched baseline. That file is
-//! the committed `bench_results/BENCH_serving.json`.
+//! run's speedup over its thread-count-matched baseline, and the host's
+//! core count (`host_cores`: engine threads resolve to at most that many).
+//! That file is the committed `bench_results/BENCH_serving.json`.
 //!
 //! Latency is measured per batch round-trip; p50/p99/p99.9 and aggregate
 //! queries/sec land in `--json PATH` with a `mode` field recording
@@ -47,6 +48,7 @@ use ifs_serve::{
     net, pool, Answers, Client, QueryMode, Request, Response, ServeConfig, ServedSketch,
     SketchServer,
 };
+use ifs_util::threads::host_cores;
 use ifs_util::Rng64;
 use std::collections::VecDeque;
 use std::net::TcpListener;
@@ -611,12 +613,14 @@ fn bench_matrix(args: &Args) -> Result<(), String> {
         let queries_total = args.connections * args.batches * args.batch_size;
         let json = format!(
             "{{\n  \"bench\": \"serving_load\",\n  \"mode\": \"{}\",\n  \
+             \"host_cores\": {},\n  \
              \"source\": \"loadgen-matrix\",\n  \"sketches\": {},\n  \
              \"connections\": {},\n  \"pipeline_depth\": {},\n  \
              \"batches\": {},\n  \"batch_size\": {},\n  \
              \"queries_total\": {queries_total},\n  \"identity_checked\": true,\n  \
              \"min_pooled_speedup\": {min_pooled_speedup:.2},\n  \"runs\": [\n{}\n  ]\n}}\n",
             build_mode(),
+            host_cores(),
             frames.len(),
             args.connections,
             args.pipeline,

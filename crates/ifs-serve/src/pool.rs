@@ -42,7 +42,7 @@ use crate::protocol::{EncodeBuf, QueryMode, Request, Response};
 use crate::server::SketchServer;
 use crate::sketch::Answers;
 use ifs_database::Itemset;
-use ifs_util::threads::clamp_threads;
+use ifs_util::threads::{clamp_threads, host_cores};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -63,7 +63,7 @@ const IDLE_SLEEP: Duration = Duration::from_micros(50);
 /// other worker-count knob either way.
 pub fn resolve_workers(workers: usize) -> usize {
     if workers == 0 {
-        clamp_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
+        host_cores()
     } else {
         clamp_threads(workers)
     }

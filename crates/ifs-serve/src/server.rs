@@ -24,7 +24,7 @@ use crate::hot::HotSet;
 use crate::protocol::{EncodeBuf, QueryMode, Request, Response, ServerStats};
 use crate::sketch::{Answers, ServedSketch};
 use ifs_database::Itemset;
-use ifs_util::threads::clamp_threads;
+use ifs_util::threads::{clamp_threads, host_cores};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -166,6 +166,9 @@ impl SketchServer {
     /// — no request ever observes a torn state, because every dispatch
     /// resolves its sketch exactly once. The returned [`LoadOutcome`]
     /// reports the bump in `generation` and the `previous_kind`.
+    ///
+    /// `threads` (0 = [`ServeConfig::default_threads`]) resolves to at most
+    /// the host's cores ([`host_cores`]).
     pub fn load_frame(
         &self,
         id: u64,
@@ -179,11 +182,12 @@ impl SketchServer {
                 budget_bits: self.config.budget_bits,
             });
         }
-        let threads = if threads == 0 {
-            clamp_threads(self.config.default_threads)
-        } else {
-            clamp_threads(threads)
-        };
+        // More engine threads than cores only adds spawn cost, and a wire
+        // `Load` must not make every large dispatch on its id spawn
+        // `MAX_THREADS` OS threads.
+        let threads =
+            clamp_threads(if threads == 0 { self.config.default_threads } else { threads })
+                .min(host_cores());
         // Decode outside the lock: admission of a large frame must not
         // stall queries against other sketches.
         let sketch = ServedSketch::admit(frame, threads)?;
@@ -385,6 +389,24 @@ mod tests {
         assert_eq!(
             server.query(&slot, 7, QueryMode::Estimate, &queries).expect("served"),
             Answers::Estimates(new_offline.estimate_batch(&queries))
+        );
+    }
+
+    /// A wire `Load` asking for `MAX_THREADS` engine threads gets at most
+    /// the host's cores, and its answers stay the offline sketch's bits.
+    #[test]
+    fn wire_thread_knob_is_bounded_by_host_cores() {
+        let (offline, frame) = demo();
+        let server = SketchServer::new(ServeConfig::default());
+        let load = Request::Load { id: 0, threads: 256, frame };
+        assert!(matches!(server.respond(&load), Response::Loaded { .. }));
+        let threads = server.sketch(0).expect("admitted").threads();
+        assert!((1..=host_cores()).contains(&threads), "resolved {threads} threads");
+        let queries = vec![Itemset::empty(), Itemset::new(vec![0, 1]), Itemset::singleton(4)];
+        let query = Request::Query { id: 0, mode: QueryMode::Estimate, queries: queries.clone() };
+        assert_eq!(
+            server.respond(&query),
+            Response::from(Answers::Estimates(offline.estimate_batch(&queries)))
         );
     }
 

@@ -157,6 +157,16 @@ impl ServedSketch {
         }
     }
 
+    /// The sharded-engine thread knob in force (1 for the scalar-lookup
+    /// stores, which have no batched engine).
+    pub fn threads(&self) -> usize {
+        match self {
+            ServedSketch::Subsample(s) => s.threads(),
+            ServedSketch::ReleaseDb(s) => s.threads(),
+            ServedSketch::AnswersIndicator(_) | ServedSketch::AnswersEstimator(_) => 1,
+        }
+    }
+
     /// True iff this sketch's contract can answer `mode` queries at all
     /// (the mode half of [`answer`](Self::answer)'s refusal surface,
     /// checkable without a batch — the pool's micro-batcher pre-screens

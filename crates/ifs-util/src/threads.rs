@@ -6,12 +6,13 @@
 //! that keep that knob consistent across crates: clamping, the
 //! `IFS_THREADS` environment override the integration suites (and CI's
 //! determinism matrix) use to re-run every test under a different worker
-//! count, and the index work queue ([`parallel_map_indexed`]) behind every
-//! "race for work, assemble results in order" site (shard builds, eclat's
-//! per-prefix mining).
+//! count, the host's core count ([`host_cores`]), and the index work queue
+//! ([`parallel_map_indexed`]) behind every "race for work, assemble results
+//! in order" site (shard builds, eclat's per-prefix mining, and the
+//! chunked ingestion folds of `ifs_core::streaming`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Hard cap on worker threads: far above any sensible setting, low enough
 /// that a typo (`IFS_THREADS=1000000`) cannot exhaust the process.
@@ -22,6 +23,18 @@ pub const MAX_THREADS: usize = 256;
 #[inline]
 pub fn clamp_threads(threads: usize) -> usize {
     threads.clamp(1, MAX_THREADS)
+}
+
+/// The host's available parallelism, clamped like [`clamp_threads`]; 1
+/// when the platform cannot say.
+///
+/// Read once per process: on Linux each
+/// [`available_parallelism`](std::thread::available_parallelism) call
+/// reads cgroup files, and a server resolves this on every admission.
+pub fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES
+        .get_or_init(|| clamp_threads(std::thread::available_parallelism().map_or(1, |n| n.get())))
 }
 
 /// A worker-count environment value that did not parse as an integer.

@@ -21,7 +21,7 @@ const LOG_LEN: usize = 10_000;
 const EPSILON: f64 = 0.02;
 
 fn main() {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = itemset_sketches::util::threads::host_cores();
     let mut rng = Rng64::seeded(0x5AA0);
 
     // Data owner's side: a planted database, and a SUBSAMPLE sketch small

@@ -7,7 +7,8 @@
 //! **repo contents**: every committed `bench_results/BENCH_*.json` must
 //! say `"mode": "release"`, and the serving artifact must record the
 //! connection shape (`connections`/`pipeline_depth`) so the perf
-//! trajectory distinguishes single-connection from pooled runs.
+//! trajectory distinguishes single-connection from pooled runs, plus the
+//! host's core count (`host_cores`).
 //!
 //! The checks run against the files as committed (the suite runs before
 //! any bench in a plain `cargo test`), so a debug artifact cannot land
@@ -88,14 +89,20 @@ fn store_artifact_records_the_space_claim() {
 }
 
 /// The serving artifact must record the run's connection shape, so the
-/// perf trajectory distinguishes single-connection from pooled numbers.
+/// perf trajectory distinguishes single-connection from pooled numbers,
+/// and the host's core count, since engine threads resolve to at most
+/// that many and the `threads=4` rows mean nothing without it.
 #[test]
 fn serving_artifact_records_connection_shape() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench_results/BENCH_serving.json");
     let body = read(&path);
-    for field in
-        ["\"connections\":", "\"pipeline_depth\":", "\"p999_ms\":", "\"identity_checked\": true"]
-    {
+    for field in [
+        "\"connections\":",
+        "\"pipeline_depth\":",
+        "\"p999_ms\":",
+        "\"identity_checked\": true",
+        "\"host_cores\":",
+    ] {
         assert!(body.contains(field), "{}: missing {field}", path.display());
     }
 }

@@ -9,6 +9,10 @@
 //! (0, 1, 63, 64, 65, and non-multiples of the shard size, so shard-tail
 //! words are exercised).
 //!
+//! Batches too cheap to repay a thread spawn run inline at any thread
+//! count, so `costly_batches_fan_out_and_match_serial` keeps one batch
+//! above that threshold to drive spawned chunks.
+//!
 //! The sketch and miner property tests build their threaded side at
 //! `ci_threads()` (the `IFS_THREADS` override, default 1) plus one fixed
 //! 2-thread leg, so CI's two runs — `IFS_THREADS=1` and `IFS_THREADS=4` —
@@ -71,6 +75,42 @@ fn sharded_store_matches_serial_on_adversarial_shapes() {
                 }
             }
         }
+    }
+}
+
+/// A batch costly enough that the engine really fans it out: the engine
+/// runs a batch inline unless every worker gets at least 2^17 tid words
+/// (DESIGN.md §8), so the small batches above all answer on the calling
+/// thread. This one costs more than 8 workers' worth, so threads 2, 4 and
+/// 8 (and CI's `IFS_THREADS`) drive spawned chunks, over a ragged
+/// three-shard store whose tail shard ends mid-word.
+#[test]
+fn costly_batches_fan_out_and_match_serial() {
+    let mut rng = Rng64::seeded(0xFA_0E);
+    let n = 2 * 16_384 + 232;
+    let d = 64;
+    let db = generators::uniform(n, d, 0.3, &mut rng);
+    let queries: Vec<Itemset> =
+        (0..1024).map(|q| (0..2 + q % 3).map(|_| rng.below(d) as u32).collect()).collect();
+    let cost: usize = queries.iter().map(|t| t.len().max(1) * n.div_ceil(64)).sum();
+    assert!(cost >= 8 << 17, "batch must cost at least 8 workers' shares, got {cost} words");
+    let serial = ColumnStore::build(db.matrix());
+    let want: Vec<usize> = queries.iter().map(|t| serial.support(t)).collect();
+    let want_freq: Vec<f64> = queries.iter().map(|t| serial.frequency(t)).collect();
+    let sharded = ShardedColumnStore::build(db.matrix(), 2);
+    for threads in [1usize, 2, 4, 8, ci_threads()] {
+        assert_eq!(sharded.support_batch(&queries, threads), want, "sharded, {threads} threads");
+        assert_eq!(
+            sharded.frequency_batch(&queries, threads),
+            want_freq,
+            "sharded frequencies, {threads} threads"
+        );
+        assert_eq!(
+            serial.support_batch_with_threads(&queries, threads),
+            want,
+            "chunked serial store, {threads} threads"
+        );
+        assert_eq!(db.support_batch_with_threads(&queries, threads), want, "{threads} threads");
     }
 }
 
