@@ -22,6 +22,7 @@
 //! `cargo test --benches` each body runs once as a smoke test.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use ifs_bench::write_bench_json;
 use ifs_core::streaming::{fold_database, MergeableSketch, StreamingBuild};
 use ifs_core::{ReleaseDb, ReleaseDbBuilder, Subsample, SubsampleBuilder, SubsampleParams};
 use ifs_database::{Database, Itemset};
@@ -203,7 +204,15 @@ fn bench_speedup_gate(c: &mut Criterion) {
          {queries_per_sec:.0} queries/s); cold transpose {transpose_ms:.1} ms \
          ({transpose_mrows_per_sec:.1} Mrows/s)"
     );
-    write_bench_json(speedup, rows_per_sec, queries_per_sec, transpose_ms, transpose_mrows_per_sec);
+    let fields = format!(
+        "  \"rows_total\": {TOTAL_ROWS},\n  \"dims\": {DIMS},\n  \
+         \"batch_rows\": {BATCH_ROWS},\n  \"queries_per_batch\": {QUERIES_PER_BATCH},\n  \
+         \"rows_per_sec\": {rows_per_sec:.1},\n  \"queries_per_sec\": {queries_per_sec:.1},\n  \
+         \"transpose_build_ms\": {transpose_ms:.2},\n  \
+         \"transpose_mrows_per_sec\": {transpose_mrows_per_sec:.2},\n  \
+         \"speedup_vs_retranspose\": {speedup:.2}"
+    );
+    write_bench_json("ingest_throughput", "BENCH_ingest.json", &fields);
     assert!(
         speedup >= 3.0,
         "append_rows + query must be >= 3x the invalidate-and-retranspose loop, \
@@ -214,40 +223,6 @@ fn bench_speedup_gate(c: &mut Criterion) {
     let mut g = c.benchmark_group("ingest_throughput_gate");
     g.bench_function("noop", |b| b.iter(|| black_box(0)));
     g.finish();
-}
-
-/// Hand-rolled JSON (DESIGN.md §6: no serde) under the workspace's
-/// `bench_results/`. Whichever run happened last owns the file — that is
-/// the artifact CI surfaces — and the `mode` field records whether a debug
-/// smoke or a release bench produced the numbers, so readers comparing
-/// across PRs never mistake one for the other.
-fn write_bench_json(
-    speedup: f64,
-    rows_per_sec: f64,
-    queries_per_sec: f64,
-    transpose_ms: f64,
-    transpose_mrows_per_sec: f64,
-) {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("ingest_throughput: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mode = if cfg!(debug_assertions) { "debug" } else { "release" };
-    let json = format!(
-        "{{\n  \"bench\": \"ingest_throughput\",\n  \"mode\": \"{mode}\",\n  \
-         \"rows_total\": {TOTAL_ROWS},\n  \"dims\": {DIMS},\n  \
-         \"batch_rows\": {BATCH_ROWS},\n  \"queries_per_batch\": {QUERIES_PER_BATCH},\n  \
-         \"rows_per_sec\": {rows_per_sec:.1},\n  \"queries_per_sec\": {queries_per_sec:.1},\n  \
-         \"transpose_build_ms\": {transpose_ms:.2},\n  \
-         \"transpose_mrows_per_sec\": {transpose_mrows_per_sec:.2},\n  \
-         \"speedup_vs_retranspose\": {speedup:.2}\n}}\n"
-    );
-    let path = dir.join("BENCH_ingest.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("ingest_throughput: wrote {}", path.display()),
-        Err(e) => eprintln!("ingest_throughput: cannot write {}: {e}", path.display()),
-    }
 }
 
 criterion_group!(benches, bench_ingest_paths, bench_speedup_gate);

@@ -28,6 +28,7 @@
 //! `cargo test --benches` each body runs once as a smoke test.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use ifs_bench::write_bench_json;
 use ifs_util::{bits, Rng64};
 use std::hint::black_box;
 use std::time::Instant;
@@ -125,35 +126,6 @@ fn assert_kernel_identity(a: &[u64], b: &[u64], c: &[u64]) {
     }
 }
 
-fn write_bench_json(measured: &[Measured], min_and_family: f64) {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("kernel_throughput: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mode = if cfg!(debug_assertions) { "debug" } else { "release" };
-    let mut kernels = String::new();
-    for (i, m) in measured.iter().enumerate() {
-        let sep = if i + 1 == measured.len() { "" } else { "," };
-        kernels.push_str(&format!(
-            "    {{ \"kernel\": \"{}\", \"scalar_mwords_per_sec\": {:.1}, \
-             \"wide_mwords_per_sec\": {:.1}, \"speedup\": {:.2} }}{sep}\n",
-            m.name, m.scalar_mword_s, m.wide_mword_s, m.speedup
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"kernel_throughput\",\n  \"mode\": \"{mode}\",\n  \
-         \"words\": {},\n  \"identity_checked\": true,\n  \
-         \"min_and_family_speedup\": {min_and_family:.2},\n  \"kernels\": [\n{kernels}  ]\n}}\n",
-        WORDS + TAIL
-    );
-    let path = dir.join("BENCH_kernels.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("kernel_throughput: wrote {}", path.display()),
-        Err(e) => eprintln!("kernel_throughput: cannot write {}: {e}", path.display()),
-    }
-}
-
 fn bench_kernels(c: &mut Criterion) {
     let (a, b, z) = operands();
     assert_kernel_identity(&a, &b, &z);
@@ -227,7 +199,23 @@ fn bench_kernels(c: &mut Criterion) {
         .filter(|m| m.name.starts_with("and"))
         .map(|m| m.speedup)
         .fold(f64::INFINITY, f64::min);
-    write_bench_json(&measured, min_and_family);
+    let kernels: Vec<String> = measured
+        .iter()
+        .map(|m| {
+            format!(
+                "    {{ \"kernel\": \"{}\", \"scalar_mwords_per_sec\": {:.1}, \
+                 \"wide_mwords_per_sec\": {:.1}, \"speedup\": {:.2} }}",
+                m.name, m.scalar_mword_s, m.wide_mword_s, m.speedup
+            )
+        })
+        .collect();
+    let fields = format!(
+        "  \"words\": {},\n  \"identity_checked\": true,\n  \
+         \"min_and_family_speedup\": {min_and_family:.2},\n  \"kernels\": [\n{}\n  ]",
+        WORDS + TAIL,
+        kernels.join(",\n")
+    );
+    write_bench_json("kernel_throughput", "BENCH_kernels.json", &fields);
     // Unoptimized builds vectorize neither side, so the ratio is only
     // meaningful — and only gated — in release; identity is gated always.
     if !cfg!(debug_assertions) {

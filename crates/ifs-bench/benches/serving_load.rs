@@ -158,8 +158,9 @@ fn run_load(frames: &[Vec<u8>]) -> (f64, f64, f64, f64) {
             Request::Query { id: id as u64, mode, queries }.to_bytes()
         })
         .collect();
-    // One connection's reusable buffers: the timed path is `handle_into`,
-    // exactly what `serve_connection` runs per request once warm.
+    // One connection's reusable buffers: the timed path is `handle_into`
+    // (decode, answer, encode), the sequential request → response map
+    // whose bytes the pooled transport must reproduce.
     let mut buf = EncodeBuf::new();
     let mut latencies_ms = Vec::with_capacity(BATCHES);
     let started = Instant::now();

@@ -19,6 +19,7 @@
 //! sketch_store`; under `cargo test --benches` each body runs once.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use ifs_bench::write_bench_json;
 use ifs_core::snapshot::Snapshot;
 use ifs_core::ReleaseDb;
 use ifs_database::generators;
@@ -214,31 +215,14 @@ fn bench_store_gate(c: &mut Criterion) {
          compact {:.1} MB/s",
         n.log_bytes, n.log_records, n.append_mbps, n.replay_mbps, n.compact_mbps
     );
-    write_bench_json(&n);
-
-    let mut g = c.benchmark_group("sketch_store_gate");
-    g.bench_function("noop", |b| b.iter(|| black_box(0)));
-    g.finish();
-}
-
-/// Hand-rolled JSON (DESIGN.md §6: no serde) under the workspace's
-/// `bench_results/`, mirroring the other artifacts; the `mode` field keeps
-/// debug smoke numbers from ever being read as release measurements.
-fn write_bench_json(n: &Numbers) {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("sketch_store: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mode = if cfg!(debug_assertions) { "debug" } else { "release" };
-    let json = format!(
-        "{{\n  \"bench\": \"sketch_store\",\n  \"mode\": \"{mode}\",\n  \"rows\": {ROWS},\n  \
+    let fields = format!(
+        "  \"rows\": {ROWS},\n  \
          \"dims\": {DIMS},\n  \"density\": {DENSITY},\n  \"release_db\": {{\n    \
          \"v1_bytes\": {},\n    \"v2_bytes\": {},\n    \"v1_over_v2\": {:.2},\n    \
          \"min_required_ratio\": {MIN_V2_RATIO}\n  }},\n  \"log\": {{\n    \
          \"bytes\": {},\n    \"records\": {},\n    \"shards\": {LOG_SHARDS},\n    \
          \"append_mb_per_sec\": {:.1},\n    \"replay_mb_per_sec\": {:.1},\n    \
-         \"compact_mb_per_sec\": {:.1}\n  }}\n}}\n",
+         \"compact_mb_per_sec\": {:.1}\n  }}",
         n.v1_bytes,
         n.v2_bytes,
         n.ratio,
@@ -248,11 +232,11 @@ fn write_bench_json(n: &Numbers) {
         n.replay_mbps,
         n.compact_mbps
     );
-    let path = dir.join("BENCH_store.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("sketch_store: wrote {}", path.display()),
-        Err(e) => eprintln!("sketch_store: cannot write {}: {e}", path.display()),
-    }
+    write_bench_json("sketch_store", "BENCH_store.json", &fields);
+
+    let mut g = c.benchmark_group("sketch_store_gate");
+    g.bench_function("noop", |b| b.iter(|| black_box(0)));
+    g.finish();
 }
 
 criterion_group!(benches, bench_store_paths, bench_store_gate);

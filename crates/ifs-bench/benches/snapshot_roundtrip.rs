@@ -16,6 +16,7 @@
 //! `cargo test --benches` each body runs once as a smoke test.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use ifs_bench::write_bench_json;
 use ifs_core::snapshot::Snapshot;
 use ifs_core::{ReleaseAnswersEstimator, ReleaseAnswersIndicator, ReleaseDb, Subsample};
 use ifs_database::generators;
@@ -146,42 +147,26 @@ fn bench_measurement_gate(c: &mut Criterion) {
             e.name, e.bytes, e.size_bits, e.encode_mbps, e.decode_mbps
         );
     }
-    write_bench_json(&entries);
+    let sketches: Vec<String> = entries
+        .iter()
+        .map(|e| {
+            format!(
+                "    {{ \"name\": \"{}\", \"bytes\": {}, \"size_bits\": {}, \
+                 \"encode_mb_per_sec\": {:.1}, \"decode_mb_per_sec\": {:.1} }}",
+                e.name, e.bytes, e.size_bits, e.encode_mbps, e.decode_mbps
+            )
+        })
+        .collect();
+    let fields = format!(
+        "  \"rows_total\": {TOTAL_ROWS},\n  \"dims\": {DIMS},\n  \
+         \"sample_rows\": {SAMPLE_ROWS},\n  \"sketches\": [\n{}\n  ]",
+        sketches.join(",\n")
+    );
+    write_bench_json("snapshot_roundtrip", "BENCH_snapshot.json", &fields);
 
     let mut g = c.benchmark_group("snapshot_roundtrip_gate");
     g.bench_function("noop", |b| b.iter(|| black_box(0)));
     g.finish();
-}
-
-/// Hand-rolled JSON (DESIGN.md §6: no serde) under the workspace's
-/// `bench_results/`, mirroring `BENCH_ingest.json`: the `mode` field keeps
-/// debug smoke numbers from ever being read as release measurements.
-fn write_bench_json(entries: &[Entry]) {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("snapshot_roundtrip: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mode = if cfg!(debug_assertions) { "debug" } else { "release" };
-    let mut sketches = String::new();
-    for (i, e) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        sketches.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"bytes\": {}, \"size_bits\": {}, \
-             \"encode_mb_per_sec\": {:.1}, \"decode_mb_per_sec\": {:.1} }}{sep}\n",
-            e.name, e.bytes, e.size_bits, e.encode_mbps, e.decode_mbps
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"snapshot_roundtrip\",\n  \"mode\": \"{mode}\",\n  \
-         \"rows_total\": {TOTAL_ROWS},\n  \"dims\": {DIMS},\n  \
-         \"sample_rows\": {SAMPLE_ROWS},\n  \"sketches\": [\n{sketches}  ]\n}}\n"
-    );
-    let path = dir.join("BENCH_snapshot.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("snapshot_roundtrip: wrote {}", path.display()),
-        Err(e) => eprintln!("snapshot_roundtrip: cannot write {}: {e}", path.display()),
-    }
 }
 
 criterion_group!(benches, bench_codec_paths, bench_measurement_gate);

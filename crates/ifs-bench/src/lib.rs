@@ -43,3 +43,26 @@ pub fn run(id: &str) -> Vec<Table> {
         other => panic!("unknown experiment id '{other}'; known: {ALL_EXPERIMENTS:?}"),
     }
 }
+
+/// Writes a bench gate's artifact `bench_results/{file}` at the workspace
+/// root, as hand-rolled JSON (DESIGN.md §6: no serde). The object opens
+/// with `"bench"`, `"mode"` — whether a debug smoke or a release bench
+/// produced the numbers, so debug numbers are never read as measurements
+/// — and `"host_cores"`, then `fields`: the bench's own members, one per
+/// line, indented two spaces, comma-separated, with no trailing comma.
+/// Whichever run happened last owns the file. A write failure is printed,
+/// not raised, so it never fails the gate that measured the numbers.
+pub fn write_bench_json(bench: &str, file: &str, fields: &str) {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
+    let mode = if cfg!(debug_assertions) { "debug" } else { "release" };
+    let json = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"mode\": \"{mode}\",\n  \"host_cores\": {},\n\
+         {fields}\n}}\n",
+        ifs_util::threads::host_cores()
+    );
+    let path = dir.join(file);
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
+        Ok(()) => println!("{bench}: wrote {}", path.display()),
+        Err(e) => eprintln!("{bench}: cannot write {}: {e}", path.display()),
+    }
+}

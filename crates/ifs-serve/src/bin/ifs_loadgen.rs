@@ -30,23 +30,25 @@
 //! saturation shows up as `overload_retries`, not as a failed run.
 //!
 //! The third form is the perf-trajectory harness: it spins up in-process
-//! servers over loopback TCP — thread-per-connection and pooled, at
-//! engine thread counts 1 and 4 — drives each with the identical
-//! workload, and writes one JSON with all four runs plus each pooled
-//! run's speedup over its thread-count-matched baseline, and the host's
-//! core count (`host_cores`: engine threads resolve to at most that many).
-//! That file is the committed `bench_results/BENCH_serving.json`.
+//! pooled servers over loopback TCP and drives each with two client
+//! shapes — the `--connections`/`--pipeline` flag shape and a lone
+//! unpipelined client (1 × 1) — at engine thread counts 1 and 4, and
+//! writes one JSON with all four runs. That file is the committed
+//! `bench_results/BENCH_serving.json`.
 //!
+//! Every connection's requests and expected answers are built before the
+//! clock starts, so the timed window holds only sends, receives and
+//! bit comparisons: queries/sec measures the server, not the oracle.
 //! Latency is measured per batch round-trip; p50/p99/p99.9 and aggregate
 //! queries/sec land in `--json PATH` with a `mode` field recording
-//! whether a debug or release build produced the numbers, plus the
-//! `connections`/`pipeline_depth` shape of the run.
+//! whether a debug or release build produced the numbers, the host's
+//! core count (`host_cores`: engine threads resolve to at most that
+//! many), and the `connections`/`pipeline_depth` shape of the run.
 
 use ifs_core::{ReleaseAnswersEstimator, ReleaseAnswersIndicator, ReleaseDb, Snapshot, Subsample};
 use ifs_database::{generators, Itemset};
 use ifs_serve::{
-    net, pool, Answers, Client, QueryMode, Request, Response, ServeConfig, ServedSketch,
-    SketchServer,
+    pool, Answers, Client, QueryMode, Request, Response, ServeConfig, ServedSketch, SketchServer,
 };
 use ifs_util::threads::host_cores;
 use ifs_util::Rng64;
@@ -284,51 +286,58 @@ struct Measured {
     overload_retries: u64,
 }
 
-/// Drives one connection: `batches` query batches, keeping up to
-/// `pipeline` requests outstanding, verifying every answer against the
-/// local oracle and retrying (and counting) `Overloaded` refusals.
+/// One connection's workload: `shape.batches` query requests, each with
+/// the oracle's answers, built before any timing starts.
+fn plan_connection(
+    oracle: &[ServedSketch],
+    shape: &RunShape,
+    conn_index: usize,
+) -> Result<Vec<(Request, Answers)>, String> {
+    let mut rng = Rng64::seeded(
+        shape.seed ^ 0x10AD ^ (conn_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    );
+    (0..shape.batches)
+        .map(|b| {
+            let id = b % oracle.len();
+            let sketch = &oracle[id];
+            let modes = supported_modes(sketch);
+            let mode = modes[(b / oracle.len()) % modes.len()];
+            let queries = batch_for(sketch, shape.batch_size, &mut rng);
+            let expected = sketch.answer(mode, &queries).map_err(|e| format!("oracle: {e}"))?;
+            Ok((Request::Query { id: id as u64, mode, queries }, expected))
+        })
+        .collect()
+}
+
+/// Drives one connection through its `plan`, keeping up to `pipeline`
+/// requests outstanding, comparing every answer bit for bit with the
+/// planned one and retrying (and counting) `Overloaded` refusals.
 /// Returns the per-batch round-trip latencies and the retry count.
 fn drive_connection(
     addr: &str,
-    oracle: &[ServedSketch],
-    shape: &RunShape,
+    plan: &[(Request, Answers)],
+    pipeline: usize,
     conn_index: usize,
 ) -> Result<(Vec<f64>, u64), String> {
     let mut client = Client::connect(addr, 10_000)
         .map_err(|e| format!("connection {conn_index}: {addr}: {e}"))?;
-    let mut rng = Rng64::seeded(
-        shape.seed ^ 0x10AD ^ (conn_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
-    let mut latencies_ms = Vec::with_capacity(shape.batches);
+    let mut latencies_ms = Vec::with_capacity(plan.len());
     let mut retries = 0u64;
-    // Requests awaiting an answer (responses arrive strictly in send
-    // order) and requests refused with `Overloaded`, to re-send.
-    let mut outstanding: VecDeque<(Request, Answers, Instant)> = VecDeque::new();
-    let mut resend: VecDeque<(Request, Answers)> = VecDeque::new();
-    let mut built = 0usize;
-    let mut answered = 0usize;
-    while answered < shape.batches {
-        while outstanding.len() < shape.pipeline && (built < shape.batches || !resend.is_empty()) {
-            let (request, expected) = match resend.pop_front() {
-                Some(pair) => pair,
-                None => {
-                    let b = built;
-                    built += 1;
-                    let id = b % oracle.len();
-                    let sketch = &oracle[id];
-                    let modes = supported_modes(sketch);
-                    let mode = modes[(b / oracle.len()) % modes.len()];
-                    let queries = batch_for(sketch, shape.batch_size, &mut rng);
-                    let expected =
-                        sketch.answer(mode, &queries).map_err(|e| format!("oracle: {e}"))?;
-                    (Request::Query { id: id as u64, mode, queries }, expected)
-                }
-            };
-            client.send(&request).map_err(|e| format!("connection {conn_index}: send: {e}"))?;
-            outstanding.push_back((request, expected, Instant::now()));
+    // Plan indices awaiting an answer (responses arrive strictly in send
+    // order) and indices refused with `Overloaded`, to re-send.
+    let mut outstanding: VecDeque<(usize, Instant)> = VecDeque::new();
+    let mut resend: VecDeque<usize> = VecDeque::new();
+    let mut sent = 0usize;
+    while latencies_ms.len() < plan.len() {
+        while outstanding.len() < pipeline && (sent < plan.len() || !resend.is_empty()) {
+            let i = resend.pop_front().unwrap_or_else(|| {
+                sent += 1;
+                sent - 1
+            });
+            client.send(&plan[i].0).map_err(|e| format!("connection {conn_index}: send: {e}"))?;
+            outstanding.push_back((i, Instant::now()));
         }
-        let (request, expected, sent) =
-            outstanding.pop_front().expect("window is non-empty while batches remain");
+        let (i, at) = outstanding.pop_front().expect("window is non-empty while batches remain");
         let resp = client
             .recv()
             .map_err(|e| format!("connection {conn_index}: {e}"))?
@@ -336,17 +345,17 @@ fn drive_connection(
         match resp {
             Response::Error(e) if e.is_retryable() => {
                 retries += 1;
-                resend.push_back((request, expected));
+                resend.push_back(i);
             }
             resp => {
-                latencies_ms.push(sent.elapsed().as_secs_f64() * 1e3);
-                if !identical(&resp, &expected) {
+                latencies_ms.push(at.elapsed().as_secs_f64() * 1e3);
+                let (request, expected) = &plan[i];
+                if !identical(&resp, expected) {
                     return Err(format!(
                         "connection {conn_index}: served answers diverge from the offline \
                          oracle ({resp:?} for {request:?})"
                     ));
                 }
-                answered += 1;
             }
         }
     }
@@ -387,10 +396,15 @@ fn drive(
             }
         }
     }
+    let plans: Vec<Vec<(Request, Answers)>> = (0..shape.connections)
+        .map(|c| plan_connection(oracle, shape, c))
+        .collect::<Result<_, _>>()?;
     let started = Instant::now();
     let per_conn: Vec<Result<(Vec<f64>, u64), String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shape.connections)
-            .map(|c| scope.spawn(move || drive_connection(addr, oracle, shape, c)))
+        let handles: Vec<_> = plans
+            .iter()
+            .enumerate()
+            .map(|(c, plan)| scope.spawn(move || drive_connection(addr, plan, shape.pipeline, c)))
             .collect();
         handles.into_iter().map(|h| h.join().expect("connection thread panicked")).collect()
     });
@@ -486,6 +500,7 @@ fn run_load(args: &Args) -> Result<(), String> {
         let queries_total = args.connections * args.batches * args.batch_size;
         let json = format!(
             "{{\n  \"bench\": \"serving_load\",\n  \"mode\": \"{}\",\n  \
+             \"host_cores\": {},\n  \
              \"source\": \"loadgen\",\n  \"sketches\": {},\n  \
              \"connections\": {},\n  \"pipeline_depth\": {},\n  \
              \"batches\": {},\n  \"batch_size\": {},\n  \
@@ -494,6 +509,7 @@ fn run_load(args: &Args) -> Result<(), String> {
              \"queries_per_sec\": {:.1},\n  \"overload_retries\": {},\n  \
              \"identity_checked\": true\n}}\n",
             build_mode(),
+            host_cores(),
             oracle.len(),
             args.connections,
             args.pipeline,
@@ -510,30 +526,20 @@ fn run_load(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One matrix cell: transport x engine thread count, measured in-process
-/// over loopback TCP.
-struct MatrixRun {
-    transport: &'static str,
-    threads: usize,
-    pipeline: usize,
-    measured: Measured,
-}
-
-/// Runs the 2x2 perf matrix — {thread-per-connection, pooled} x
-/// {1, 4 engine threads} — with the identical workload, and writes one
-/// JSON recording every run plus each pooled run's speedup over its
-/// thread-count-matched baseline. The baseline keeps pipeline depth 1
-/// (its natural call/response shape); the pooled runs use
-/// `--pipeline`.
+/// Runs the 2x2 perf matrix — {flag shape, lone client (1 x 1)} x
+/// {1, 4 engine threads} — each cell on a fresh in-process pooled server
+/// over loopback TCP with the same batches, and writes one JSON recording
+/// every run. The lone unpipelined client is the shape the pool's idle
+/// sleep bounds; the flag shape is the many-connection throughput shape.
 fn bench_matrix(args: &Args) -> Result<(), String> {
     let frames = fleet_frames(args.seed);
-    let mut runs: Vec<MatrixRun> = Vec::new();
+    let mut run_objects = Vec::new();
     for threads in [1usize, 4] {
-        for pooled in [false, true] {
-            let oracle: Vec<ServedSketch> = frames
-                .iter()
-                .map(|f| ServedSketch::admit(f, threads).map_err(|e| e.to_string()))
-                .collect::<Result<_, _>>()?;
+        let oracle: Vec<ServedSketch> = frames
+            .iter()
+            .map(|f| ServedSketch::admit(f, threads).map_err(|e| e.to_string()))
+            .collect::<Result<_, _>>()?;
+        for (connections, pipeline) in [(args.connections, args.pipeline), (1, 1)] {
             let server = SketchServer::new(ServeConfig {
                 default_threads: threads,
                 ..ServeConfig::default()
@@ -542,83 +548,47 @@ fn bench_matrix(args: &Args) -> Result<(), String> {
                 TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind loopback: {e}"))?;
             let addr = listener.local_addr().map_err(|e| e.to_string())?.to_string();
             let shape = RunShape {
-                connections: args.connections,
-                pipeline: if pooled { args.pipeline } else { 1 },
+                connections,
+                pipeline,
                 batches: args.batches,
                 batch_size: args.batch_size,
                 threads,
                 seed: args.seed,
             };
             // The loader client plus the driving connections.
-            let accept = Some(args.connections + 1);
-            let measured = std::thread::scope(|scope| {
-                let server = &server;
-                let listener = &listener;
+            let accept = Some(connections + 1);
+            let m = std::thread::scope(|scope| {
+                let (server, listener) = (&server, &listener);
                 scope.spawn(move || {
-                    let served = if pooled {
-                        pool::serve_pooled(server, listener, 0, accept)
-                    } else {
-                        net::serve_listener(server, listener, accept)
-                    };
-                    served.expect("in-process server serves its connections");
+                    pool::serve_pooled(server, listener, 0, accept)
+                        .expect("in-process server serves its connections");
                 });
                 drive(&addr, &oracle, &frames, &shape, true)
             })?;
-            let transport = if pooled { "pooled" } else { "threaded" };
             println!(
-                "ifs-loadgen matrix: {transport} threads={threads} pipeline={}: \
-                 {:.0} queries/s (p50 {:.3} ms, p99 {:.3} ms, p99.9 {:.3} ms, {} retries)",
-                shape.pipeline,
-                measured.qps,
-                measured.p50_ms,
-                measured.p99_ms,
-                measured.p999_ms,
-                measured.overload_retries
+                "ifs-loadgen matrix: threads={threads} connections={connections} \
+                 pipeline={pipeline}: {:.0} queries/s (p50 {:.3} ms, p99 {:.3} ms, \
+                 p99.9 {:.3} ms, {} retries)",
+                m.qps, m.p50_ms, m.p99_ms, m.p999_ms, m.overload_retries
             );
-            runs.push(MatrixRun { transport, threads, pipeline: shape.pipeline, measured });
+            run_objects.push(format!(
+                "    {{\n      \"threads\": {threads},\n      \
+                 \"connections\": {connections},\n      \
+                 \"pipeline_depth\": {pipeline},\n      \"p50_ms\": {:.3},\n      \
+                 \"p99_ms\": {:.3},\n      \"p999_ms\": {:.3},\n      \
+                 \"queries_per_sec\": {:.1},\n      \"overload_retries\": {}\n    }}",
+                m.p50_ms, m.p99_ms, m.p999_ms, m.qps, m.overload_retries
+            ));
         }
     }
-    let baseline_qps = |threads: usize| {
-        runs.iter()
-            .find(|r| r.transport == "threaded" && r.threads == threads)
-            .map(|r| r.measured.qps)
-            .expect("matrix ran the threaded baseline")
-    };
-    let mut min_pooled_speedup = f64::INFINITY;
-    let mut run_objects = Vec::new();
-    for run in &runs {
-        let speedup = run.measured.qps / baseline_qps(run.threads);
-        if run.transport == "pooled" {
-            min_pooled_speedup = min_pooled_speedup.min(speedup);
-        }
-        run_objects.push(format!(
-            "    {{\n      \"transport\": \"{}\",\n      \"threads\": {},\n      \
-             \"pipeline_depth\": {},\n      \"p50_ms\": {:.3},\n      \
-             \"p99_ms\": {:.3},\n      \"p999_ms\": {:.3},\n      \
-             \"queries_per_sec\": {:.1},\n      \"overload_retries\": {},\n      \
-             \"speedup_vs_threaded\": {:.2}\n    }}",
-            run.transport,
-            run.threads,
-            run.pipeline,
-            run.measured.p50_ms,
-            run.measured.p99_ms,
-            run.measured.p999_ms,
-            run.measured.qps,
-            run.measured.overload_retries,
-            speedup
-        ));
-    }
-    println!("ifs-loadgen matrix: min pooled speedup {min_pooled_speedup:.2}x over the baseline");
     if let Some(path) = &args.json {
-        let queries_total = args.connections * args.batches * args.batch_size;
         let json = format!(
             "{{\n  \"bench\": \"serving_load\",\n  \"mode\": \"{}\",\n  \
              \"host_cores\": {},\n  \
              \"source\": \"loadgen-matrix\",\n  \"sketches\": {},\n  \
              \"connections\": {},\n  \"pipeline_depth\": {},\n  \
              \"batches\": {},\n  \"batch_size\": {},\n  \
-             \"queries_total\": {queries_total},\n  \"identity_checked\": true,\n  \
-             \"min_pooled_speedup\": {min_pooled_speedup:.2},\n  \"runs\": [\n{}\n  ]\n}}\n",
+             \"identity_checked\": true,\n  \"runs\": [\n{}\n  ]\n}}\n",
             build_mode(),
             host_cores(),
             frames.len(),

@@ -3,7 +3,7 @@
 //! ```text
 //! ifs-serve --listen 127.0.0.1:7464 [--snapshots FILE | --log FILE]
 //!           [--budget-bits N] [--max-in-flight N] [--threads N]
-//!           [--accept N] [--workers N] [--threaded]
+//!           [--accept N] [--workers N]
 //! ```
 //!
 //! `--snapshots FILE` preloads a file of concatenated snapshot frames
@@ -23,12 +23,9 @@
 //! admission failure refuses startup. The two preload flags are mutually
 //! exclusive.
 //!
-//! The transport is the **pooled** one (DESIGN.md §13) by default:
-//! `--workers N` sizes the handler pool (`0` = auto from the machine's
-//! parallelism; the `IFS_SERVE_WORKERS` environment variable is the
-//! flag's default). `--threaded` selects the legacy thread-per-connection
-//! transport — the baseline `ifs-loadgen --bench-matrix` measures the
-//! pool against.
+//! The transport is the pooled one (DESIGN.md §13): `--workers N` sizes
+//! the handler pool (`0` = auto from the machine's parallelism; the
+//! `IFS_SERVE_WORKERS` environment variable is the flag's default).
 //!
 //! Operational inputs refuse with a message and a nonzero exit, never a
 //! panic: a malformed `IFS_THREADS` or `IFS_SERVE_WORKERS`, an unreadable
@@ -43,7 +40,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: ifs-serve --listen ADDR [--snapshots FILE | --log FILE] \
                      [--budget-bits N] [--max-in-flight N] [--threads N] [--accept N] \
-                     [--workers N] [--threaded]";
+                     [--workers N]";
 
 struct Args {
     listen: String,
@@ -54,7 +51,6 @@ struct Args {
     threads: usize,
     accept: Option<usize>,
     workers: Option<usize>,
-    threaded: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -68,7 +64,6 @@ fn parse_args() -> Result<Args, String> {
         threads: 0,
         accept: None,
         workers: None,
-        threaded: false,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
@@ -98,7 +93,6 @@ fn parse_args() -> Result<Args, String> {
                 args.workers =
                     Some(value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?);
             }
-            "--threaded" => args.threaded = true,
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
         }
     }
@@ -197,16 +191,11 @@ fn run() -> Result<(), String> {
     }
     let listener = TcpListener::bind(&args.listen).map_err(|e| format!("{}: {e}", args.listen))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
-    if args.threaded {
-        // Announce readiness on stdout so scripts can wait for this line.
-        println!("ifs-serve listening on {local} (thread-per-connection)");
-        net::serve_listener(&server, &listener, args.accept).map_err(|e| e.to_string())
-    } else {
-        // Flag beats environment beats auto, like --threads/IFS_THREADS.
-        let workers = pool::resolve_workers(args.workers.or(env_workers).unwrap_or(0));
-        println!("ifs-serve listening on {local} (pooled, {workers} workers)");
-        pool::serve_pooled(&server, &listener, workers, args.accept).map_err(|e| e.to_string())
-    }
+    // Flag beats environment beats auto, like --threads/IFS_THREADS.
+    let workers = pool::resolve_workers(args.workers.or(env_workers).unwrap_or(0));
+    // Announce readiness on stdout so scripts can wait for this line.
+    println!("ifs-serve listening on {local} (pooled, {workers} workers)");
+    pool::serve_pooled(&server, &listener, workers, args.accept).map_err(|e| e.to_string())
 }
 
 fn main() -> ExitCode {

@@ -35,11 +35,11 @@
 //!   request → response map ([`SketchServer::respond`]) and its byte-level
 //!   form ([`SketchServer::handle_into`]), with explicit backpressure
 //!   ([`BatchSlot`]).
-//! - [`net`] — blocking TCP transport and a [`Client`], plus the
-//!   `ifs-serve` and `ifs-loadgen` binaries on top.
-//! - [`pool`] — the pooled transport (DESIGN.md §13): a fixed worker
+//! - [`net`] — wire framing and a blocking [`Client`].
+//! - [`pool`] — the server transport (DESIGN.md §13): a fixed worker
 //!   pool multiplexing nonblocking connections with pipelining,
-//!   cross-connection micro-batching, and hot-reload-safe dispatch.
+//!   cross-connection micro-batching, and hot-reload-safe dispatch. The
+//!   `ifs-serve` and `ifs-loadgen` binaries sit on top.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,12 @@
-//! Blocking TCP transport for the serving protocol.
+//! Wire framing for the serving protocol, and a blocking [`Client`].
 //!
 //! The wire carries exactly the byte strings [`crate::protocol`] produces:
 //! self-delimiting frames (8-byte header, varint body length, body, 8-byte
 //! checksum), so the transport's only jobs are to find frame boundaries in
 //! the stream and to bound how much a peer can make the server buffer.
+//! The server side of the wire is [`crate::pool::serve_pooled`], which
+//! finds boundaries with [`frame_boundary`]; blocking readers (the
+//! [`Client`], `ifs-serve`'s snapshot preload) use [`read_frame_into`].
 //! Everything semantic — checksums, kinds, versions, body tags — is judged
 //! by the codec layer after the frame is reassembled, which keeps the
 //! adversarial-input story in one place.
@@ -15,10 +18,9 @@
 //! connection stays open.
 
 use crate::protocol::{EncodeBuf, Request, Response};
-use crate::server::SketchServer;
 use ifs_database::codec::{DecodeError, SNAPSHOT_MAGIC};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 
 /// Upper bound on a single wire frame's declared body length, in bytes
 /// (1 GiB). A peer can therefore never make the transport buffer more
@@ -45,8 +47,8 @@ const BODY_READ_STEP: usize = 64 * 1024;
 ///   once and close, since the next frame boundary is unknowable.
 /// - `Err(_)` — transport failure (including mid-frame EOF).
 ///
-/// Every framing check is shared with the pooled transport's
-/// [`frame_boundary`], so both refuse the same streams identically.
+/// Every framing check is shared with [`frame_boundary`], the server's
+/// parser, so both refuse the same streams identically.
 pub fn read_frame_into<R: Read>(
     stream: &mut R,
     frame: &mut Vec<u8>,
@@ -145,9 +147,9 @@ fn frame_len(prefix: &[u8]) -> Result<Option<usize>, DecodeError> {
 }
 
 /// Finds the first frame boundary in a buffered prefix of a byte stream —
-/// the incremental form of [`read_frame_into`] the pooled (nonblocking)
-/// transport uses, where bytes arrive in arbitrary chunks and a partial
-/// frame must simply wait for more.
+/// the incremental form of [`read_frame_into`] the nonblocking server
+/// transport ([`crate::pool`]) uses, where bytes arrive in arbitrary
+/// chunks and a partial frame must simply wait for more.
 ///
 /// - `Ok(Some(len))` — `buf[..len]` is one complete frame.
 /// - `Ok(None)` — `buf` is a valid but incomplete prefix; read more.
@@ -156,60 +158,6 @@ fn frame_len(prefix: &[u8]) -> Result<Option<usize>, DecodeError> {
 ///   connection should be closed after one typed error response.
 pub fn frame_boundary(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
     Ok(frame_len(buf)?.filter(|&total| buf.len() >= total))
-}
-
-/// Serves one connection to completion: one response frame per request
-/// frame, in order. Returns when the peer closes, the transport fails, or
-/// an unframeable byte stream forces a close (after a final typed error
-/// response). No peer input panics this loop.
-pub fn serve_connection(server: &SketchServer, stream: &mut TcpStream) -> io::Result<()> {
-    // Per-connection reusable buffers: the inbound frame and the encode
-    // scratch. A warm request/response cycle allocates nothing at the
-    // transport and framing layers (DESIGN.md §12).
-    let mut frame = Vec::new();
-    let mut buf = EncodeBuf::new();
-    loop {
-        match read_frame_into(stream, &mut frame)? {
-            None => return Ok(()),
-            Some(Ok(())) => {
-                let response = server.handle_into(&frame, &mut buf);
-                write_frame(stream, response)?;
-            }
-            Some(Err(e)) => {
-                write_frame(stream, Response::Error(e.into()).encode_into(&mut buf))?;
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// Accept loop: serves each connection on its own scoped thread, sharing
-/// one [`SketchServer`] (and therefore one hot set and one in-flight
-/// bound) across all of them. With `accept_limit = Some(n)`, returns after
-/// `n` connections have been accepted *and served* — the shape CI's e2e
-/// smoke uses; `None` loops forever.
-pub fn serve_listener(
-    server: &SketchServer,
-    listener: &TcpListener,
-    accept_limit: Option<usize>,
-) -> io::Result<()> {
-    std::thread::scope(|scope| {
-        let mut accepted = 0usize;
-        loop {
-            if let Some(limit) = accept_limit {
-                if accepted >= limit {
-                    break;
-                }
-            }
-            let (mut stream, _peer) = listener.accept()?;
-            accepted += 1;
-            scope.spawn(move || {
-                // A connection dying mid-write only affects that peer.
-                let _ = serve_connection(server, &mut stream);
-            });
-        }
-        Ok(())
-    })
 }
 
 /// A blocking client for the serving protocol: one call, one response.
@@ -276,7 +224,7 @@ impl Client {
 mod tests {
     use super::*;
     use crate::protocol::ServerStats;
-    use crate::server::ServeConfig;
+    use crate::server::{ServeConfig, SketchServer};
 
     #[test]
     fn frames_roundtrip_over_a_byte_stream() {
@@ -408,11 +356,13 @@ mod tests {
 
     #[test]
     fn tcp_end_to_end_stats_roundtrip() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().unwrap().to_string();
         let server = SketchServer::new(ServeConfig::default());
         std::thread::scope(|scope| {
-            scope.spawn(|| serve_listener(&server, &listener, Some(1)).expect("serve one"));
+            scope.spawn(|| {
+                crate::pool::serve_pooled(&server, &listener, 1, Some(1)).expect("serve one")
+            });
             let mut client = Client::connect(&addr, 2_000).expect("connect");
             let resp = client.call(&Request::Stats).expect("transport").expect("decode");
             assert_eq!(

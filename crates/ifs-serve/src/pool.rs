@@ -1,12 +1,14 @@
 //! Pooled, pipelined transport: a fixed worker pool multiplexing many
 //! connections, with cross-connection micro-batching (DESIGN.md §13).
 //!
-//! [`crate::net::serve_listener`] spends one OS thread (and stack) per
+//! A thread-per-connection server spends one OS thread (and stack) per
 //! connection and answers one frame at a time, so at high fan-in the
 //! syscall and dispatch overhead — not the kernels — bound throughput.
-//! This module replaces that shape with [`serve_pooled`]: a fixed set of
-//! [`PoolWorker`]s, each owning a disjoint set of nonblocking connections
-//! and their reusable buffers, polled in a read → dispatch → write loop.
+//! [`serve_pooled`], the crate's one server transport, is instead a fixed
+//! set of [`PoolWorker`]s, each owning a disjoint set of nonblocking
+//! connections and their reusable buffers, polled in a read → dispatch →
+//! write loop. Its answers are byte-identical to
+//! [`SketchServer::handle_into`] applied to the same frames in order.
 //!
 //! Three properties define the hot path, and each is load-bearing for the
 //! tier's bit-identity contract:
@@ -315,8 +317,8 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
                 }
             };
             // Pre-validate each request alone: a bad query refuses only
-            // its own request (with the same typed error the unpooled
-            // path produces) and never joins the aggregate.
+            // its own request (with the same typed error `handle_into`
+            // produces) and never joins the aggregate.
             let mut valid = Vec::with_capacity(members.len());
             for &m in &members {
                 let queries = &taken[m].3;
@@ -416,8 +418,8 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
 /// [`resolve_workers`]) each multiplex a share of the accepted
 /// connections; the calling thread accepts and deals connections
 /// round-robin. With `accept_limit = Some(n)`, returns after
-/// `n` connections have been accepted *and served to completion* —
-/// the same contract as [`crate::net::serve_listener`]; `None` loops
+/// `n` connections have been accepted *and served to completion* — the
+/// shape CI's end-to-end smoke and in-process tests use; `None` loops
 /// forever.
 pub fn serve_pooled(
     server: &SketchServer,

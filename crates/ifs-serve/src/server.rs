@@ -4,8 +4,8 @@
 //! [`SketchServer`] is transport-agnostic —
 //! [`respond`](SketchServer::respond) maps one decoded request to one
 //! response, [`handle_into`](SketchServer::handle_into) is the same map
-//! over frame bytes, and the TCP layers ([`crate::net`], [`crate::pool`])
-//! are loops around them. All state sits behind one mutex, but query
+//! over frame bytes, and the TCP transport ([`crate::pool`]) is a loop
+//! around them. All state sits behind one mutex, but query
 //! batches execute *outside* it on an [`Arc`]'d sketch, so concurrent
 //! connections overlap their (dominant) batch work and the lock guards
 //! only admissions and LRU bookkeeping.
@@ -274,9 +274,10 @@ impl SketchServer {
 
     /// Maps one decoded request to its response: Load (or reload),
     /// Stats, and a single query batch under its own [`BatchSlot`]. Every
-    /// refusal comes back as [`Response::Error`]. Both transports answer
-    /// Load and Stats through here; the pooled transport answers queries
-    /// through its cross-connection aggregation instead ([`crate::pool`]).
+    /// refusal comes back as [`Response::Error`]. [`Self::handle_into`]
+    /// answers every request through here; the pooled transport answers
+    /// Load and Stats through here and queries through its
+    /// cross-connection aggregation instead ([`crate::pool`]).
     pub fn respond(&self, request: &Request) -> Response {
         match request {
             Request::Load { id, threads, frame } => match self.load_frame(*id, *threads, frame) {

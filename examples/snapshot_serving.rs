@@ -23,7 +23,7 @@
 
 use itemset_sketches::prelude::*;
 use itemset_sketches::serve::{
-    net, EncodeBuf, QueryMode, Request, Response, ServeConfig, ServeError, SketchServer,
+    net, pool, EncodeBuf, QueryMode, Request, Response, ServeConfig, ServeError, SketchServer,
 };
 use itemset_sketches::streaming::{CountMinSketch, StreamCounter};
 use std::net::TcpListener;
@@ -113,7 +113,7 @@ fn main() {
     let addr = listener.local_addr().expect("local addr").to_string();
     let server = SketchServer::new(ServeConfig::default());
     let (served_est, served_ind) = std::thread::scope(|scope| {
-        scope.spawn(|| net::serve_listener(&server, &listener, Some(1)).expect("serve"));
+        scope.spawn(|| pool::serve_pooled(&server, &listener, 1, Some(1)).expect("serve"));
         let mut client = net::Client::connect(&addr, 5_000).expect("connect");
         let mut call =
             |req: Request| client.call(&req).expect("transport").expect("response decodes");

@@ -9,6 +9,9 @@
 //!   engine queried directly, at per-sketch thread counts 1 and 4:
 //!   pooling, pipelining, and cross-connection micro-batching are
 //!   execution strategies, never approximations.
+//! * **Sequential transcript** — a request list answered by the pool,
+//!   call by call or fully pipelined, is byte-identical to
+//!   `SketchServer::handle_into` applied frame by frame.
 //! * **Adversarial connections** — a slowloris peer dribbling a frame
 //!   byte by byte does not stall other connections on its worker;
 //!   mid-pipeline garbage closes only the offending connection (after
@@ -21,7 +24,8 @@
 
 use itemset_sketches::prelude::*;
 use itemset_sketches::serve::{
-    net, pool, Answers, Client, QueryMode, Request, Response, ServeConfig, ServeError, SketchServer,
+    net, pool, Answers, Client, EncodeBuf, QueryMode, Request, Response, ServeConfig, ServeError,
+    SketchServer,
 };
 use proptest::prelude::*;
 use std::io::Write as _;
@@ -389,43 +393,53 @@ fn tcp_hot_reload_hammer_never_observes_torn_state() {
     });
 }
 
-/// The pooled and unpooled transports produce byte-identical responses
-/// for the same requests — including refusals — so operators can switch
-/// transports without any client observing a difference.
+/// The pooled transport's transcript is byte-identical to the sequential
+/// request → response map — `SketchServer::handle_into` applied frame by
+/// frame on a fresh server — refusals and `Stats` included. The client
+/// either waits for each answer or pipelines every request before the
+/// first `recv`, which runs the Load/Stats barriers over a real socket.
+/// Each query is its own `(id, mode)` group, so the dispatch count that
+/// `Stats` reports is the sequential one too.
 #[test]
-fn pooled_and_threaded_transports_answer_identically() {
+fn pooled_transport_matches_the_sequential_map() {
     let mut rng = Rng64::seeded(0x1DE7);
     let db = generators::uniform(30, 16, 0.3, &mut rng);
-    let offline = ReleaseDb::build(&db, 0.2);
-    let frame = offline.snapshot_bytes();
+    let frame = ReleaseDb::build(&db, 0.2).snapshot_bytes();
     let queries = random_queries(16, 8, &mut rng);
     let requests = vec![
-        Request::Load { id: 1, threads: 1, frame: frame.clone() },
+        Request::Load { id: 1, threads: 1, frame },
         Request::Query { id: 1, mode: QueryMode::Estimate, queries: queries.clone() },
         Request::Query { id: 1, mode: QueryMode::Indicator, queries },
         Request::Query { id: 99, mode: QueryMode::Estimate, queries: vec![] },
         Request::Stats,
     ];
-    let mut transcripts: Vec<Vec<Response>> = Vec::new();
-    for pooled in [false, true] {
+    let sequential = SketchServer::new(ServeConfig::default());
+    let mut buf = EncodeBuf::new();
+    let expected: Vec<Vec<u8>> = requests
+        .iter()
+        .map(|req| sequential.handle_into(&req.to_bytes(), &mut buf).to_vec())
+        .collect();
+    for pipelined in [false, true] {
         let server = SketchServer::new(ServeConfig::default());
         let (listener, addr) = loopback();
-        let requests = &requests;
-        let transcript = std::thread::scope(|scope| {
+        let transcript: Vec<Vec<u8>> = std::thread::scope(|scope| {
             scope.spawn(|| {
-                if pooled {
-                    pool::serve_pooled(&server, &listener, TEST_WORKERS, Some(1)).expect("serves");
-                } else {
-                    net::serve_listener(&server, &listener, Some(1)).expect("serves");
-                }
+                pool::serve_pooled(&server, &listener, TEST_WORKERS, Some(1)).expect("serves");
             });
             let mut client = Client::connect(&addr, 2_000).expect("connect");
-            requests
-                .iter()
-                .map(|req| client.call(req).expect("transport").expect("decodes"))
-                .collect::<Vec<_>>()
+            let replies: Vec<_> = if pipelined {
+                for req in &requests {
+                    client.send(req).expect("send");
+                }
+                requests.iter().map(|_| client.recv()).collect()
+            } else {
+                requests.iter().map(|req| client.call(req)).collect()
+            };
+            replies
+                .into_iter()
+                .map(|r| r.expect("transport").expect("decodes").to_bytes())
+                .collect()
         });
-        transcripts.push(transcript);
+        assert_eq!(transcript, expected, "pipelined = {pipelined}");
     }
-    assert_eq!(transcripts[0], transcripts[1], "transports must be indistinguishable");
 }

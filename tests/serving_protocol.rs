@@ -27,8 +27,8 @@
 use itemset_sketches::database::codec::DecodeError;
 use itemset_sketches::prelude::*;
 use itemset_sketches::serve::{
-    net, Answers, EncodeBuf, QueryMode, Request, Response, ServeConfig, ServeError, ServedSketch,
-    SketchServer, PROTOCOL_VERSION, REQUEST_KIND,
+    net, pool, Answers, EncodeBuf, QueryMode, Request, Response, ServeConfig, ServeError,
+    ServedSketch, SketchServer, PROTOCOL_VERSION, REQUEST_KIND,
 };
 use itemset_sketches::streaming::StreamCounter;
 use proptest::prelude::*;
@@ -321,7 +321,7 @@ fn tcp_roundtrip_serves_identical_answers() {
     let addr = listener.local_addr().unwrap().to_string();
     let server = SketchServer::new(ServeConfig::default());
     std::thread::scope(|scope| {
-        scope.spawn(|| net::serve_listener(&server, &listener, Some(1)).expect("serve one"));
+        scope.spawn(|| pool::serve_pooled(&server, &listener, 1, Some(1)).expect("serve one"));
         let mut client = net::Client::connect(&addr, 5_000).expect("connect");
         let resp = client
             .call(&Request::Load { id: 4, threads: 2, frame: frame.clone() })
