@@ -1,4 +1,4 @@
-//! Criterion: streaming ingestion — append-in-place vs invalidate-and-
+//! Bench gate: streaming ingestion — append-in-place vs invalidate-and-
 //! re-transpose, plus the streamed == one-shot build identities.
 //!
 //! The acceptance targets for the streaming ingestion layer (DESIGN.md §9)
@@ -9,19 +9,18 @@
 //!    to one-shot builds for `Subsample`, `ReleaseDb`, `CountMinSketch`
 //!    (via its row fold) and `CountSketch`, and the append-maintained
 //!    columnar caches answer exactly like a cold rebuild (asserted on every
-//!    run, including the smoke pass).
+//!    run, debug smoke included).
 //! 2. **Speedup** — `append_rows` + query ≥ 3× faster than the historical
 //!    mutate-invalidate-requery loop, which paid a full re-transpose per
 //!    batch. Full scale (100k rows) in release; the smoke pass (debug)
 //!    gates the same ratio at 20k rows so CI stays fast.
 //!
-//! The gate emits `bench_results/BENCH_ingest.json` (rows/sec, queries/sec)
-//! so the perf trajectory is machine-readable across PRs.
+//! A release run emits `bench_results/BENCH_ingest.json` (rows/sec,
+//! queries/sec) so the perf trajectory is machine-readable across PRs.
 //!
-//! Run with `cargo bench -p ifs-bench --bench ingest_throughput`; under
-//! `cargo test --benches` each body runs once as a smoke test.
+//! Run with `cargo bench -p ifs-bench --bench ingest_throughput` (release)
+//! or `cargo test --benches` (debug smoke).
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ifs_bench::write_bench_json;
 use ifs_core::streaming::{fold_database, MergeableSketch, StreamingBuild};
 use ifs_core::{ReleaseDb, ReleaseDbBuilder, Subsample, SubsampleBuilder, SubsampleParams};
@@ -141,27 +140,7 @@ fn assert_build_identities(batches: &[Vec<Itemset>]) {
     assert_eq!(cs_a.finish(), cs_one.finish(), "merged Count-Sketch diverged from one-pass");
 }
 
-fn bench_ingest_paths(c: &mut Criterion) {
-    let (batches, queries) = workload();
-    // A scaled-down loop per iteration keeps timed runs bounded; the gate
-    // below runs the full configuration once.
-    let slice = &batches[..(batches.len() / 4).max(1)];
-    let mut g = c.benchmark_group("ingest_throughput");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements((slice.len() * BATCH_ROWS) as u64));
-    g.bench_function("append_in_place", |b| {
-        b.iter(|| black_box(run_incremental(black_box(slice), black_box(&queries)).1));
-    });
-    g.bench_function("invalidate_and_retranspose", |b| {
-        b.iter(|| black_box(run_invalidating(black_box(slice), black_box(&queries)).1));
-    });
-    g.finish();
-}
-
-/// The ≥ 3× wall-clock gate, runnable outside criterion timing so the
-/// smoke pass (`cargo test --benches`) enforces the acceptance criterion —
-/// and emits the machine-readable `BENCH_ingest.json` — on every CI run.
-fn bench_speedup_gate(c: &mut Criterion) {
+fn main() {
     let (batches, queries) = workload();
     assert_build_identities(&batches);
 
@@ -218,12 +197,4 @@ fn bench_speedup_gate(c: &mut Criterion) {
         "append_rows + query must be >= 3x the invalidate-and-retranspose loop, \
          got {speedup:.2}x"
     );
-    // Keep criterion's group bookkeeping consistent even though the gate
-    // does its own timing.
-    let mut g = c.benchmark_group("ingest_throughput_gate");
-    g.bench_function("noop", |b| b.iter(|| black_box(0)));
-    g.finish();
 }
-
-criterion_group!(benches, bench_ingest_paths, bench_speedup_gate);
-criterion_main!(benches);

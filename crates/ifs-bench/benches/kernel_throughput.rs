@@ -1,12 +1,13 @@
-//! Criterion: the wide AND+popcount kernels against their scalar
+//! Bench gate: the wide AND+popcount kernels against their scalar
 //! reference twins (DESIGN.md §12).
 //!
 //! Every hot loop in the workspace — `ColumnStore` supports, Eclat
 //! intersections, Hamming decodes — bottoms out in `ifs_util::bits`, so
 //! this bench measures exactly those kernels in isolation: L2-resident
-//! operands, deterministic contents, best-of-N wall-clock per kernel so a
-//! noisy neighbor cannot fail the gate spuriously. Two things are asserted
-//! on every run (smoke pass included) before anything is timed:
+//! operands, deterministic contents, best-of-N wall-clock per kernel with
+//! the scalar and wide samples interleaved, so a noisy neighbor or a drift
+//! in host load cannot fail the gate spuriously. Two things are asserted
+//! on every run (debug smoke included) before anything is timed:
 //!
 //! 1. **Bit-identity** — each wide kernel returns exactly what its scalar
 //!    reference returns on the same operands (the repo-wide determinism
@@ -18,16 +19,15 @@
 //! operand, and fused-update intersections) to run at **≥ 2×** the scalar
 //! baseline measured in the same process — the ROADMAP item-4 target. The
 //! debug smoke pass skips the ratio (unoptimized builds do not vectorize
-//! either side) but still checks identity and emits the JSON with
-//! `"mode": "debug"` so it can never be mistaken for a perf artifact.
+//! either side) but still checks identity.
 //!
-//! Emits `bench_results/BENCH_kernels.json`; CI regenerates it in release
-//! mode and gates on `"mode": "release"` like the other three artifacts.
+//! Emits `bench_results/BENCH_kernels.json` from a release build; CI
+//! regenerates it and gates on `"mode": "release"` like the other three
+//! artifacts.
 //!
-//! Run with `cargo bench -p ifs-bench --bench kernel_throughput`; under
-//! `cargo test --benches` each body runs once as a smoke test.
+//! Run with `cargo bench -p ifs-bench --bench kernel_throughput` (release)
+//! or `cargo test --benches` (debug smoke).
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ifs_bench::write_bench_json;
 use ifs_util::{bits, Rng64};
 use std::hint::black_box;
@@ -55,20 +55,16 @@ fn operands() -> (Vec<u64>, Vec<u64>, Vec<u64>) {
     (a, b, c)
 }
 
-/// Best-of-N wall clock for `REPS` invocations of `f`, in seconds.
-fn time_best(mut f: impl FnMut() -> usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..SAMPLES {
-        let t = Instant::now();
-        let mut sink = 0usize;
-        for _ in 0..REPS {
-            sink = sink.wrapping_add(black_box(f()));
-        }
-        let dt = t.elapsed().as_secs_f64();
-        black_box(sink);
-        best = best.min(dt);
+/// One timed sample: wall clock for `REPS` invocations of `f`, in seconds.
+fn time_once(f: &mut impl FnMut() -> usize) -> f64 {
+    let t = Instant::now();
+    let mut sink = 0usize;
+    for _ in 0..REPS {
+        sink = sink.wrapping_add(black_box(f()));
     }
-    best
+    let dt = t.elapsed().as_secs_f64();
+    black_box(sink);
+    dt
 }
 
 struct Measured {
@@ -80,11 +76,16 @@ struct Measured {
 
 fn measure(
     name: &'static str,
-    scalar: impl FnMut() -> usize,
-    wide: impl FnMut() -> usize,
+    mut scalar: impl FnMut() -> usize,
+    mut wide: impl FnMut() -> usize,
 ) -> Measured {
-    let scalar_s = time_best(scalar);
-    let wide_s = time_best(wide);
+    // Best of `SAMPLES` per side, the two sides interleaved sample by
+    // sample so a drift in host load lands on both of them.
+    let (mut scalar_s, mut wide_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..SAMPLES {
+        scalar_s = scalar_s.min(time_once(&mut scalar));
+        wide_s = wide_s.min(time_once(&mut wide));
+    }
     let words_per_run = ((WORDS + TAIL) * REPS) as f64;
     Measured {
         name,
@@ -126,7 +127,7 @@ fn assert_kernel_identity(a: &[u64], b: &[u64], c: &[u64]) {
     }
 }
 
-fn bench_kernels(c: &mut Criterion) {
+fn main() {
     let (a, b, z) = operands();
     assert_kernel_identity(&a, &b, &z);
 
@@ -225,16 +226,4 @@ fn bench_kernels(c: &mut Criterion) {
              got {min_and_family:.2}x"
         );
     }
-
-    // Keep criterion's group bookkeeping consistent even though the gate
-    // does its own timing.
-    let mut g = c.benchmark_group("kernel_throughput");
-    g.throughput(Throughput::Elements((WORDS + TAIL) as u64));
-    g.bench_function("and_count_wide", |bch| {
-        bch.iter(|| black_box(bits::and_count(black_box(&a), black_box(&b))))
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_kernels);
-criterion_main!(benches);

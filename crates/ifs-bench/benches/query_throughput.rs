@@ -1,17 +1,14 @@
-//! Criterion: scalar row-major vs batched columnar query execution.
+//! Bench gate: scalar row-major vs batched columnar query execution.
 //!
 //! The acceptance target for the columnar query engine (DESIGN.md §7): on a
 //! 100k-row × 128-dim database with a 1k-itemset query log, the batched
-//! columnar path must beat the scalar row-major path by ≥ 3×. Run with
-//! `cargo bench -p ifs-bench --bench query_throughput`; under
-//! `cargo test --benches` each body runs once as a smoke test, which also
-//! exercises the bit-identity assertions below.
+//! columnar path must beat the scalar row-major path by ≥ 3×, with
+//! bit-identical answers. Run with `cargo bench -p ifs-bench --bench
+//! query_throughput` (release) or `cargo test --benches` (debug smoke); both
+//! enforce the gate.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ifs_core::{FrequencyEstimator, Guarantee, SketchParams, Subsample};
 use ifs_database::{Database, Itemset};
 use ifs_util::Rng64;
-use std::hint::black_box;
 
 const ROWS: usize = 100_000;
 const DIMS: usize = 128;
@@ -34,72 +31,7 @@ fn workload() -> (Database, Vec<Itemset>) {
     (db, queries)
 }
 
-fn bench_database_paths(c: &mut Criterion) {
-    let (db, queries) = workload();
-    // Answers must be bit-identical before speed means anything.
-    let scalar: Vec<f64> = queries.iter().map(|t| db.frequency(t)).collect();
-    assert_eq!(db.frequencies(&queries), scalar, "columnar answers diverge from row-major");
-
-    let mut g = c.benchmark_group("query_throughput");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(QUERIES as u64));
-    g.bench_function("scalar_row_major", |b| {
-        b.iter(|| {
-            let total: f64 = queries.iter().map(|t| db.frequency(black_box(t))).sum();
-            black_box(total)
-        });
-    });
-    g.bench_function("batched_columnar", |b| {
-        b.iter(|| black_box(db.frequencies(black_box(&queries))));
-    });
-    // Ablation: columnar kernel without the shared-batch scratch reuse.
-    let store = db.columns();
-    g.bench_function("scalar_columnar", |b| {
-        b.iter(|| {
-            let total: f64 = queries.iter().map(|t| store.frequency(black_box(t))).sum();
-            black_box(total)
-        });
-    });
-    g.finish();
-}
-
-fn bench_sketch_paths(c: &mut Criterion) {
-    let (db, queries) = workload();
-    let mut rng = Rng64::seeded(0xC02);
-    let params = SketchParams::new(4, 0.02, 0.05);
-    let sketch = Subsample::build(&db, &params, Guarantee::ForAllEstimator, &mut rng);
-    let scalar: Vec<f64> = queries.iter().map(|t| sketch.estimate(t)).collect();
-    assert_eq!(sketch.estimate_batch(&queries), scalar, "batched sketch answers diverge");
-
-    let mut g = c.benchmark_group("sketch_query_throughput");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(QUERIES as u64));
-    // The scalar row-major baseline a sketch used to pay per estimate call.
-    g.bench_function("subsample_scalar_row_major", |b| {
-        b.iter(|| {
-            let total: f64 = queries
-                .iter()
-                .map(|t| {
-                    sketch
-                        .sample()
-                        .matrix()
-                        .count_rows_containing(&sketch.sample().mask_of(black_box(t)))
-                        as f64
-                })
-                .sum();
-            black_box(total)
-        });
-    });
-    g.bench_function("subsample_batched_columnar", |b| {
-        b.iter(|| black_box(sketch.estimate_batch(black_box(&queries))));
-    });
-    g.finish();
-}
-
-/// The ≥ 3× wall-clock check, runnable outside criterion timing so the
-/// smoke pass (`cargo test --benches`) enforces the acceptance criterion on
-/// every CI run, not only when someone reads bench output.
-fn bench_speedup_gate(c: &mut Criterion) {
+fn main() {
     let (db, queries) = workload();
     let _ = db.columns(); // pay the transpose before timing either path
     let t0 = std::time::Instant::now();
@@ -108,7 +40,8 @@ fn bench_speedup_gate(c: &mut Criterion) {
     let t1 = std::time::Instant::now();
     let batched = db.frequencies(&queries);
     let batched_time = t1.elapsed();
-    assert_eq!(batched, scalar);
+    // Answers must be bit-identical before speed means anything.
+    assert_eq!(batched, scalar, "columnar answers diverge from row-major");
     let speedup = scalar_time.as_secs_f64() / batched_time.as_secs_f64().max(1e-12);
     println!(
         "query_throughput gate: scalar {:?}, batched {:?} ({speedup:.1}x) on {ROWS}x{DIMS}, {QUERIES} queries",
@@ -118,12 +51,4 @@ fn bench_speedup_gate(c: &mut Criterion) {
         speedup >= 3.0,
         "batched columnar path must be >= 3x the scalar row-major path, got {speedup:.2}x"
     );
-    // Keep criterion's group bookkeeping consistent even though the gate
-    // does its own timing.
-    let mut g = c.benchmark_group("query_throughput_gate");
-    g.bench_function("noop", |b| b.iter(|| black_box(0)));
-    g.finish();
 }
-
-criterion_group!(benches, bench_database_paths, bench_sketch_paths, bench_speedup_gate);
-criterion_main!(benches);

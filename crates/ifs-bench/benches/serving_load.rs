@@ -1,10 +1,10 @@
-//! Criterion: the sketch-serving tier under batched query load.
+//! Bench gate: the sketch-serving tier under batched query load.
 //!
 //! Drives a [`SketchServer`] through its byte-level `handle_into` entry point —
 //! the same request/response frames a socket carries, minus the socket —
 //! so the measured cost is the full serving path: request decode, hot-set
 //! lookup, sharded batch execution, response encode. Three things are
-//! asserted on every run (smoke pass included) before anything is timed:
+//! asserted on every run (debug smoke included) before anything is timed:
 //!
 //! 1. **Identity** — every served answer is bit-identical to the offline
 //!    sketch's answer for the same batch, at 1 and 4 per-sketch threads.
@@ -19,10 +19,9 @@
 //! one producer, `ifs-loadgen --bench-matrix`, which measures the serving
 //! tier across real TCP connections.
 //!
-//! Run with `cargo bench -p ifs-bench --bench serving_load`; under
-//! `cargo test --benches` each body runs once as a smoke test.
+//! Run with `cargo bench -p ifs-bench --bench serving_load` (release) or
+//! `cargo test --benches` (debug smoke).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ifs_core::{ReleaseAnswersIndicator, ReleaseDb, Snapshot, Subsample};
 use ifs_database::{generators, Itemset};
 use ifs_serve::{
@@ -181,7 +180,7 @@ fn run_load(frames: &[Vec<u8>]) -> (f64, f64, f64, f64) {
     )
 }
 
-fn bench_serving_load(c: &mut Criterion) {
+fn main() {
     let mut rng = Rng64::seeded(0x5E17E);
     let frames = fleet(&mut rng);
     assert_serving_invariants(&frames);
@@ -191,12 +190,4 @@ fn bench_serving_load(c: &mut Criterion) {
          ({ROWS} rows x {DIMS} dims): p50 {p50:.3} ms, p99 {p99:.3} ms, \
          p99.9 {p999:.3} ms, {qps:.0} queries/s"
     );
-    // Keep criterion's group bookkeeping consistent even though the gate
-    // does its own timing.
-    let mut g = c.benchmark_group("serving_load_gate");
-    g.bench_function("noop", |b| b.iter(|| black_box(0)));
-    g.finish();
 }
-
-criterion_group!(benches, bench_serving_load);
-criterion_main!(benches);

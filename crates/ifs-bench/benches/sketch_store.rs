@@ -1,11 +1,11 @@
-//! Criterion: the sketch store's space and throughput claims (DESIGN.md §14).
+//! Bench gate: the sketch store's space and throughput claims (DESIGN.md §14).
 //!
 //! Three claims get numbers here, all on the sparse workload the v2
 //! `ReleaseDb` layout was designed for (10k × 128 at ~3% density):
 //!
 //! * **Space** — the v2 run-length body is at least **2×** smaller than
-//!   the v1 raw-words body on sparse data. The smoke pass *asserts* the
-//!   ratio, so the claim cannot silently rot.
+//!   the v1 raw-words body on sparse data. Every run *asserts* the ratio,
+//!   so the claim cannot silently rot.
 //! * **Throughput** — log append, recovery replay (open + strict scan),
 //!   and compaction, in MB/s over the on-disk log size.
 //! * **Identity** — every pass decodes the v1 and v2 frames back and
@@ -13,12 +13,10 @@
 //!   log to the same frames as the original: the speed being measured is
 //!   the speed of the *correct* code path.
 //!
-//! The gate emits `bench_results/BENCH_store.json` (sizes, ratio, MB/s)
-//! with the usual `mode` field so debug smoke numbers are never read as
-//! release measurements. Run with `cargo bench -p ifs-bench --bench
-//! sketch_store`; under `cargo test --benches` each body runs once.
+//! A release run emits `bench_results/BENCH_store.json` (sizes, ratio,
+//! MB/s) with the usual `mode` field. Run with `cargo bench -p ifs-bench
+//! --bench sketch_store` (release) or `cargo test --benches` (debug smoke).
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ifs_bench::write_bench_json;
 use ifs_core::snapshot::Snapshot;
 use ifs_core::ReleaseDb;
@@ -174,35 +172,7 @@ fn measured_pass(iters: usize) -> Numbers {
     }
 }
 
-fn bench_store_paths(c: &mut Criterion) {
-    let rdb = sparse_release_db();
-    let v2 = rdb.snapshot_bytes();
-    let scratch = Scratch::new("crit");
-    let mut g = c.benchmark_group("sketch_store");
-    g.sample_size(10);
-    g.throughput(Throughput::Bytes(v2.len() as u64));
-    g.bench_function("append_put", |b| {
-        b.iter(|| {
-            let mut log = SketchLog::create(&scratch.0).expect("create");
-            log.append(LogOp::Put, 0, black_box(&v2)).expect("append");
-            black_box(log.len_bytes())
-        })
-    });
-    g.bench_function("replay_open_scan", |b| {
-        let mut log = SketchLog::create(&scratch.0).expect("create");
-        log.append(LogOp::Put, 0, &v2).expect("append");
-        drop(log);
-        b.iter(|| {
-            let (log, _) = SketchLog::open(black_box(&scratch.0)).expect("open");
-            black_box(log.records().expect("scan").len())
-        })
-    });
-    g.finish();
-}
-
-/// The space-and-identity gate: asserts the ≥2x claim and writes
-/// `BENCH_store.json` — on every CI run via the smoke pass.
-fn bench_store_gate(c: &mut Criterion) {
+fn main() {
     let iters = if cfg!(debug_assertions) { 1 } else { 10 };
     let n = measured_pass(iters);
     println!(
@@ -233,11 +203,4 @@ fn bench_store_gate(c: &mut Criterion) {
         n.compact_mbps
     );
     write_bench_json("sketch_store", "BENCH_store.json", &fields);
-
-    let mut g = c.benchmark_group("sketch_store_gate");
-    g.bench_function("noop", |b| b.iter(|| black_box(0)));
-    g.finish();
 }
-
-criterion_group!(benches, bench_store_paths, bench_store_gate);
-criterion_main!(benches);

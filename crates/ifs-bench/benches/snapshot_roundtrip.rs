@@ -1,21 +1,20 @@
-//! Criterion: snapshot codec throughput — encode/decode MB/s per sketch,
+//! Bench gate: snapshot codec throughput — encode/decode MB/s per sketch,
 //! plus the `size_bits == encoded length` invariant (DESIGN.md §10).
 //!
 //! Every sketch's `size_bits()` is now the length of its snapshot
 //! encoding, so this bench is both a performance measurement (can the
 //! offline-build / online-serve split afford to ship snapshots?) and the
-//! standing proof that the measurement is real: the smoke pass asserts,
-//! for every sketch type, that decode(encode(s)) == s and that
+//! standing proof that the measurement is real: every run asserts, for
+//! every sketch type, that decode(encode(s)) == s and that
 //! `size_bits()` equals the byte length × 8.
 //!
-//! The gate emits `bench_results/BENCH_snapshot.json` (bytes per sketch,
-//! `size_bits`, encode/decode MB/s) so snapshot sizes and codec throughput
-//! stay machine-readable across PRs, next to `BENCH_ingest.json`.
+//! A release run emits `bench_results/BENCH_snapshot.json` (bytes per
+//! sketch, `size_bits`, encode/decode MB/s) so snapshot sizes and codec
+//! throughput stay machine-readable across PRs, next to `BENCH_ingest.json`.
 //!
-//! Run with `cargo bench -p ifs-bench --bench snapshot_roundtrip`; under
-//! `cargo test --benches` each body runs once as a smoke test.
+//! Run with `cargo bench -p ifs-bench --bench snapshot_roundtrip` (release)
+//! or `cargo test --benches` (debug smoke).
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ifs_bench::write_bench_json;
 use ifs_core::snapshot::Snapshot;
 use ifs_core::{ReleaseAnswersEstimator, ReleaseAnswersIndicator, ReleaseDb, Subsample};
@@ -107,29 +106,7 @@ fn build_zoo() -> (
     (sub, rdb, ind, est, cm, cs)
 }
 
-fn bench_codec_paths(c: &mut Criterion) {
-    let (sub, rdb, ..) = build_zoo();
-    let sub_bytes = sub.snapshot_bytes();
-    let rdb_bytes = rdb.snapshot_bytes();
-    let mut g = c.benchmark_group("snapshot_roundtrip");
-    g.sample_size(10);
-    g.throughput(Throughput::Bytes(rdb_bytes.len() as u64));
-    g.bench_function("encode_release_db", |b| b.iter(|| black_box(rdb.snapshot_bytes().len())));
-    g.bench_function("decode_release_db", |b| {
-        b.iter(|| black_box(ReleaseDb::from_snapshot(black_box(&rdb_bytes)).expect("decode")))
-    });
-    g.throughput(Throughput::Bytes(sub_bytes.len() as u64));
-    g.bench_function("encode_subsample", |b| b.iter(|| black_box(sub.snapshot_bytes().len())));
-    g.bench_function("decode_subsample", |b| {
-        b.iter(|| black_box(Subsample::from_snapshot(black_box(&sub_bytes)).expect("decode")))
-    });
-    g.finish();
-}
-
-/// The identity-and-measurement gate: every sketch round-trips `==`, its
-/// `size_bits()` is the encoded length, and the per-sketch numbers land in
-/// `BENCH_snapshot.json` — on every CI run via the smoke pass.
-fn bench_measurement_gate(c: &mut Criterion) {
+fn main() {
     let (sub, rdb, ind, est, cm, cs) = build_zoo();
     let iters = if cfg!(debug_assertions) { 3 } else { 20 };
     let entries = [
@@ -163,11 +140,4 @@ fn bench_measurement_gate(c: &mut Criterion) {
         sketches.join(",\n")
     );
     write_bench_json("snapshot_roundtrip", "BENCH_snapshot.json", &fields);
-
-    let mut g = c.benchmark_group("snapshot_roundtrip_gate");
-    g.bench_function("noop", |b| b.iter(|| black_box(0)));
-    g.finish();
 }
-
-criterion_group!(benches, bench_codec_paths, bench_measurement_gate);
-criterion_main!(benches);

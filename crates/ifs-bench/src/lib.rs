@@ -6,8 +6,9 @@
 //! more [`ifs_util::table::Table`]s; the `tables` binary renders them to
 //! stdout and CSV files under `bench_results/`.
 //!
-//! Criterion benches (in `benches/`) cover the *time* dimension of the same
-//! code paths; the tables here cover the *space and accuracy* dimensions,
+//! The bench gates (in `benches/`, plain `harness = false` programs) time
+//! the engine, ingest, codec, store and serving layers against their
+//! bounds; the tables here cover the *space and accuracy* dimensions,
 //! which is what the paper is about.
 
 #![forbid(unsafe_code)]
@@ -46,20 +47,24 @@ pub fn run(id: &str) -> Vec<Table> {
 
 /// Writes a bench gate's artifact `bench_results/{file}` at the workspace
 /// root, as hand-rolled JSON (DESIGN.md §6: no serde). The object opens
-/// with `"bench"`, `"mode"` — whether a debug smoke or a release bench
-/// produced the numbers, so debug numbers are never read as measurements
-/// — and `"host_cores"`, then `fields`: the bench's own members, one per
-/// line, indented two spaces, comma-separated, with no trailing comma.
-/// Whichever run happened last owns the file. A write failure is printed,
-/// not raised, so it never fails the gate that measured the numbers.
+/// with `"bench"`, `"mode"` and `"host_cores"`, then `fields`: the bench's
+/// own members, one per line, indented two spaces, comma-separated, with no
+/// trailing comma. Only a release build writes the file; a debug smoke
+/// prints the JSON instead, so it never overwrites a committed artifact
+/// with unoptimized numbers. A write failure is printed, not raised, so it
+/// never fails the gate that measured the numbers.
 pub fn write_bench_json(bench: &str, file: &str, fields: &str) {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
     let mode = if cfg!(debug_assertions) { "debug" } else { "release" };
     let json = format!(
         "{{\n  \"bench\": \"{bench}\",\n  \"mode\": \"{mode}\",\n  \"host_cores\": {},\n\
          {fields}\n}}\n",
         ifs_util::threads::host_cores()
     );
+    if cfg!(debug_assertions) {
+        print!("{bench}: debug build, {file} not written:\n{json}");
+        return;
+    }
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
     let path = dir.join(file);
     match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
         Ok(()) => println!("{bench}: wrote {}", path.display()),
