@@ -60,7 +60,7 @@ fn workload() -> (Vec<Vec<Itemset>>, Vec<Itemset>) {
 /// extended in place, so each batch pays `O(batch)` maintenance.
 fn run_incremental(batches: &[Vec<Itemset>], queries: &[Itemset]) -> (Database, Vec<f64>) {
     let mut db = Database::zeros(0, DIMS);
-    let _ = db.columns(); // warm the view: ingestion maintains it in place
+    let _ = db.sharded_columns(1); // warm the view: ingestion maintains it in place
     let mut last = Vec::new();
     for batch in batches {
         db.append_rows(batch);

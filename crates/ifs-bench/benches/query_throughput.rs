@@ -33,7 +33,7 @@ fn workload() -> (Database, Vec<Itemset>) {
 
 fn main() {
     let (db, queries) = workload();
-    let _ = db.columns(); // pay the transpose before timing either path
+    let _ = db.sharded_columns(1); // pay the transpose before timing either path
     let t0 = std::time::Instant::now();
     let scalar: Vec<f64> = queries.iter().map(|t| db.frequency(t)).collect();
     let scalar_time = t0.elapsed();

@@ -191,16 +191,18 @@ impl Snapshot for ReleaseDb {
 }
 
 impl FrequencyEstimator for ReleaseDb {
-    /// Queries run on the stored database's cached columnar view; the exact
-    /// support is the same integer either way, so answers are bit-identical
-    /// to `database().frequency(itemset)`.
+    /// Queries run on the stored database's one cached columnar view
+    /// ([`Database::sharded_columns`]), the same view batches use; the
+    /// exact support is the same integer either way, so answers are
+    /// bit-identical to `database().frequency(itemset)`.
     fn estimate(&self, itemset: &Itemset) -> f64 {
-        self.db.columns().frequency(itemset)
+        self.db.sharded_columns(self.threads).frequency(itemset)
     }
 
-    /// Batches run with the sketch's thread knob ([`Parallel`]): the
-    /// sharded store's summed per-shard popcounts are the same integers the
-    /// serial store computes, so answers stay exact and bit-identical.
+    /// Batches run on the same view with the sketch's thread knob
+    /// ([`Parallel`]): the summed per-shard popcounts are the same integers
+    /// at every thread count, so answers stay exact and bit-identical to
+    /// [`Self::estimate`].
     fn estimate_batch(&self, itemsets: &[Itemset]) -> Vec<f64> {
         self.db.frequencies_with_threads(itemsets, self.threads)
     }
@@ -309,10 +311,10 @@ mod tests {
         let a = Database::from_rows(4, &[vec![0, 1], vec![2]]);
         let b = Database::from_rows(4, &[vec![3], vec![0, 3]]);
         let mut merged = ReleaseDb::build(&a, 0.25);
-        let _ = merged.database().columns(); // warm view: merge must maintain it
+        let _ = merged.database().sharded_columns(1); // warm view: merge must maintain it
         merged.merge(ReleaseDb::build(&b, 0.25)).expect("compatible sketches merge");
         assert_eq!(merged.database(), &a.stack(&b));
-        assert!(merged.database().has_column_cache(), "merge rides the append fast path");
+        assert!(merged.database().has_sharded_cache(), "merge rides the append fast path");
         // Width and threshold mismatches refuse.
         let mut x = ReleaseDb::build(&a, 0.25);
         assert!(matches!(

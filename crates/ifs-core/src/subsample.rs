@@ -181,18 +181,19 @@ impl Snapshot for Subsample {
 }
 
 impl FrequencyEstimator for Subsample {
-    /// Queries run on the sample's cached columnar view ([`Database::columns`]):
-    /// a sketch exists to be queried many times, so the one-off transpose of
-    /// the (small) sample amortizes immediately. The answer is the same
-    /// integer support over the same rows as the row-major path, divided by
-    /// the same row count — bit-identical to `sample().frequency(itemset)`.
+    /// Queries run on the sample's one cached columnar view
+    /// ([`Database::sharded_columns`]): a sketch exists to be queried many
+    /// times, so the one-off transpose of the (small) sample amortizes
+    /// immediately. The answer is the same integer support over the same
+    /// rows as the row-major path, divided by the same row count —
+    /// bit-identical to `sample().frequency(itemset)`.
     fn estimate(&self, itemset: &Itemset) -> f64 {
-        self.sample.columns().frequency(itemset)
+        self.sample.sharded_columns(self.threads).frequency(itemset)
     }
 
-    /// Batches run with the sketch's thread knob ([`Parallel`]): serial on
-    /// the cached [`ColumnStore`](ifs_database::ColumnStore) at 1 thread,
-    /// on the sharded store above — bit-identical either way (DESIGN.md §8).
+    /// Batches run on the same view with the sketch's thread knob
+    /// ([`Parallel`]), bit-identical to [`Self::estimate`] at every thread
+    /// count (DESIGN.md §8).
     fn estimate_batch(&self, itemsets: &[Itemset]) -> Vec<f64> {
         self.sample.frequencies_with_threads(itemsets, self.threads)
     }

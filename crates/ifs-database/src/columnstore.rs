@@ -9,10 +9,11 @@
 //! popcount of the AND of `k` column words — `O(k·n/64)` word operations
 //! instead of `O(n·d/64)`.
 //!
-//! This is the same representation Eclat uses internally; promoting it to a
-//! shared layer lets sketches (the batched query methods in `ifs-core`), the
-//! miners, and the benches all reuse one transpose. See DESIGN.md §7 for
-//! when each layout is used.
+//! This is the same representation Eclat uses internally. A `ColumnStore`
+//! is the per-shard kernel of [`crate::ShardedColumnStore`] (the view every
+//! [`crate::Database`] query answers on), the whole-column transpose the
+//! miners build per call, and the serial reference the tests compare
+//! against. See DESIGN.md §7 for when each layout is used.
 
 use crate::{BitMatrix, Itemset};
 use ifs_util::bits;
@@ -151,13 +152,6 @@ impl ColumnStore {
         bits::count_ones(self.tids(c))
     }
 
-    /// An empty scratch buffer for tid-set intersections, reusable across
-    /// queries (the batch APIs allocate exactly one). The kernel sizes it on
-    /// the first query that actually needs it.
-    pub fn new_scratch(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
     /// The word range `[w0, w1)` of item `c`'s tid-set — the unit the
     /// blocked batch kernel iterates over.
     #[inline]
@@ -273,8 +267,9 @@ impl ColumnStore {
 
     /// Supports of a whole query log over explicit tid-word blocks — the
     /// knob exists so tests can straddle block boundaries; production paths
-    /// use [`Self::support_batch`] (block = `QUERY_BLOCK_WORDS`). Element
-    /// `i` equals `self.support(&itemsets[i])` at **any** block size.
+    /// (each shard of [`crate::ShardedColumnStore`]) and
+    /// [`Self::support_batch`] use `QUERY_BLOCK_WORDS`. Element `i` equals
+    /// `self.support(&itemsets[i])` at **any** block size.
     pub fn support_batch_blocked(&self, itemsets: &[Itemset], block_words: usize) -> Vec<usize> {
         let mut out = vec![0usize; itemsets.len()];
         self.add_supports_blocked(itemsets, &mut out, block_words, &mut Vec::new());
@@ -297,39 +292,6 @@ impl ColumnStore {
         }
         let n = self.rows as f64;
         self.support_batch(itemsets).into_iter().map(|s| s as f64 / n).collect()
-    }
-
-    /// [`Self::support_batch`] chunked across up to `threads` workers
-    /// (DESIGN.md §8). Row sharding is pointless for a store that fits one
-    /// shard, but query-log chunking still parallelizes; each worker runs
-    /// the blocked kernel over its chunk, and a batch too cheap to repay a
-    /// spawn runs inline. Element `i` equals
-    /// `self.support(&itemsets[i])` regardless of `threads`.
-    pub fn support_batch_with_threads(&self, itemsets: &[Itemset], threads: usize) -> Vec<usize> {
-        let mut out = vec![0usize; itemsets.len()];
-        crate::sharded::chunked_query_batch(
-            self,
-            self.rows,
-            itemsets,
-            threads,
-            &mut out,
-            |s, qs, os| s.add_supports_blocked(qs, os, QUERY_BLOCK_WORDS, &mut Vec::new()),
-        );
-        out
-    }
-
-    /// [`Self::frequency_batch`] chunked across up to `threads` workers;
-    /// bit-identical at every thread count (same integer supports, same
-    /// divisions).
-    pub fn frequency_batch_with_threads(&self, itemsets: &[Itemset], threads: usize) -> Vec<f64> {
-        if self.rows == 0 {
-            return vec![0.0; itemsets.len()];
-        }
-        let n = self.rows as f64;
-        self.support_batch_with_threads(itemsets, threads)
-            .into_iter()
-            .map(|s| s as f64 / n)
-            .collect()
     }
 }
 
@@ -434,33 +396,6 @@ mod tests {
         ColumnStore::build(toy().matrix()).support(&Itemset::singleton(5));
     }
 
-    #[test]
-    fn threaded_batches_match_serial_batches() {
-        let db = toy();
-        let store = ColumnStore::build(db.matrix());
-        let queries = vec![
-            Itemset::empty(),
-            Itemset::new(vec![0, 1]),
-            Itemset::new(vec![1, 2]),
-            Itemset::new(vec![0, 1, 2]),
-            Itemset::singleton(4),
-        ];
-        for threads in [0usize, 1, 2, 4, 16] {
-            assert_eq!(
-                store.support_batch_with_threads(&queries, threads),
-                store.support_batch(&queries),
-                "threads={threads}"
-            );
-            assert_eq!(
-                store.frequency_batch_with_threads(&queries, threads),
-                store.frequency_batch(&queries),
-                "threads={threads}"
-            );
-        }
-        let empty = ColumnStore::build(Database::zeros(0, 4).matrix());
-        assert_eq!(empty.frequency_batch_with_threads(&queries, 4), vec![0.0; queries.len()]);
-    }
-
     /// Append maintenance must reproduce a fresh transpose bit for bit —
     /// same stride, same words — across word-boundary row counts.
     #[test]
@@ -493,7 +428,7 @@ mod tests {
     #[test]
     fn scratch_reuse_is_stateless() {
         let store = ColumnStore::build(toy().matrix());
-        let mut scratch = store.new_scratch();
+        let mut scratch = Vec::new();
         let a = Itemset::new(vec![0, 1, 2]);
         let b = Itemset::new(vec![1, 2, 3]);
         let first = store.support_with_scratch(&a, &mut scratch);

@@ -1,6 +1,6 @@
 //! The `Database` type: rows, dimensions, and frequency queries.
 
-use crate::{BitMatrix, ColumnStore, Itemset, ShardedColumnStore};
+use crate::{BitMatrix, Itemset, ShardedColumnStore};
 use std::sync::OnceLock;
 
 /// A binary database `D ∈ ({0,1}^d)^n` (§1.3 of the paper).
@@ -10,38 +10,23 @@ use std::sync::OnceLock;
 /// an itemset — `f_T(D) = (1/n)·Σ_i 1{T ⊆ D(i)}`.
 ///
 /// Two query layouts coexist (DESIGN.md §7): the row-major matrix answers
-/// one-shot queries without preprocessing, and a lazily built, cached
-/// [`ColumnStore`] ([`Database::columns`]) serves repeated or batched
-/// queries ([`Database::frequencies`]) at columnar speed. A second cached
-/// view, the row-sharded [`ShardedColumnStore`]
-/// ([`Database::sharded_columns`]), serves the multi-threaded batch paths
-/// (DESIGN.md §8) with answers bit-identical to the serial store. Identity
-/// (`Eq`, `Debug`, serialization) is defined by the matrix alone; both
-/// caches are derived views. Two mutation paths exist: the append fast
-/// path ([`Database::append_rows`], DESIGN.md §9) extends warm caches **in
+/// one-shot queries without preprocessing, and one lazily built, cached
+/// tid-set view, the row-sharded [`ShardedColumnStore`]
+/// ([`Database::sharded_columns`]), serves repeated or batched queries
+/// ([`Database::frequencies`]) at columnar speed, at any thread count
+/// (DESIGN.md §8), with answers bit-identical to the row-major path.
+/// Identity (`Eq`, `Debug`, serialization) is defined by the matrix alone;
+/// the cache is a derived view. Two mutation paths exist: the append fast
+/// path ([`Database::append_rows`], DESIGN.md §9) extends a warm view **in
 /// place**, and arbitrary cell mutation ([`Database::matrix_mut`]) drops
-/// them for a full rebuild.
+/// it for a full rebuild.
+#[derive(Clone)]
 pub struct Database {
     matrix: BitMatrix,
-    columns: OnceLock<ColumnStore>,
+    /// Cloned along with the matrix when already built: cloning is how
+    /// sketches capture a database, and their query side is exactly the
+    /// workload the cache exists for.
     sharded: OnceLock<ShardedColumnStore>,
-}
-
-impl Clone for Database {
-    fn clone(&self) -> Self {
-        let columns = OnceLock::new();
-        let sharded = OnceLock::new();
-        // Propagate already-built columnar views: cloning is how sketches
-        // capture a database, and their query side is exactly the workload
-        // the caches exist for.
-        if let Some(store) = self.columns.get() {
-            let _ = columns.set(store.clone());
-        }
-        if let Some(store) = self.sharded.get() {
-            let _ = sharded.set(store.clone());
-        }
-        Self { matrix: self.matrix.clone(), columns, sharded }
-    }
 }
 
 impl PartialEq for Database {
@@ -61,7 +46,7 @@ impl std::fmt::Debug for Database {
 impl Database {
     /// Wraps an existing matrix (rows are database records).
     pub fn from_matrix(matrix: BitMatrix) -> Self {
-        Self { matrix, columns: OnceLock::new(), sharded: OnceLock::new() }
+        Self { matrix, sharded: OnceLock::new() }
     }
 
     /// An all-zero database with `n` rows and `d` attributes.
@@ -104,18 +89,16 @@ impl Database {
 
     /// Mutable access to the underlying matrix.
     ///
-    /// Drops every cached columnar view (serial *and* sharded): the caller
-    /// may change cells, and the next [`Database::columns`] /
-    /// [`Database::sharded_columns`] call rebuilds the transpose from
+    /// Drops the cached columnar view: the caller may change cells, and the
+    /// next [`Database::sharded_columns`] call rebuilds the transpose from
     /// scratch. This is the only **arbitrary** mutation path — row appends
-    /// go through [`Database::append_rows`], which maintains warm caches in
-    /// place instead of dropping them, and constructors and derivations
+    /// go through [`Database::append_rows`], which maintains a warm view in
+    /// place instead of dropping it, and constructors and derivations
     /// (`select_rows`, `stack`, serialization round-trips, the generators)
     /// all produce fresh `Database` values with cold caches, so a stale
     /// view cannot be served (regression-tested in
     /// `caches_never_serve_stale_views`).
     pub fn matrix_mut(&mut self) -> &mut BitMatrix {
-        self.columns.take();
         self.sharded.take();
         &mut self.matrix
     }
@@ -128,12 +111,11 @@ impl Database {
     /// attribute count (construction-time shape validation alone would let
     /// a malformed ingest batch corrupt the matrix half-applied).
     ///
-    /// Warm columnar views are *extended*, not invalidated: the serial
-    /// [`ColumnStore`] grows its tid-words and the [`ShardedColumnStore`]
-    /// extends its ragged tail shard in place, so an ingest-then-query loop
-    /// stops paying a full re-transpose per batch. Both maintained views
-    /// are bit-identical to a cold rebuild (enforced by
-    /// `tests/streaming_builds.rs`); cold views simply stay cold.
+    /// A warm columnar view is *extended*, not invalidated: the
+    /// [`ShardedColumnStore`] extends its ragged tail shard in place, so an
+    /// ingest-then-query loop stops paying a full re-transpose per batch.
+    /// The maintained view is bit-identical to a cold rebuild (enforced by
+    /// `tests/streaming_builds.rs`); a cold view simply stays cold.
     pub fn append_rows(&mut self, rows: &[Itemset]) {
         let d = self.dims();
         for (i, row) in rows.iter().enumerate() {
@@ -151,15 +133,12 @@ impl Database {
                 self.matrix.set(base + i, c as usize, true);
             }
         }
-        if let Some(store) = self.columns.get_mut() {
-            store.append_rows(rows);
-        }
         if let Some(store) = self.sharded.get_mut() {
             store.append_rows(rows);
         }
     }
 
-    /// Appends all rows of `other` in place, maintaining warm caches like
+    /// Appends all rows of `other` in place, maintaining a warm view like
     /// [`Database::append_rows`].
     ///
     /// The batch must have the same attribute count: a column-count
@@ -174,41 +153,27 @@ impl Database {
             self.dims()
         );
         // The matrix halves share a layout, so the rows always extend as
-        // one word memcpy; only the warm tid-set views need the appended
+        // one word memcpy; only a warm tid-set view needs the appended
         // rows in itemset form.
-        if self.has_column_cache() || self.has_sharded_cache() {
+        if let Some(store) = self.sharded.get_mut() {
             let rows: Vec<Itemset> = (0..other.rows()).map(|r| other.row_itemset(r)).collect();
-            if let Some(store) = self.columns.get_mut() {
-                store.append_rows(&rows);
-            }
-            if let Some(store) = self.sharded.get_mut() {
-                store.append_rows(&rows);
-            }
+            store.append_rows(&rows);
         }
         self.matrix.extend_rows(other.matrix());
     }
 
-    /// The columnar (tid-set) view of this database, built on first use and
-    /// cached. Shared by the batched query APIs and the vertical miners, so
-    /// the `O(nd/64)` transpose is paid at most once per database.
-    pub fn columns(&self) -> &ColumnStore {
-        self.columns.get_or_init(|| ColumnStore::build(&self.matrix))
-    }
-
-    /// True iff the columnar view has already been materialized.
-    pub fn has_column_cache(&self) -> bool {
-        self.columns.get().is_some()
-    }
-
-    /// The sharded columnar view, built on first use (with up to `threads`
-    /// build workers) and cached. Shard layout depends only on the data, so
-    /// the cached store is identical whatever `threads` the first caller
-    /// passed; later callers may query it with any thread count.
+    /// The columnar (tid-set) view of this database, built on first use
+    /// (with up to `threads` build workers) and cached. It is the one view
+    /// behind every batched query and every sketch query, so the
+    /// `O(nd/64)` transpose is paid at most once per database. Shard layout
+    /// depends only on the data, so the cached store is identical whatever
+    /// `threads` the first caller passed; later callers may query it with
+    /// any thread count.
     pub fn sharded_columns(&self, threads: usize) -> &ShardedColumnStore {
         self.sharded.get_or_init(|| ShardedColumnStore::build(&self.matrix, threads))
     }
 
-    /// True iff the sharded columnar view has already been materialized.
+    /// True iff the columnar view has already been materialized.
     pub fn has_sharded_cache(&self) -> bool {
         self.sharded.get().is_some()
     }
@@ -243,57 +208,31 @@ impl Database {
     /// Answers are bit-identical to calling [`Database::support`] per
     /// itemset (both count the same rows; see `tests/columnar_queries.rs`).
     pub fn support_batch(&self, itemsets: &[Itemset]) -> Vec<usize> {
-        self.columns().support_batch(itemsets)
+        self.support_batch_with_threads(itemsets, 1)
     }
 
     /// Frequencies of a whole query log on the cached columnar view.
     ///
     /// The batched, columnar counterpart of [`Database::frequency`]: one
-    /// shared transpose, one scratch buffer, `O(k·n/64)` words per query —
-    /// and no per-call mask rebuild, so repeated queries of the same itemset
-    /// cost only the intersection.
+    /// shared transpose, `O(k·n/64)` words per query — and no per-call
+    /// mask rebuild, so repeated queries of the same itemset cost only the
+    /// intersection.
     pub fn frequencies(&self, itemsets: &[Itemset]) -> Vec<f64> {
-        if self.rows() == 0 {
-            return vec![0.0; itemsets.len()];
-        }
-        self.columns().frequency_batch(itemsets)
+        self.frequencies_with_threads(itemsets, 1)
     }
 
     /// Supports of a whole query log computed by up to `threads` workers
-    /// (DESIGN.md §8).
-    ///
-    /// `threads <= 1` runs the serial path on [`Database::columns`]. A
-    /// database that fits in a single shard (`n <=`
-    /// [`SHARD_ROWS`](crate::SHARD_ROWS)) chunks the query log over the
-    /// serial store — a one-shard [`ShardedColumnStore`] would be a
-    /// byte-identical duplicate of the transpose, and query-log chunking is
-    /// where the parallelism is. Larger databases answer on the sharded
-    /// view. Either way element `i` equals [`Database::support`] of
-    /// `itemsets[i]` — every path counts the same rows.
+    /// (DESIGN.md §8) on the cached columnar view. A batch too cheap to
+    /// repay a thread spawn runs on the caller's thread. Element `i`
+    /// equals [`Database::support`] of `itemsets[i]` at every thread count.
     pub fn support_batch_with_threads(&self, itemsets: &[Itemset], threads: usize) -> Vec<usize> {
-        if threads <= 1 {
-            return self.support_batch(itemsets);
-        }
-        if self.rows() <= crate::SHARD_ROWS {
-            return self.columns().support_batch_with_threads(itemsets, threads);
-        }
         self.sharded_columns(threads).support_batch(itemsets, threads)
     }
 
     /// Frequencies of a whole query log computed by up to `threads` workers
     /// (DESIGN.md §8); bit-identical to [`Database::frequencies`] at every
-    /// thread count. Single-shard databases reuse the serial store (see
-    /// [`Database::support_batch_with_threads`]).
+    /// thread count.
     pub fn frequencies_with_threads(&self, itemsets: &[Itemset], threads: usize) -> Vec<f64> {
-        if threads <= 1 {
-            return self.frequencies(itemsets);
-        }
-        if self.rows() == 0 {
-            return vec![0.0; itemsets.len()];
-        }
-        if self.rows() <= crate::SHARD_ROWS {
-            return self.columns().frequency_batch_with_threads(itemsets, threads);
-        }
         self.sharded_columns(threads).frequency_batch(itemsets, threads)
     }
 
@@ -461,12 +400,12 @@ mod tests {
     #[test]
     fn column_cache_lazy_and_invalidated_on_mutation() {
         let mut db = toy();
-        assert!(!db.has_column_cache());
-        assert_eq!(db.columns().support(&Itemset::singleton(4)), 1);
-        assert!(db.has_column_cache());
+        assert!(!db.has_sharded_cache());
+        assert_eq!(db.sharded_columns(1).support(&Itemset::singleton(4)), 1);
+        assert!(db.has_sharded_cache());
         db.matrix_mut().set(0, 4, true);
-        assert!(!db.has_column_cache(), "mutation must drop the cached view");
-        assert_eq!(db.columns().support(&Itemset::singleton(4)), 2);
+        assert!(!db.has_sharded_cache(), "mutation must drop the cached view");
+        assert_eq!(db.sharded_columns(1).support(&Itemset::singleton(4)), 2);
         assert_eq!(db.frequency(&Itemset::singleton(4)), 0.5);
     }
 
@@ -474,10 +413,10 @@ mod tests {
     fn clone_and_eq_ignore_cache_state() {
         let db = toy();
         let warm = db.clone();
-        let _ = warm.columns();
+        let _ = warm.sharded_columns(1);
         assert_eq!(db, warm, "cache state must not affect equality");
         let cloned_warm = warm.clone();
-        assert!(cloned_warm.has_column_cache(), "clone keeps an already-built view");
+        assert!(cloned_warm.has_sharded_cache(), "clone keeps an already-built view");
         assert_eq!(cloned_warm, db);
     }
 
@@ -514,48 +453,44 @@ mod tests {
     }
 
     /// The cache-invalidation audit (every path that could serve a stale
-    /// columnar view): mutation drops BOTH caches; serialization
+    /// columnar view): mutation drops the cache; serialization
     /// round-trips, row selection, and generator outputs produce fresh
     /// databases whose views are rebuilt from their own matrices.
     #[test]
     fn caches_never_serve_stale_views() {
         let mut db = toy();
         let t = Itemset::singleton(4);
-        // Warm both views, then mutate: both must be invalidated.
-        assert_eq!(db.columns().support(&t), 1);
+        // Warm the view, then mutate: it must be invalidated.
         assert_eq!(db.sharded_columns(2).support(&t), 1);
         db.matrix_mut().set(0, 4, true);
-        assert!(!db.has_column_cache(), "mutation must drop the serial view");
-        assert!(!db.has_sharded_cache(), "mutation must drop the sharded view");
-        assert_eq!(db.columns().support(&t), 2);
+        assert!(!db.has_sharded_cache(), "mutation must drop the view");
         assert_eq!(db.sharded_columns(2).support(&t), 2);
         assert_eq!(db.support_batch_with_threads(std::slice::from_ref(&t), 4), vec![2]);
 
         // Serialize round-trip of a warm database: the decoded copy answers
-        // from its own (fresh) views, and re-warming gives current answers.
+        // from its own (fresh) view, and re-warming gives current answers.
         let bytes = crate::serialize::to_bytes(&db);
         let back = crate::serialize::from_bytes(&bytes).expect("roundtrip");
-        assert!(!back.has_column_cache() && !back.has_sharded_cache());
-        assert_eq!(back.columns().support(&t), 2);
+        assert!(!back.has_sharded_cache());
         assert_eq!(back.sharded_columns(1).support(&t), 2);
 
         // select_rows from a warm database: the selection is a fresh
-        // database over different rows; its views must reflect those rows.
+        // database over different rows; its view must reflect those rows.
         let sel = db.select_rows(&[0, 0, 3]);
-        assert!(!sel.has_column_cache() && !sel.has_sharded_cache());
-        assert_eq!(sel.columns().support(&t), 3); // rows 0,0,3 all contain item 4 now
+        assert!(!sel.has_sharded_cache());
+        assert_eq!(sel.sharded_columns(1).support(&t), 3); // rows 0,0,3 all contain item 4 now
         assert_eq!(sel.frequencies_with_threads(std::slice::from_ref(&t), 2), vec![1.0]);
 
         // A clone taken warm, then mutated, must diverge from its source
         // without corrupting it.
         let mut fork = db.clone();
-        assert!(fork.has_column_cache() && fork.has_sharded_cache());
+        assert!(fork.has_sharded_cache());
         fork.matrix_mut().set(1, 4, true);
-        assert_eq!(fork.columns().support(&t), 3);
-        assert_eq!(db.columns().support(&t), 2, "source database must be untouched");
+        assert_eq!(fork.sharded_columns(1).support(&t), 3);
+        assert_eq!(db.sharded_columns(1).support(&t), 2, "source database must be untouched");
 
         // Generator outputs mutate through matrix_mut internally; their
-        // views must match a cold rebuild of the same matrix.
+        // view must match a cold rebuild of the same matrix.
         let mut rng = ifs_util::Rng64::seeded(0xCAFE);
         let gen = crate::generators::planted(
             64,
@@ -566,25 +501,21 @@ mod tests {
         );
         let fresh = Database::from_matrix(gen.matrix().clone());
         let probe = Itemset::new(vec![1, 2]);
-        assert_eq!(gen.columns().support(&probe), fresh.columns().support(&probe));
         assert_eq!(gen.sharded_columns(2).support(&probe), fresh.support(&probe));
     }
 
-    /// The append fast path: warm views are extended in place (never
-    /// dropped) and stay bit-identical to a cold rebuild of the extended
+    /// The append fast path: a warm view is extended in place (never
+    /// dropped) and stays bit-identical to a cold rebuild of the extended
     /// matrix.
     #[test]
     fn append_rows_maintains_warm_caches_in_place() {
         let mut db = toy();
         let t = Itemset::new(vec![1, 2]);
-        assert_eq!(db.columns().support(&t), 2);
         assert_eq!(db.sharded_columns(2).support(&t), 2);
         db.append_rows(&[Itemset::new(vec![1, 2, 4]), Itemset::empty()]);
-        assert!(db.has_column_cache(), "append must not drop the serial view");
-        assert!(db.has_sharded_cache(), "append must not drop the sharded view");
+        assert!(db.has_sharded_cache(), "append must not drop the view");
         assert_eq!(db.rows(), 6);
         let fresh = Database::from_matrix(db.matrix().clone());
-        assert_eq!(db.columns(), fresh.columns());
         assert_eq!(db.sharded_columns(1), fresh.sharded_columns(1));
         assert_eq!(db.support(&t), 3);
         assert_eq!(db.frequencies(std::slice::from_ref(&t)), vec![0.5]);
@@ -595,7 +526,7 @@ mod tests {
     fn append_rows_on_cold_caches_stays_cold() {
         let mut db = toy();
         db.append_rows(&[Itemset::singleton(0)]);
-        assert!(!db.has_column_cache() && !db.has_sharded_cache());
+        assert!(!db.has_sharded_cache());
         assert_eq!(db.rows(), 5);
         assert_eq!(db.support(&Itemset::singleton(0)), 3);
     }
@@ -626,14 +557,14 @@ mod tests {
         let a = toy();
         let b = Database::from_rows(5, &[vec![0, 4], vec![]]);
         let mut warm = a.clone();
-        let _ = warm.columns();
         let _ = warm.sharded_columns(2);
         warm.append_database(&b);
         assert_eq!(warm, a.stack(&b));
+        assert_eq!(warm.sharded_columns(1), a.stack(&b).sharded_columns(1));
         let mut cold = a.clone();
         cold.append_database(&b);
         assert_eq!(cold, a.stack(&b));
-        assert!(!cold.has_column_cache());
+        assert!(!cold.has_sharded_cache());
     }
 
     #[test]

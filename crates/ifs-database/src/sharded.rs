@@ -12,13 +12,15 @@
 //!
 //! * **Build**: each shard transposes its row slice independently
 //!   ([`crate::ColumnStore::build_range`]); worker threads drain a shard
-//!   work queue under [`std::thread::scope`] (no thread pool, no external
-//!   dependencies).
+//!   work queue.
 //! * **Query batches**: a query log is split into contiguous chunks, one
-//!   worker per chunk, each with its own scratch buffer, writing into
-//!   disjoint slices of the output vector. Per-query answers never depend
-//!   on which worker computed them. A batch too cheap to repay a thread
-//!   spawn runs inline on the caller ([`fanout`]).
+//!   worker per chunk, each with its own scratch buffer and output vector;
+//!   the outputs are concatenated in chunk order. Per-query answers never
+//!   depend on which worker computed them. A batch too cheap to repay a
+//!   thread spawn runs inline on the caller ([`fanout`]).
+//!
+//! Both run on [`parallel_map_indexed`], the workspace's one executor (no
+//! thread pool, no external dependencies).
 //!
 //! The shard **layout is a function of the data only** (row count), never of
 //! the thread count: `threads` decides how many workers drain the queues,
@@ -122,26 +124,31 @@ impl ShardedColumnStore {
         self.shard_rows
     }
 
-    /// Support of `itemset` using caller-owned scratch: the sum of
-    /// per-shard popcounts — the same integer [`ColumnStore::support`]
-    /// computes over the unpartitioned rows.
-    pub fn support_with_scratch(&self, itemset: &Itemset, scratch: &mut Vec<u64>) -> usize {
-        self.shards.iter().map(|s| s.support_with_scratch(itemset, scratch)).sum()
+    /// Support of `itemset`: the sum of per-shard popcounts — the same
+    /// integer [`ColumnStore::support`] computes over the unpartitioned
+    /// rows, and allocation-free like it (each shard borrows its
+    /// thread-local scratch).
+    pub fn support(&self, itemset: &Itemset) -> usize {
+        self.check_items(itemset);
+        self.shards.iter().map(|s| s.support(itemset)).sum()
     }
 
-    /// Support of `itemset` (single-query convenience).
-    pub fn support(&self, itemset: &Itemset) -> usize {
-        self.support_with_scratch(itemset, &mut Vec::new())
+    /// Panics unless every item of `itemset` is a column of this store.
+    /// Checked here, at the entry points, because a store with zero shards
+    /// has no [`ColumnStore`] left to reject an out-of-range item.
+    fn check_items(&self, itemset: &Itemset) {
+        if let Some(m) = itemset.max_item() {
+            assert!((m as usize) < self.dims, "item {m} out of range for {} columns", self.dims);
+        }
     }
 
     /// Frequency `f_T` ∈ [0, 1]; 0 for an empty store, matching
     /// [`ColumnStore::frequency`] bit for bit (same integer support, same
     /// division).
     pub fn frequency(&self, itemset: &Itemset) -> f64 {
-        if self.rows == 0 {
-            return 0.0;
-        }
-        self.support(itemset) as f64 / self.rows as f64
+        // An empty store's supports are all 0, so `max(1)` only turns
+        // 0/0 into 0.
+        self.support(itemset) as f64 / self.rows.max(1) as f64
     }
 
     /// Accumulates `out[i] += support(itemsets[i])` shard by shard: the
@@ -164,34 +171,39 @@ impl ShardedColumnStore {
 
     /// Supports of a whole query log, computed by up to `threads` workers
     /// over contiguous chunks of the log; each worker iterates shard-outer,
-    /// query-inner (cache-blocked, DESIGN.md §12). Element `i` equals
-    /// `self.support(&itemsets[i])` regardless of `threads`.
+    /// query-inner (cache-blocked, DESIGN.md §12). `fanout` picks the
+    /// worker count from the batch's cost and [`parallel_map_indexed`]
+    /// runs the chunks; one chunk is a plain call on the caller's thread.
+    /// Element `i` equals `self.support(&itemsets[i])` regardless of
+    /// `threads`.
     pub fn support_batch(&self, itemsets: &[Itemset], threads: usize) -> Vec<usize> {
-        let mut out = vec![0usize; itemsets.len()];
-        chunked_query_batch(self, self.rows, itemsets, threads, &mut out, |store, qs, os| {
-            store.add_supports(qs, os, &mut Vec::new());
-        });
-        out
+        itemsets.iter().for_each(|t| self.check_items(t));
+        let workers = fanout(threads, itemsets, self.rows);
+        let chunk = itemsets.len().div_ceil(workers).max(1);
+        parallel_map_indexed(itemsets.len().div_ceil(chunk), workers, |i| {
+            let qs = &itemsets[i * chunk..((i + 1) * chunk).min(itemsets.len())];
+            let mut out = vec![0usize; qs.len()];
+            self.add_supports(qs, &mut out, &mut Vec::new());
+            out
+        })
+        .concat()
     }
 
     /// Frequencies of a whole query log; element `i` equals
     /// `self.frequency(&itemsets[i])` regardless of `threads` (same integer
     /// support, same division).
     pub fn frequency_batch(&self, itemsets: &[Itemset], threads: usize) -> Vec<f64> {
-        if self.rows == 0 {
-            return vec![0.0; itemsets.len()];
-        }
-        let n = self.rows as f64;
+        let n = self.rows.max(1) as f64;
         self.support_batch(itemsets, threads).into_iter().map(|s| s as f64 / n).collect()
     }
 }
 
 /// Tid words one worker must have to scan before a fan-out pays off.
 ///
-/// Derived from two measured numbers on a 2-core x86-64 host: opening a
-/// [`std::thread::scope`] and joining two spawned workers costs about
-/// 51 µs (perfbench's `engine.fanout_us`), and the wide `and_count` kernel
-/// streams about 2.3 Gwords/s on one core (`BENCH_kernels.json`). One
+/// Derived from two measured numbers on a 2-core x86-64 host: spawning and
+/// joining two scoped workers costs about 51 µs (perfbench's
+/// `engine.fanout_us`), and the wide `and_count` kernel streams about
+/// 2.3 Gwords/s on one core (`BENCH_kernels.json`). One
 /// spawn therefore costs as much as about 51 µs × 2.3 Gwords/s ≈ 117k tid
 /// words of kernel work; a worker with less than that to do finishes
 /// sooner inline than it takes to start. 2^17 ≈ 131k rounds that up.
@@ -213,38 +225,6 @@ fn fanout(threads: usize, itemsets: &[Itemset], rows: usize) -> usize {
         .map(|t| t.len().max(1))
         .fold(0usize, |sum, k| sum.saturating_add(k.saturating_mul(words_per_col)));
     clamp_threads(threads).min(itemsets.len()).min(cost / MIN_WORDS_PER_WORKER).max(1)
-}
-
-/// Chunked-batch driver shared by [`ShardedColumnStore`] and the threaded
-/// [`ColumnStore`] batch methods: splits `itemsets` and `out` into the same
-/// contiguous chunks and hands each (queries, outputs) chunk pair to
-/// `kernel` on its own worker, with the worker count chosen by [`fanout`]
-/// from the batch's cost over the store's `rows`. A single chunk runs on
-/// the calling thread. Chunk-level granularity lets the kernel iterate
-/// cache-blocked *within* its chunk (shard-outer or block-outer) instead
-/// of being forced through a per-query callback; outputs live in disjoint
-/// slices, so per-query answers never depend on which worker computed
-/// them.
-pub(crate) fn chunked_query_batch<S: Sync + ?Sized, R: Send>(
-    store: &S,
-    rows: usize,
-    itemsets: &[Itemset],
-    threads: usize,
-    out: &mut [R],
-    kernel: impl Fn(&S, &[Itemset], &mut [R]) + Sync,
-) {
-    let workers = fanout(threads, itemsets, rows);
-    if workers == 1 {
-        kernel(store, itemsets, out);
-        return;
-    }
-    let chunk = itemsets.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        for (qs, os) in itemsets.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let kernel = &kernel;
-            s.spawn(move || kernel(store, qs, os));
-        }
-    });
 }
 
 #[cfg(test)]
@@ -299,6 +279,21 @@ mod tests {
         assert_eq!(store.frequency(&Itemset::singleton(3)), 0.0);
         assert_eq!(store.frequency_batch(&[Itemset::empty()], 4), vec![0.0]);
         assert_eq!(store.support_batch(&[], 4), Vec::<usize>::new());
+        // No shard is left to check items, so the entry points must: an
+        // item beyond the columns panics, as it does on a non-empty store.
+        let bad = Itemset::singleton(8);
+        let panic_of = |f: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("panic");
+            err.downcast::<String>().map(|m| *m).unwrap_or_default()
+        };
+        let want = "item 8 out of range for 8 columns";
+        assert_eq!(panic_of(&|| _ = store.support(&bad)), want);
+        assert_eq!(panic_of(&|| _ = store.frequency(&bad)), want);
+        assert_eq!(panic_of(&|| _ = store.support_batch(std::slice::from_ref(&bad), 4)), want);
+        assert_eq!(
+            panic_of(&|| _ = store.frequency_batch(&[Itemset::empty(), bad.clone()], 1)),
+            want
+        );
     }
 
     #[test]

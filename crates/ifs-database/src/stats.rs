@@ -1,12 +1,12 @@
 //! Database statistics: the per-column and per-row summaries the examples
 //! and experiment harness report alongside sketch measurements.
 
-use crate::{Database, Itemset};
+use crate::{ColumnStore, Database, Itemset};
 
 /// Per-column supports (number of rows with a 1 in each column), read off
-/// the shared columnar view.
+/// a whole-column transpose built for this call.
 pub fn column_supports(db: &Database) -> Vec<usize> {
-    let store = db.columns();
+    let store = ColumnStore::build(db.matrix());
     (0..db.dims()).map(|c| store.item_support(c)).collect()
 }
 

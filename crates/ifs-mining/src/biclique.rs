@@ -16,7 +16,7 @@
 //!
 //! [FK04]: https://www.wisdom.weizmann.ac.il/~feige/TechnicalReports/bipartiteclique.pdf
 
-use ifs_database::{Database, Itemset};
+use ifs_database::{ColumnStore, Database, Itemset};
 use ifs_util::bits;
 
 /// A complete bipartite subgraph: a set of rows, all containing a set of
@@ -90,7 +90,7 @@ pub fn max_balanced_exact(db: &Database) -> Biclique {
 pub fn max_balanced_greedy(db: &Database) -> Biclique {
     let d = db.dims();
     let n = db.rows();
-    let store = db.columns();
+    let store = ColumnStore::build(db.matrix());
     let mut order: Vec<u32> = (0..d as u32).collect();
     let supports: Vec<usize> = (0..d).map(|c| store.item_support(c)).collect();
     order.sort_by(|&a, &b| supports[b as usize].cmp(&supports[a as usize]).then(a.cmp(&b)));

@@ -4,12 +4,11 @@
 //! frequency of an itemset is the popcount of the intersection of its
 //! items' tid-sets. Depth-first extension with intersection reuse makes
 //! this the fastest of the three miners on dense laptop-scale data. The
-//! tid-sets are the database's shared [`ifs_database::ColumnStore`]
-//! (DESIGN.md §7), so the transpose is built once per database and reused
-//! across miners, sketch queries, and repeated mining runs.
+//! tid-sets are whole columns, so each call builds its own
+//! [`ColumnStore`] (DESIGN.md §7): one transpose per mining run.
 
 use crate::MinedItemset;
-use ifs_database::{Database, Itemset};
+use ifs_database::{ColumnStore, Database, Itemset};
 use ifs_util::bits;
 use ifs_util::threads::{clamp_threads, parallel_map_indexed};
 
@@ -42,8 +41,8 @@ pub fn mine_with_threads(
         return Vec::new();
     }
     let min_support = (min_frequency * n as f64).ceil().max(1.0) as usize;
-    // Vertical representation: the database's cached per-item tid-sets.
-    let store = db.columns();
+    // Vertical representation: per-item tid-sets over all rows.
+    let store = ColumnStore::build(db.matrix());
     let frequent_items: Vec<(u32, &[u64], usize)> = (0..db.dims())
         .filter_map(|c| {
             let tids = store.tids(c);

@@ -7,9 +7,10 @@
 //! `IFS_THREADS` environment override the integration suites (and CI's
 //! determinism matrix) use to re-run every test under a different worker
 //! count, the host's core count ([`host_cores`]), and the index work queue
-//! ([`parallel_map_indexed`]) behind every "race for work, assemble results
-//! in order" site (shard builds, eclat's per-prefix mining, and the
-//! chunked ingestion folds of `ifs_core::streaming`).
+//! ([`parallel_map_indexed`]), the one executor behind every "race for
+//! work, assemble results in order" site (shard builds, the sharded
+//! engine's query-batch chunks, eclat's per-prefix mining, and the chunked
+//! ingestion folds of `ifs_core::streaming`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};

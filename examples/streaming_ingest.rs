@@ -52,7 +52,7 @@ fn main() {
     // Ingest tier: append batches, serve the query log between appends.
     // The warm columnar view is maintained in place — no re-transpose.
     let mut live = Database::zeros(0, DIMS);
-    let _ = live.columns();
+    let _ = live.sharded_columns(1);
     let t = Instant::now();
     let mut answered = 0usize;
     for batch in &batches {
@@ -60,7 +60,7 @@ fn main() {
         answered += live.frequencies(&queries).len();
     }
     let ingest_time = t.elapsed();
-    assert!(live.has_column_cache(), "appends must keep the columnar view warm");
+    assert!(live.has_sharded_cache(), "appends must keep the columnar view warm");
     println!(
         "ingest+query: {TOTAL_ROWS} rows in {}-row batches, {answered} queries answered \
          in {ingest_time:?} ({:.0} rows/s, {:.0} queries/s)",

@@ -112,10 +112,10 @@ proptest! {
         }
         prop_assert_eq!(store.support_batch(&queries), reference.clone());
         // Thread counts only re-partition the query list; answers are
-        // positionally identical.
+        // positionally identical on the (here one-shard) engine view.
         for threads in [1usize, 2, 4] {
             prop_assert_eq!(
-                store.support_batch_with_threads(&queries, threads),
+                ShardedColumnStore::build(db.matrix(), threads).support_batch(&queries, threads),
                 reference.clone(),
                 "threads={}", threads
             );

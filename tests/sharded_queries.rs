@@ -83,7 +83,9 @@ fn sharded_store_matches_serial_on_adversarial_shapes() {
 /// (DESIGN.md §8), so the small batches above all answer on the calling
 /// thread. This one costs more than 8 workers' worth, so threads 2, 4 and
 /// 8 (and CI's `IFS_THREADS`) drive spawned chunks, over a ragged
-/// three-shard store whose tail shard ends mid-word.
+/// three-shard store whose tail shard ends mid-word. A `ReleaseDb` over the
+/// same database answers single queries on that store too, so they must
+/// equal both its batches and the serial store.
 #[test]
 fn costly_batches_fan_out_and_match_serial() {
     let mut rng = Rng64::seeded(0xFA_0E);
@@ -105,12 +107,21 @@ fn costly_batches_fan_out_and_match_serial() {
             want_freq,
             "sharded frequencies, {threads} threads"
         );
-        assert_eq!(
-            serial.support_batch_with_threads(&queries, threads),
-            want,
-            "chunked serial store, {threads} threads"
-        );
         assert_eq!(db.support_batch_with_threads(&queries, threads), want, "{threads} threads");
+    }
+    // Single queries on the multi-shard view, including the empty itemset
+    // and k >= 4 (the scratch-borrowing kernel).
+    let singles: Vec<Itemset> =
+        [vec![], vec![3], vec![1, 5, 9, 40], vec![0, 2, 7, 11, 20, 33]].map(Itemset::new).into();
+    for threads in [1usize, 2, 4, ci_threads()] {
+        let release = ReleaseDb::build(&db, 0.2).with_threads(threads);
+        assert_eq!(release.database().sharded_columns(threads).shard_count(), 3);
+        assert_eq!(release.estimate_batch(&queries), want_freq, "sketch batch, {threads} threads");
+        let batch = release.estimate_batch(&singles);
+        for (t, f) in singles.iter().zip(batch) {
+            assert_eq!(release.estimate(t), f, "estimate vs batch {t}, {threads} threads");
+            assert_eq!(release.estimate(t), serial.frequency(t), "estimate {t}, {threads} threads");
+        }
     }
 }
 

@@ -125,7 +125,7 @@ proptest! {
         let head = Database::from_fn(i, d, |r, c| db.get(r, c));
         let tail = Database::from_fn(n - i, d, |r, c| db.get(i + r, c));
         let mut sketch = ReleaseDb::build(&head, 0.2);
-        let _ = sketch.database().columns();
+        let _ = sketch.database().sharded_columns(1);
         sketch.merge(ReleaseDb::build(&tail, 0.2)).expect("compatible sketches merge");
         prop_assert_eq!(sketch.database(), one_shot.database());
         let queries = random_queries(d, 10, &mut rng);
@@ -224,9 +224,8 @@ proptest! {
         let queries = random_queries(d, 12, &mut rng);
 
         let mut incremental = Database::zeros(0, d);
-        // Warm both views so the appends below exercise in-place
+        // Warm the view so the appends below exercise in-place
         // maintenance rather than lazy rebuilds.
-        let _ = incremental.columns();
         let _ = incremental.sharded_columns(2);
         let chunk = n.div_ceil(batches).max(1);
         for batch in rows.chunks(chunk) {
