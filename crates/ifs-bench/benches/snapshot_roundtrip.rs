@@ -61,13 +61,12 @@ where
         black_box(sketch.snapshot_bytes().len());
     }
     let encode = t.elapsed().as_secs_f64().max(1e-12);
+    // Decode alone: the identity check above stays out of the timed loop.
     let t = Instant::now();
     for _ in 0..iters {
-        black_box(S::from_snapshot(black_box(&bytes)).expect("roundtrip").snapshot_bits());
+        black_box(S::from_snapshot(black_box(&bytes)).expect("roundtrip"));
     }
-    // from_snapshot + snapshot_bits re-encodes; subtract one encode pass to
-    // keep the decode figure honest.
-    let decode = (t.elapsed().as_secs_f64() - encode).max(encode / 100.0);
+    let decode = t.elapsed().as_secs_f64().max(1e-12);
     let mb = (bytes.len() * iters) as f64 / (1024.0 * 1024.0);
     Entry {
         name,

@@ -47,17 +47,20 @@ pub fn run(id: &str) -> Vec<Table> {
 
 /// Writes a bench gate's artifact `bench_results/{file}` at the workspace
 /// root, as hand-rolled JSON (DESIGN.md §6: no serde). The object opens
-/// with `"bench"`, `"mode"` and `"host_cores"`, then `fields`: the bench's
-/// own members, one per line, indented two spaces, comma-separated, with no
-/// trailing comma. Only a release build writes the file; a debug smoke
+/// with `"bench"`, `"mode"`, `"host_cores"`, `"target_features_compiled"`
+/// and `"cpu_features_detected"`, then `fields`: the bench's own members,
+/// one per line, indented two spaces, comma-separated, with no trailing
+/// comma. Only a release build writes the file; a debug smoke
 /// prints the JSON instead, so it never overwrites a committed artifact
 /// with unoptimized numbers. A write failure is printed, not raised, so it
 /// never fails the gate that measured the numbers.
 pub fn write_bench_json(bench: &str, file: &str, fields: &str) {
     let mode = if cfg!(debug_assertions) { "debug" } else { "release" };
+    let (compiled, detected) = target_features();
     let json = format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"mode\": \"{mode}\",\n  \"host_cores\": {},\n\
-         {fields}\n}}\n",
+        "{{\n  \"bench\": \"{bench}\",\n  \"mode\": \"{mode}\",\n  \"host_cores\": {},\n  \
+         \"target_features_compiled\": \"{compiled}\",\n  \
+         \"cpu_features_detected\": \"{detected}\",\n{fields}\n}}\n",
         ifs_util::threads::host_cores()
     );
     if cfg!(debug_assertions) {
@@ -70,4 +73,36 @@ pub fn write_bench_json(bench: &str, file: &str, fields: &str) {
         Ok(()) => println!("{bench}: wrote {}", path.display()),
         Err(e) => eprintln!("{bench}: cannot write {}: {e}", path.display()),
     }
+}
+
+/// The kernel-relevant CPU features as two comma-separated lists: those
+/// this binary was compiled to assume (`cfg!(target_feature)`), and those
+/// the running CPU reports (`is_x86_feature_detected!`, x86-64 only; empty
+/// elsewhere). A throughput number means little without both: the same
+/// source runs scalar or wide depending on the first, and the second says
+/// what the host could have used.
+fn target_features() -> (String, String) {
+    let mut compiled: Vec<&str> = Vec::new();
+    macro_rules! compiled {
+        ($($f:tt),*) => {$(
+            if cfg!(target_feature = $f) {
+                compiled.push($f);
+            }
+        )*};
+    }
+    compiled!("popcnt", "sse4.2", "avx", "avx2", "bmi2", "avx512f", "avx512vpopcntdq", "neon");
+    #[allow(unused_mut)]
+    let mut detected: Vec<&str> = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        macro_rules! detect {
+            ($($f:tt),*) => {$(
+                if std::arch::is_x86_feature_detected!($f) {
+                    detected.push($f);
+                }
+            )*};
+        }
+        detect!("popcnt", "sse4.2", "avx", "avx2", "bmi2", "avx512f", "avx512vpopcntdq");
+    }
+    (compiled.join(","), detected.join(","))
 }

@@ -30,7 +30,7 @@
 //! `3 ReleaseAnswersIndicator`, `4 ReleaseAnswersEstimator`,
 //! `5 CountMinSketch`, `6 CountSketch`, `7 SubsampleBuilder`.
 
-use ifs_database::codec::{decode_frame, encode_frame};
+use ifs_database::codec::{append_frame, decode_frame};
 pub use ifs_database::codec::{DecodeError, Reader, Writer};
 
 /// Frame kind tag of [`Subsample`](crate::Subsample).
@@ -79,7 +79,7 @@ pub trait Snapshot: Sized {
     fn encode_into(&self, out: &mut Vec<u8>) {
         let mut body = Writer::new();
         self.encode_body(&mut body);
-        out.extend_from_slice(&encode_frame(Self::KIND, Self::VERSION, &body.into_bytes()));
+        append_frame(Self::KIND, Self::VERSION, body.as_slice(), out);
     }
 
     /// The complete framed snapshot as a fresh byte vector. Its length in

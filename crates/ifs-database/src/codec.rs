@@ -188,6 +188,7 @@ impl Writer {
     }
 
     /// LEB128 varint: 7 value bits per byte, high bit = continuation.
+    #[inline]
     pub fn varint(&mut self, mut v: u64) {
         loop {
             let byte = (v & 0x7F) as u8;
@@ -287,7 +288,15 @@ impl<'a> Reader<'a> {
 
     /// LEB128 varint; refuses encodings longer than 10 bytes (the `u64`
     /// maximum) or overflowing 64 bits.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, DecodeError> {
+        // One-byte values (every item delta below 128) skip the loop.
+        if let Some(&byte) = self.buf.get(self.pos) {
+            if byte & 0x80 == 0 {
+                self.pos += 1;
+                return Ok(u64::from(byte));
+            }
+        }
         let mut v = 0u64;
         for i in 0..10 {
             let byte = self.u8()?;
@@ -325,15 +334,27 @@ impl<'a> Reader<'a> {
         let needed = n.checked_mul(8).ok_or_else(|| {
             DecodeError::Corrupt(format!("word count {n} overflows a byte length"))
         })?;
-        let raw = self.take(needed)?;
-        Ok(raw.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8"))).collect())
+        self.require(needed)?;
+        let mut words = vec![0; n];
+        self.words_into(&mut words)?;
+        Ok(words)
+    }
+
+    /// Fills `out` with `out.len()` packed words from little-endian bytes —
+    /// [`Reader::words`] straight into a caller-owned slice.
+    fn words_into(&mut self, out: &mut [u64]) -> Result<(), DecodeError> {
+        let raw = self.take(out.len() * 8)?;
+        for (word, bytes) in out.iter_mut().zip(raw.chunks_exact(8)) {
+            *word = u64::from_le_bytes(bytes.try_into().expect("8"));
+        }
+        Ok(())
     }
 }
 
 /// Wraps a kind-specific `body` into a full self-describing frame.
 pub fn encode_frame(kind: u16, version: u16, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_frame_into(kind, version, body, &mut out);
+    append_frame(kind, version, body, &mut out);
     out
 }
 
@@ -342,14 +363,22 @@ pub fn encode_frame(kind: u16, version: u16, body: &[u8]) -> Vec<u8> {
 /// connection that frames every message through one buffer stops
 /// allocating once warm.
 pub fn encode_frame_into(kind: u16, version: u16, body: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    append_frame(kind, version, body, out);
+}
+
+/// Appends the complete frame around `body` to `out`, leaving the bytes
+/// already in `out` untouched; the checksum covers only the new frame.
+pub fn append_frame(kind: u16, version: u16, body: &[u8], out: &mut Vec<u8>) {
+    let start = out.len();
     let mut w = Writer { buf: std::mem::take(out) };
-    w.clear();
+    w.buf.reserve(8 + 10 + body.len() + 8);
     w.u32(SNAPSHOT_MAGIC);
     w.buf.extend_from_slice(&kind.to_le_bytes());
     w.buf.extend_from_slice(&version.to_le_bytes());
     w.varint(body.len() as u64);
     w.bytes(body);
-    let check = fnv1a64(&w.buf);
+    let check = fnv1a64(&w.buf[start..]);
     w.u64(check);
     *out = w.into_bytes();
 }
@@ -465,18 +494,21 @@ pub fn read_database(r: &mut Reader) -> Result<Database, DecodeError> {
         DecodeError::Corrupt(format!("database shape {rows}x{dims} overflows a word count"))
     })?;
     let words = r.words(total_words)?;
-    if !dims.is_multiple_of(64) && dims > 0 {
-        let pad_shift = dims % 64;
-        for row in 0..rows {
-            let last = words[row * words_per_row + words_per_row - 1];
-            if last >> pad_shift != 0 {
-                return Err(DecodeError::Corrupt(format!(
-                    "row {row} has nonzero padding bits beyond column {dims}"
-                )));
-            }
-        }
+    for (row, row_words) in words.chunks_exact(words_per_row).enumerate() {
+        check_row_padding(row_words, dims, row)?;
     }
     Ok(Database::from_matrix(BitMatrix::from_raw(rows, dims, words)))
+}
+
+/// Refuses a decoded row whose bits beyond column `dims` are set: a matrix
+/// must keep its padding zero for word-wise subset tests to hold.
+fn check_row_padding(row_words: &[u64], dims: usize, row: usize) -> Result<(), DecodeError> {
+    if !dims.is_multiple_of(64) && row_words[row_words.len() - 1] >> (dims % 64) != 0 {
+        return Err(DecodeError::Corrupt(format!(
+            "row {row} has nonzero padding bits beyond column {dims}"
+        )));
+    }
+    Ok(())
 }
 
 /// Row-group payload is a delta-coded itemset (the sparse mode).
@@ -495,13 +527,18 @@ const MAX_COMPRESSED_DECODE_BYTES: usize = 1 << 30;
 /// `ReleaseDb` bodies): `rows`, `dims`, then row groups until every row is
 /// covered. A group is `repeat` (varint, ≥ 1 — consecutive identical rows
 /// collapse run-length style), a mode byte, and one row payload: either
-/// the row's delta-coded itemset ([`write_itemset`], ~1 byte per set bit —
-/// the sparse win) or its raw packed words (the dense fallback), whichever
-/// is shorter. Sparse databases shrink well below `n·d` bits; dense rows
-/// never pay more than one mode byte plus a varint over the raw encoding.
-/// The encoding is deterministic (a function of the database alone), so
-/// equal databases produce equal bytes — the compactor's identity
-/// arguments rely on this.
+/// the row's delta-coded itemset ([`write_itemset`]'s layout, ~1 byte per
+/// set bit — the sparse win) or its raw packed words (the dense fallback),
+/// whichever is shorter. Sparse databases shrink well below `n·d` bits;
+/// dense rows never pay more than one mode byte plus a varint over the raw
+/// encoding. The encoding is deterministic (a function of the database
+/// alone), so equal databases produce equal bytes — the compactor's
+/// identity arguments rely on this.
+///
+/// Rows are encoded straight from their packed words: the item run is
+/// written into `w` as the set bits are walked, and a row is known to be
+/// RAW without writing it when even one byte per item could not beat the
+/// raw words.
 pub fn write_database_compressed(w: &mut Writer, db: &Database) {
     let m = db.matrix();
     w.varint(m.rows() as u64);
@@ -509,19 +546,29 @@ pub fn write_database_compressed(w: &mut Writer, db: &Database) {
     let raw_len = m.words_per_row() * 8;
     let mut r = 0;
     while r < m.rows() {
+        let row = m.row_words(r);
         let mut end = r + 1;
-        while end < m.rows() && m.row_words(end) == m.row_words(r) {
+        while end < m.rows() && m.row_words(end) == row {
             end += 1;
         }
-        let mut items = Writer::new();
-        write_itemset(&mut items, &db.row_itemset(r));
         w.varint((end - r) as u64);
-        if items.len() < raw_len {
+        let count = bits::count_ones(row);
+        // Every item costs at least one byte, so this bound already
+        // decides most dense rows.
+        let mut raw = varint_len(count as u64) + count >= raw_len;
+        if !raw {
+            let mode_at = w.len();
             w.u8(ROW_GROUP_ITEMS);
-            w.bytes(items.as_slice());
-        } else {
+            let items_at = w.len();
+            write_item_run(w, count, bits::ones(row).map(|item| item as u32));
+            if w.len() - items_at >= raw_len {
+                w.buf.truncate(mode_at);
+                raw = true;
+            }
+        }
+        if raw {
             w.u8(ROW_GROUP_RAW);
-            w.words(m.row_words(r));
+            w.words(row);
         }
         r = end;
     }
@@ -531,7 +578,8 @@ pub fn write_database_compressed(w: &mut Writer, db: &Database) {
 /// group arithmetic (no zero-length or overrunning groups), item ranges and
 /// ordering, raw-row padding bits, and the decoded-size cap before any
 /// large allocation — adversarial headers refuse typed, never panic and
-/// never demand an unbacked terabyte.
+/// never demand an unbacked terabyte. Each group decodes straight into its
+/// first row's words, then is copied over the rest of its run.
 pub fn read_database_compressed(r: &mut Reader) -> Result<Database, DecodeError> {
     let rows = r.varint_usize()?;
     let dims = r.varint_usize()?;
@@ -559,24 +607,15 @@ pub fn read_database_compressed(r: &mut Reader) -> Result<Database, DecodeError>
             )));
         }
         let base = covered * words_per_row;
+        let row = &mut words[base..base + words_per_row];
         match r.u8()? {
             ROW_GROUP_ITEMS => {
-                let itemset = read_itemset(r, dims)?;
-                for &item in itemset.items() {
-                    words[base + item as usize / 64] |= 1u64 << (item % 64);
-                }
+                let len = read_item_count(r, dims)?;
+                read_items(r, len, dims, |item| row[item as usize / 64] |= 1u64 << (item % 64))?;
             }
             ROW_GROUP_RAW => {
-                let row = r.words(words_per_row)?;
-                if !dims.is_multiple_of(64) && dims > 0 {
-                    let last = row[words_per_row - 1];
-                    if last >> (dims % 64) != 0 {
-                        return Err(DecodeError::Corrupt(format!(
-                            "row {covered} has nonzero padding bits beyond column {dims}"
-                        )));
-                    }
-                }
-                words[base..base + words_per_row].copy_from_slice(&row);
+                r.words_into(row)?;
+                check_row_padding(row, dims, covered)?;
             }
             other => {
                 return Err(DecodeError::Corrupt(format!("unknown row-group mode {other}")));
@@ -597,21 +636,16 @@ pub fn read_database_compressed(r: &mut Reader) -> Result<Database, DecodeError>
 /// zero.
 pub fn write_bitset(w: &mut Writer, words: &[u64], bit_count: usize) {
     debug_assert!(words.len() * 64 >= bit_count);
+    debug_assert!(
+        bit_count.is_multiple_of(64) || words[bit_count / 64] >> (bit_count % 64) == 0,
+        "padding bits must be zero"
+    );
     let nbytes = bit_count.div_ceil(8);
-    let mut bytes = Vec::with_capacity(nbytes);
-    'outer: for word in words {
-        for b in word.to_le_bytes() {
-            if bytes.len() == nbytes {
-                break 'outer;
-            }
-            bytes.push(b);
-        }
+    let (whole, tail) = (nbytes / 8, nbytes % 8);
+    w.words(&words[..whole]);
+    if tail > 0 {
+        w.bytes(&words[whole].to_le_bytes()[..tail]);
     }
-    debug_assert_eq!(bytes.len(), nbytes);
-    if !bit_count.is_multiple_of(8) {
-        debug_assert_eq!(bytes[nbytes - 1] >> (bit_count % 8), 0, "padding bits must be zero");
-    }
-    w.bytes(&bytes);
 }
 
 /// Decodes a bitset written by [`write_bitset`] back into packed words
@@ -635,19 +669,39 @@ pub fn read_bitset(r: &mut Reader, bit_count: usize) -> Result<Vec<u64>, DecodeE
 /// Encodes an itemset as a count followed by its sorted items (delta-coded
 /// varints, so dense rows stay near one byte per item).
 pub fn write_itemset(w: &mut Writer, itemset: &Itemset) {
-    let items = itemset.items();
-    w.varint(items.len() as u64);
-    let mut prev = 0u32;
-    for (i, &item) in items.iter().enumerate() {
-        let delta = if i == 0 { item } else { item - prev };
-        w.varint(u64::from(delta));
-        prev = item;
-    }
+    write_item_run(w, itemset.len(), itemset.items().iter().copied());
 }
 
 /// Decodes an itemset written by [`write_itemset`], refusing counts or
 /// items that cannot belong to a `dims`-attribute row.
 pub fn read_itemset(r: &mut Reader, dims: usize) -> Result<Itemset, DecodeError> {
+    let len = read_item_count(r, dims)?;
+    let mut items = Vec::with_capacity(len);
+    read_items(r, len, dims, |item| items.push(item))?;
+    Ok(Itemset::from_strictly_increasing(items))
+}
+
+/// Bytes [`Writer::varint`] spends on `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// The one item-run encoder behind [`write_itemset`] and the ITEMS row
+/// groups: `count`, then `items` (strictly increasing, exactly `count` of
+/// them) as varint deltas, the first from zero.
+fn write_item_run(w: &mut Writer, count: usize, items: impl Iterator<Item = u32>) {
+    w.varint(count as u64);
+    let mut prev = 0u32;
+    for item in items {
+        w.varint(u64::from(item - prev));
+        prev = item;
+    }
+}
+
+/// The count half of the one validated item-run decoder behind
+/// [`read_itemset`] and the ITEMS row groups: refuses a count that a
+/// `dims`-attribute row or the remaining bytes cannot hold.
+fn read_item_count(r: &mut Reader, dims: usize) -> Result<usize, DecodeError> {
     let len = r.varint_usize()?;
     if len > dims {
         return Err(DecodeError::Corrupt(format!(
@@ -655,7 +709,18 @@ pub fn read_itemset(r: &mut Reader, dims: usize) -> Result<Itemset, DecodeError>
         )));
     }
     r.require(len)?; // each item costs >= 1 varint byte
-    let mut items = Vec::with_capacity(len);
+    Ok(len)
+}
+
+/// The items half: reads `len` delta varints and hands each item to `put`
+/// after refusing an overflowing delta, an item out of range, or a repeat,
+/// so `put` sees only items in `0..dims`, each larger than the one before.
+fn read_items(
+    r: &mut Reader,
+    len: usize,
+    dims: usize,
+    mut put: impl FnMut(u32),
+) -> Result<(), DecodeError> {
     let mut prev = 0u64;
     for i in 0..len {
         let delta = r.varint()?;
@@ -673,10 +738,10 @@ pub fn read_itemset(r: &mut Reader, dims: usize) -> Result<Itemset, DecodeError>
         if i > 0 && delta == 0 {
             return Err(DecodeError::Corrupt("itemset items not strictly increasing".into()));
         }
-        items.push(item as u32);
+        put(item as u32);
         prev = item;
     }
-    Ok(Itemset::new(items))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -880,6 +945,88 @@ mod tests {
         assert_eq!(read_database_compressed(&mut r).expect("roundtrip"), db);
     }
 
+    /// The row-group encoder as first written, kept as the byte-level
+    /// reference: each group's row becomes an [`Itemset`], is encoded by
+    /// [`write_itemset`] into its own writer, and the shorter of that and
+    /// the raw words is kept.
+    fn reference_compressed(db: &Database) -> Vec<u8> {
+        let m = db.matrix();
+        let mut w = Writer::new();
+        w.varint(m.rows() as u64);
+        w.varint(m.cols() as u64);
+        let raw_len = m.words_per_row() * 8;
+        let mut r = 0;
+        while r < m.rows() {
+            let mut end = r + 1;
+            while end < m.rows() && m.row_words(end) == m.row_words(r) {
+                end += 1;
+            }
+            let mut items = Writer::new();
+            write_itemset(&mut items, &db.row_itemset(r));
+            w.varint((end - r) as u64);
+            if items.len() < raw_len {
+                w.u8(ROW_GROUP_ITEMS);
+                w.bytes(items.as_slice());
+            } else {
+                w.u8(ROW_GROUP_RAW);
+                w.words(m.row_words(r));
+            }
+            r = end;
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn compressed_encoder_matches_the_reference_bytes() {
+        let mut rng = ifs_util::Rng64::seeded(0x5EED);
+        for dims in [0usize, 1, 7, 63, 64, 65, 127, 128, 129, 300] {
+            // Row shapes: empty, sparse, 6/7/8 set bits (the ITEMS/RAW
+            // boundary for one-word rows), and every bit set.
+            let mut shapes: Vec<Vec<u32>> = vec![vec![], (0..dims as u32).collect()];
+            for _ in 0..12 {
+                let row = (0..dims as u32).filter(|_| rng.below(16) == 0).collect();
+                shapes.push(row);
+            }
+            for bits_set in [6usize, 7, 8] {
+                for _ in 0..4 {
+                    let mut row: Vec<u32> = Vec::new();
+                    while row.len() < bits_set.min(dims) {
+                        let item = rng.below(dims) as u32;
+                        if !row.contains(&item) {
+                            row.push(item);
+                        }
+                    }
+                    shapes.push(row);
+                }
+            }
+            // One byte short of the raw length by item count, but one
+            // two-byte delta pushes the item run to it: written as ITEMS,
+            // then rewritten as RAW.
+            let count = bits::words_for(dims).max(1) * 8 - 2;
+            let last = count as u32 - 2 + 128;
+            if (last as usize) < dims {
+                shapes.push((0..count as u32 - 1).chain([last]).collect());
+            }
+            // Rows drawn from the shapes, with runs of identical rows.
+            let mut rows: Vec<Vec<u32>> = Vec::new();
+            for _ in 0..60 {
+                let shape = &shapes[rng.below(shapes.len())];
+                for _ in 0..1 + rng.below(3) * rng.below(4) {
+                    rows.push(shape.clone());
+                }
+            }
+            rows.extend(shapes.iter().cloned());
+            let db = Database::from_rows(dims, &rows);
+            let mut w = Writer::new();
+            write_database_compressed(&mut w, &db);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, reference_compressed(&db), "dims={dims}");
+            let mut r = Reader::new(&bytes);
+            assert_eq!(read_database_compressed(&mut r).expect("roundtrip"), db, "dims={dims}");
+            assert_eq!(r.remaining(), 0);
+        }
+    }
+
     #[test]
     fn compressed_database_refuses_adversarial_groups() {
         fn decode(bytes: &[u8]) -> Result<Database, DecodeError> {
@@ -920,6 +1067,28 @@ mod tests {
         w.u8(0);
         w.varint(0);
         assert!(matches!(decode(&w.into_bytes()), Err(DecodeError::Corrupt(_))));
+        // The item reader's own refusals, inside an ITEMS row group.
+        let items_group = |dims: u64, run: &[u64]| {
+            let mut w = Writer::new();
+            w.varint(1); // rows
+            w.varint(dims);
+            w.varint(1); // repeat
+            w.u8(ROW_GROUP_ITEMS);
+            for &v in run {
+                w.varint(v);
+            }
+            decode(&w.into_bytes())
+        };
+        let refusals: [(&[u64], &str); 4] = [
+            (&[9, 0, 1, 2, 3, 4, 5, 6, 7, 8], "itemset claims 9 items over 8 attributes"),
+            (&[2, 3, 5], "item 8 out of range for 8 attributes"),
+            (&[2, 3, 0], "itemset items not strictly increasing"),
+            (&[2, 1, u64::MAX], "itemset item delta overflows u64"),
+        ];
+        for (run, message) in refusals {
+            assert_eq!(items_group(8, run), Err(DecodeError::Corrupt(message.into())), "{run:?}");
+        }
+        assert_eq!(items_group(8, &[2, 3, 4]).expect("valid run").row_itemset(0).items(), [3, 7]);
         // Truncation mid-group is typed, never a panic.
         let db = crate::generators::uniform(9, 40, 0.3, &mut ifs_util::Rng64::seeded(4));
         let mut w = Writer::new();

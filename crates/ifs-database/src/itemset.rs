@@ -22,6 +22,14 @@ impl Itemset {
         Self { items }
     }
 
+    /// Wraps a list the caller has already checked to be strictly
+    /// increasing — the snapshot codec's validated reader, which would
+    /// otherwise pay [`Itemset::new`]'s sort and dedup on every decode.
+    pub(crate) fn from_strictly_increasing(items: Vec<u32>) -> Self {
+        debug_assert!(items.windows(2).all(|p| p[0] < p[1]), "items not strictly increasing");
+        Self { items }
+    }
+
     /// The empty itemset (contained in every row).
     pub fn empty() -> Self {
         Self { items: Vec::new() }

@@ -192,6 +192,9 @@ impl SketchServer {
         // stall queries against other sketches.
         let sketch = ServedSketch::admit(frame, threads)?;
         let kind = sketch.kind();
+        // Copy the frame before locking too: a large copy under the lock
+        // would block every other worker's resolve for its duration.
+        let bytes = frame.to_vec();
         let mut state = self.state.lock().expect("server state poisoned");
         let previous = state.admitted.get(&id);
         let previous_kind = previous.map(|p| p.kind);
@@ -199,10 +202,7 @@ impl SketchServer {
         if previous_kind.is_some() {
             state.reloads += 1;
         }
-        state.admitted.insert(
-            id,
-            AdmittedFrame { bytes: frame.to_vec(), threads, size_bits, kind, generation },
-        );
+        state.admitted.insert(id, AdmittedFrame { bytes, threads, size_bits, kind, generation });
         let evicted = state.hot.insert(id, Arc::new(sketch), size_bits);
         Ok(LoadOutcome { kind, size_bits, generation, previous_kind, evicted })
     }

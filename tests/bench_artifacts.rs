@@ -90,6 +90,18 @@ fn store_artifact_records_the_space_claim() {
     }
 }
 
+/// The snapshot artifact must record the CPU features its codec numbers
+/// were measured with: those compiled in and those the host reports. The
+/// other artifacts gain both fields when they are next regenerated.
+#[test]
+fn snapshot_artifact_records_target_features() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench_results/BENCH_snapshot.json");
+    let body = read(&path);
+    for field in ["\"target_features_compiled\":", "\"cpu_features_detected\":"] {
+        assert!(body.contains(field), "{}: missing {field}", path.display());
+    }
+}
+
 /// The serving artifact must record the run's connection shape, so the
 /// perf trajectory distinguishes the lone-client cells from the
 /// many-connection ones, and its tail latency and answer identity.

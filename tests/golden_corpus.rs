@@ -5,12 +5,17 @@
 //! versions). Every file was produced by a fixed, seeded recipe that this
 //! suite re-runs; each test decodes the *committed bytes* and asserts the
 //! result is `==` to the recipe's sketch and answers queries identically
-//! to recomputed ground truth. The contract pinned here is **decode
-//! compatibility**: a frame once written must decode, byte-for-byte as
-//! committed, on every future build. The corpus deliberately does *not*
-//! assert that re-encoding reproduces the files — encoders move forward
-//! with version bumps (`ReleaseDb` v1 → v2 in this tree); decoders never
-//! drop a version.
+//! to recomputed ground truth. Two contracts are pinned here:
+//!
+//! * **Decode compatibility, forever**: a frame once written must decode,
+//!   byte-for-byte as committed, on every future build. Decoders never
+//!   drop a version.
+//! * **Encode identity, until the next version bump**: while a file's
+//!   version is still its kind's `Snapshot::VERSION`, today's encoder must
+//!   reproduce the committed bytes exactly, so equal sketches keep
+//!   producing equal bytes (the compactor relies on this). A kind's
+//!   encoder moves forward only with a version bump (`ReleaseDb` v1 → v2
+//!   in this tree); its old file then keeps only the decode contract.
 //!
 //! Regenerating (only when *adding* a kind or version — existing files
 //! must never be rewritten): `GOLDEN_REGEN=1 cargo test --test
@@ -69,11 +74,19 @@ fn frame_version(bytes: &[u8]) -> u16 {
     u16::from_le_bytes([bytes[6], bytes[7]])
 }
 
+/// Encode identity: `name` is at its kind's current version, and the
+/// current encoder reproduces the committed bytes exactly.
+fn assert_encodes_to<S: Snapshot>(name: &str, recipe: &S, committed: &[u8]) {
+    assert_eq!(frame_version(committed), S::VERSION, "{name} is not its kind's current version");
+    assert!(recipe.snapshot_bytes() == committed, "{name}: the encoder changed its bytes");
+}
+
 #[test]
 fn golden_subsample_v1_decodes_and_answers() {
     let recipe = Subsample::with_sample_count_seeded(&golden_db(), 16, 0.1, GOLDEN_SEED ^ 0x5A);
     let bytes = golden_bytes("subsample_v1.bin", &recipe.snapshot_bytes());
     assert_eq!(frame_version(&bytes), 1);
+    assert_encodes_to("subsample_v1.bin", &recipe, &bytes);
     let decoded = Subsample::from_snapshot(&bytes).expect("v1 Subsample decodes forever");
     assert_eq!(decoded, recipe);
     // Answers equal truth recomputed over the recipe's own sample rows.
@@ -102,6 +115,7 @@ fn golden_release_db_v2_decodes_and_answers_exactly() {
     let recipe = ReleaseDb::build(&db, 0.1);
     let bytes = golden_bytes("release_db_v2.bin", &recipe.snapshot_bytes());
     assert_eq!(frame_version(&bytes), 2);
+    assert_encodes_to("release_db_v2.bin", &recipe, &bytes);
     let decoded = ReleaseDb::from_snapshot(&bytes).expect("v2 ReleaseDb decodes");
     assert_eq!(decoded, recipe);
     for q in &golden_queries() {
@@ -121,11 +135,13 @@ fn golden_answers_stores_decode_and_answer() {
     let indicator = ReleaseAnswersIndicator::build(&db, k, 0.1);
     let bytes = golden_bytes("answers_indicator_v1.bin", &indicator.snapshot_bytes());
     assert_eq!(frame_version(&bytes), 1);
+    assert_encodes_to("answers_indicator_v1.bin", &indicator, &bytes);
     let decoded = ReleaseAnswersIndicator::from_snapshot(&bytes).expect("v1 RAI decodes");
     assert_eq!(decoded, indicator);
     let estimator = ReleaseAnswersEstimator::build(&db, k, 0.1);
     let bytes = golden_bytes("answers_estimator_v1.bin", &estimator.snapshot_bytes());
     assert_eq!(frame_version(&bytes), 1);
+    assert_encodes_to("answers_estimator_v1.bin", &estimator, &bytes);
     let est_decoded = ReleaseAnswersEstimator::from_snapshot(&bytes).expect("v1 RAE decodes");
     assert_eq!(est_decoded, estimator);
     // k-itemset answers against recomputed exact frequencies: the
@@ -155,11 +171,13 @@ fn golden_counter_sketches_decode_and_answer() {
     }
     let bytes = golden_bytes("count_min_v1.bin", &cm.snapshot_bytes());
     assert_eq!(frame_version(&bytes), 1);
+    assert_encodes_to("count_min_v1.bin", &cm, &bytes);
     let cm_decoded: CountMinSketch<u64> =
         CountMinSketch::from_snapshot(&bytes).expect("v1 Count-Min decodes");
     assert_eq!(cm_decoded, cm);
     let bytes = golden_bytes("count_sketch_v1.bin", &cs.snapshot_bytes());
     assert_eq!(frame_version(&bytes), 1);
+    assert_encodes_to("count_sketch_v1.bin", &cs, &bytes);
     let cs_decoded: CountSketch<u64> =
         CountSketch::from_snapshot(&bytes).expect("v1 Count-Sketch decodes");
     assert_eq!(cs_decoded, cs);
@@ -187,6 +205,7 @@ fn golden_subsample_builder_v1_resumes_identically() {
     }
     let bytes = golden_bytes("subsample_builder_v1.bin", &recipe.snapshot_bytes());
     assert_eq!(frame_version(&bytes), 1);
+    assert_encodes_to("subsample_builder_v1.bin", &recipe, &bytes);
     let mut decoded = SubsampleBuilder::from_snapshot(&bytes).expect("v1 builder decodes");
     assert_eq!(decoded, recipe);
     // The decoded partial resumes the stream bit-identically to the
