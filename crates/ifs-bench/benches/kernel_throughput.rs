@@ -22,8 +22,9 @@
 //! either side) but still checks identity.
 //!
 //! Emits `bench_results/BENCH_kernels.json` from a release build; CI
-//! regenerates it and gates on `"mode": "release"` like the other three
-//! artifacts.
+//! regenerates it and gates on `"mode": "release"` like the other four
+//! artifacts (`BENCH_ingest`, `BENCH_snapshot`, `BENCH_store` and
+//! `BENCH_serving`).
 //!
 //! Run with `cargo bench -p ifs-bench --bench kernel_throughput` (release)
 //! or `cargo test --benches` (debug smoke).
@@ -35,8 +36,9 @@ use std::time::Instant;
 
 /// Operand size: 4096 words = 32 KiB per slice, so two or three operands
 /// stay L2-resident and the measurement is kernel-bound, not RAM-bound
-/// (cache blocking, measured separately in `query_throughput`, is what
-/// keeps the *real* workload at this operating point).
+/// (cache blocking is what keeps the *real* workload at this operating
+/// point; no bench times block sizes, and `tests/kernel_identity.rs`
+/// checks that every block size answers identically).
 const WORDS: usize = 4096;
 /// An odd tail so every timed run also exercises the ragged remainder.
 const TAIL: usize = 3;

@@ -15,11 +15,11 @@ use std::sync::OnceLock;
 /// ([`Database::sharded_columns`]), serves repeated or batched queries
 /// ([`Database::frequencies`]) at columnar speed, at any thread count
 /// (DESIGN.md §8), with answers bit-identical to the row-major path.
-/// Identity (`Eq`, `Debug`, serialization) is defined by the matrix alone;
-/// the cache is a derived view. Two mutation paths exist: the append fast
-/// path ([`Database::append_rows`], DESIGN.md §9) extends a warm view **in
-/// place**, and arbitrary cell mutation ([`Database::matrix_mut`]) drops
-/// it for a full rebuild.
+/// Identity (`Eq`, `Debug`, the [`codec`](crate::codec) database fragments)
+/// is defined by the matrix alone; the cache is a derived view. Two
+/// mutation paths exist: the append fast path ([`Database::append_rows`],
+/// DESIGN.md §9) extends a warm view **in place**, and arbitrary cell
+/// mutation ([`Database::matrix_mut`]) drops it for a full rebuild.
 #[derive(Clone)]
 pub struct Database {
     matrix: BitMatrix,
@@ -94,7 +94,7 @@ impl Database {
     /// scratch. This is the only **arbitrary** mutation path — row appends
     /// go through [`Database::append_rows`], which maintains a warm view in
     /// place instead of dropping it, and constructors and derivations
-    /// (`select_rows`, `stack`, serialization round-trips, the generators)
+    /// (`select_rows`, `stack`, codec decodes, the generators)
     /// all produce fresh `Database` values with cold caches, so a stale
     /// view cannot be served (regression-tested in
     /// `caches_never_serve_stale_views`).
@@ -453,9 +453,9 @@ mod tests {
     }
 
     /// The cache-invalidation audit (every path that could serve a stale
-    /// columnar view): mutation drops the cache; serialization
-    /// round-trips, row selection, and generator outputs produce fresh
-    /// databases whose views are rebuilt from their own matrices.
+    /// columnar view): mutation drops the cache; codec round-trips, row
+    /// selection, and generator outputs produce fresh databases whose views
+    /// are rebuilt from their own matrices.
     #[test]
     fn caches_never_serve_stale_views() {
         let mut db = toy();
@@ -467,10 +467,13 @@ mod tests {
         assert_eq!(db.sharded_columns(2).support(&t), 2);
         assert_eq!(db.support_batch_with_threads(std::slice::from_ref(&t), 4), vec![2]);
 
-        // Serialize round-trip of a warm database: the decoded copy answers
+        // Codec round-trip of a warm database: the decoded copy answers
         // from its own (fresh) view, and re-warming gives current answers.
-        let bytes = crate::serialize::to_bytes(&db);
-        let back = crate::serialize::from_bytes(&bytes).expect("roundtrip");
+        let mut w = crate::codec::Writer::new();
+        crate::codec::write_database(&mut w, &db);
+        let bytes = w.into_bytes();
+        let back =
+            crate::codec::read_database(&mut crate::codec::Reader::new(&bytes)).expect("roundtrip");
         assert!(!back.has_sharded_cache());
         assert_eq!(back.sharded_columns(1).support(&t), 2);
 

@@ -26,12 +26,13 @@
 //!   planted itemsets, Zipf-popularity market-basket data with correlated
 //!   bundles, and the binary decomposition of categorical attributes
 //!   described in footnote 1 of the paper.
-//! * [`serialize`] — the standalone database wire format (what "the full
-//!   database costs `n·d` bits plus a header" means concretely).
 //! * [`codec`] — the shared snapshot codec substrate (DESIGN.md §10):
 //!   framed, versioned, checksummed encodings with a typed [`DecodeError`]
 //!   taxonomy. Every sketch's wire format — and therefore every sketch's
-//!   `size_bits()` measurement — is built on it.
+//!   `size_bits()` measurement — is built on it, and its database
+//!   fragments (`write_database`, `write_database_compressed`) are the one
+//!   database encoding. The "full database" baseline is RELEASE-DB's frame,
+//!   which ships exactly such a fragment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +43,6 @@ mod columnstore;
 mod database;
 pub mod generators;
 mod itemset;
-pub mod serialize;
 mod sharded;
 pub mod stats;
 

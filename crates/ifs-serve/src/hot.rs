@@ -3,8 +3,10 @@
 //! The serving tier retains every *admitted frame* (cheap: encoded bytes),
 //! but only a bounded working set stays **decoded**. The bound is the sum
 //! of measured `size_bits()` over decoded entries — the same measured
-//! quantity the paper's `|S|` experiments report, so the memory ceiling an
-//! operator configures is the ceiling the sketches actually charge.
+//! quantity the paper's `|S|` experiments report. It bounds the frame bits
+//! of the decoded set, not its resident memory: a decoded `ReleaseDb` or
+//! `Subsample` holds its row words and, once queried, its tid-set words
+//! too, which on a 10k × 128, 3 %-dense database is about 4.7× its frame.
 //! Eviction drops the decoded form only; the frame bytes remain admitted,
 //! and the next query re-decodes them — bit-identically, by the snapshot
 //! layer's round-trip contract (DESIGN.md §10), which is what makes

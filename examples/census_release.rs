@@ -39,9 +39,9 @@ fn main() {
     // for the 3-way (age, edu, employed) cell below.
     let params = SketchParams::new(6, 0.01, 0.05);
     let sketch = Subsample::build(&db, &params, Guarantee::ForAllEstimator, &mut rng);
-    let full = itemset_sketches::database::serialize::size_bits(&db);
+    let full = ReleaseDb::build(&db, params.epsilon).size_bits();
     println!(
-        "released sketch: {} rows, {} bits ({:.1}% of microdata)",
+        "released sketch: {} rows, {} bits ({:.1}% of the microdata's RELEASE-DB frame)",
         sketch.rows(),
         sketch.size_bits(),
         100.0 * sketch.size_bits() as f64 / full as f64

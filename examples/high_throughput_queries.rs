@@ -36,9 +36,10 @@ fn main() {
         &mut rng,
     );
     let sketch = Subsample::with_sample_count(&db, SAMPLE_ROWS, EPSILON, &mut rng);
-    let full_bits = itemset_sketches::database::serialize::size_bits(&db);
+    let full_bits = ReleaseDb::build(&db, EPSILON).size_bits();
     println!(
-        "database {ROWS}x{DIMS} ({full_bits} bits); sketch {} rows ({} bits, {:.1}% of full)",
+        "database {ROWS}x{DIMS} ({full_bits} bits as a RELEASE-DB frame); sketch {} rows \
+         ({} bits, {:.1}% of full)",
         sketch.rows(),
         sketch.size_bits(),
         100.0 * sketch.size_bits() as f64 / full_bits as f64

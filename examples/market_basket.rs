@@ -27,12 +27,12 @@ fn main() {
     // Keep only a For-All-Estimator sample; pretend the raw data is gone.
     let params = SketchParams::new(3, 0.02, 0.05);
     let sketch = Subsample::build(&db, &params, Guarantee::ForAllEstimator, &mut rng);
+    let full_bits = ReleaseDb::build(&db, params.epsilon).size_bits();
     println!(
-        "sketch: {} sampled rows, {} bits ({:.1}% of the database)",
+        "sketch: {} sampled rows, {} bits ({:.1}% of the database's RELEASE-DB frame)",
         sketch.rows(),
         sketch.size_bits(),
-        100.0 * sketch.size_bits() as f64
-            / itemset_sketches::database::serialize::size_bits(&db) as f64
+        100.0 * sketch.size_bits() as f64 / full_bits as f64
     );
 
     // Mine frequent bundles from the sketch alone ([MT96]: mine at θ − ε).

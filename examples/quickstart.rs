@@ -20,13 +20,18 @@ fn main() {
         ],
         &mut rng,
     );
-    let full_bits = itemset_sketches::database::serialize::size_bits(&db);
-    println!("database: {} rows x {} attributes ({} bits)", db.rows(), db.dims(), full_bits);
-
     let params = SketchParams::new(3, 0.05, 0.05);
 
-    // The three naive algorithms of the paper (§2).
+    // The three naive algorithms of the paper (§2). RELEASE-DB ships the
+    // database itself, so its frame is the "full database" size.
     let release_db = ReleaseDb::build(&db, params.epsilon);
+    let full_bits = release_db.size_bits();
+    println!(
+        "database: {} rows x {} attributes ({} bits as a RELEASE-DB frame)",
+        db.rows(),
+        db.dims(),
+        full_bits
+    );
     let answers = ReleaseAnswersEstimator::build(&db, 3, params.epsilon);
     let sample = Subsample::build(&db, &params, Guarantee::ForAllEstimator, &mut rng);
 

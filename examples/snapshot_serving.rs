@@ -79,7 +79,7 @@ fn main() {
     let sample_bytes = sample.snapshot_bytes();
     let answers_bytes = answers.snapshot_bytes();
     let cm_bytes = cm.snapshot_bytes();
-    let full_bits = itemset_sketches::database::serialize::size_bits(&db);
+    let full_bits = ReleaseDb::build(&db, 0.05).size_bits();
     for (name, sketch_bits, bytes) in [
         ("SUBSAMPLE", sample.size_bits(), &sample_bytes),
         ("RELEASE-ANSWERS", answers.size_bits(), &answers_bytes),
@@ -88,7 +88,7 @@ fn main() {
         assert_eq!(sketch_bits, bytes.len() as u64 * 8, "{name}: size_bits must be measured");
         println!(
             "  {name:<16} {:>8} bytes on the wire ({sketch_bits} bits = {:.2}% of the full \
-             database)",
+             database's RELEASE-DB frame)",
             bytes.len(),
             100.0 * sketch_bits as f64 / full_bits as f64
         );

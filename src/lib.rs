@@ -42,7 +42,9 @@
 //! let t = Itemset::new(vec![3, 17]);
 //! let err = (sketch.estimate(&t) - db.frequency(&t)).abs();
 //! assert!(err <= params.epsilon);
-//! assert!(sketch.size_bits() < ifs_database::serialize::size_bits(&db));
+//! // The full database, measured as the paper's RELEASE-DB frame.
+//! let full = ReleaseDb::build(&db, params.epsilon).size_bits();
+//! assert!(sketch.size_bits() < full);
 //! ```
 //!
 //! See `examples/` for end-to-end scenarios and EXPERIMENTS.md for the

@@ -2,7 +2,7 @@
 //! paper's invariants.
 
 use itemset_sketches::codes::{ConcatenatedCode, ReedSolomon};
-use itemset_sketches::database::{serialize, Database, Itemset};
+use itemset_sketches::database::{Database, Itemset};
 use itemset_sketches::prelude::*;
 use itemset_sketches::solver::repair;
 use itemset_sketches::util::{bits, combin};
@@ -28,19 +28,6 @@ proptest! {
     fn bits_pack_roundtrip(bools in proptest::collection::vec(any::<bool>(), 0..300)) {
         let words = bits::pack(&bools);
         prop_assert_eq!(bits::unpack(&words, bools.len()), bools);
-    }
-
-    /// Database serialization roundtrip for arbitrary shapes and content.
-    #[test]
-    fn database_serialize_roundtrip(
-        n in 0usize..20,
-        d in 0usize..70,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = Rng64::seeded(seed);
-        let db = generators::uniform(n, d, 0.5, &mut rng);
-        let back = serialize::from_bytes(&serialize::to_bytes(&db)).unwrap();
-        prop_assert_eq!(db, back);
     }
 
     /// Frequency is monotone under subset: f(T1) >= f(T2) when T1 ⊆ T2.
@@ -157,6 +144,4 @@ proptest! {
 fn empty_database_edge_cases() {
     let db = Database::zeros(0, 10);
     assert_eq!(db.frequency(&Itemset::singleton(0)), 0.0);
-    let bytes = serialize::to_bytes(&db);
-    assert_eq!(serialize::from_bytes(&bytes).unwrap(), db);
 }

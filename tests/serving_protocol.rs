@@ -6,7 +6,8 @@
 //! entry point — the same frames a socket carries:
 //!
 //! * **Served identity** — for random databases and query logs, answers
-//!   served over the protocol are bit-identical to the sharded engine
+//!   served over the protocol are bit-identical to the offline sketches
+//!   (`ReleaseDb`, `Subsample`, and a `ReleaseAnswersIndicator` store)
 //!   queried directly, at per-sketch thread counts 1 and 4 (serving is an
 //!   execution strategy, never an approximation).
 //! * **Adversarial request bytes never panic** — truncation at *every*
@@ -14,8 +15,9 @@
 //!   trailing garbage each map to the right `DecodeError` variant, and the
 //!   server answers each with a typed error response.
 //! * **Eviction transparency** — under a hot-set budget that forces an
-//!   evict/reload cycle on every batch, served answers stay bit-identical
-//!   (the snapshot round-trip contract, load-bearing in production).
+//!   evict/reload cycle on every batch, across sketch kinds, served
+//!   answers stay bit-identical (the snapshot round-trip contract,
+//!   load-bearing in production).
 //! * **Explicit backpressure** — with every in-flight slot held, a query
 //!   refuses with `Overloaded` instead of queueing; releasing a slot
 //!   restores service.
@@ -56,6 +58,38 @@ fn serve_batch(server: &SketchServer, id: u64, mode: QueryMode, queries: &[Items
     handle(server, &Request::Query { id, mode, queries: queries.to_vec() }.to_bytes())
 }
 
+/// Serves `queries` from sketch `id` in estimate mode, as `f64` bits.
+fn served_estimates(server: &SketchServer, id: u64, queries: &[Itemset]) -> Vec<u64> {
+    match serve_batch(server, id, QueryMode::Estimate, queries) {
+        Response::Estimates(got) => got.iter().map(|f| f.to_bits()).collect(),
+        other => panic!("expected estimates, got {other:?}"),
+    }
+}
+
+/// Serves `queries` from sketch `id` in indicator mode.
+fn served_indicators(server: &SketchServer, id: u64, queries: &[Itemset]) -> Vec<bool> {
+    match serve_batch(server, id, QueryMode::Indicator, queries) {
+        Response::Indicators(got) => got,
+        other => panic!("expected indicators, got {other:?}"),
+    }
+}
+
+/// Both query modes of sketch `id` answer exactly what `offline` answers.
+fn assert_served_matches<S: FrequencyEstimator + FrequencyIndicator>(
+    server: &SketchServer,
+    id: u64,
+    offline: &S,
+    queries: &[Itemset],
+) {
+    let want: Vec<u64> = offline.estimate_batch(queries).iter().map(|f| f.to_bits()).collect();
+    assert_eq!(served_estimates(server, id, queries), want, "sketch {id}: estimates diverged");
+    assert_eq!(
+        served_indicators(server, id, queries),
+        offline.is_frequent_batch(queries),
+        "sketch {id}: indicators diverged"
+    );
+}
+
 fn expect_error(resp: Response) -> ServeError {
     match resp {
         Response::Error(e) => e,
@@ -68,8 +102,10 @@ proptest! {
     // reproducible, so a failure here can be replayed locally as-is.
     #![proptest_config(ProptestConfig::with_cases_and_seed(12, 0x5E17E))]
 
-    /// Served answers equal the sharded engine queried directly, bit for
-    /// bit, at 1 and 4 per-sketch threads, in both query modes.
+    /// Served answers equal the offline sketches queried directly, bit for
+    /// bit, at 1 and 4 per-sketch threads: `ReleaseDb` and `Subsample` in
+    /// both query modes, and a `ReleaseAnswersIndicator` store on
+    /// exactly-`k` queries in indicator mode.
     #[test]
     fn served_answers_match_the_sharded_engine(
         seed in any::<u64>(),
@@ -78,47 +114,42 @@ proptest! {
     ) {
         let mut rng = Rng64::seeded(seed);
         let db = generators::uniform(rows, dims, 0.3, &mut rng);
-        let offline = ReleaseDb::build(&db, 0.2);
-        let frame = offline.snapshot_bytes();
+        let release = ReleaseDb::build(&db, 0.2);
+        let sample = Subsample::with_sample_count_seeded(&db, 16, 0.2, seed);
+        let k = dims.min(2);
+        let indicator = ReleaseAnswersIndicator::build(&db, k, 0.2);
         let queries = random_queries(dims, 40, &mut rng);
+        let exact_k: Vec<Itemset> = (0..40)
+            .map(|_| Itemset::new(rng.distinct_sorted(dims, k).iter().map(|&i| i as u32).collect()))
+            .collect();
+        let fleet = [
+            (ReleaseDb::KIND, release.snapshot_bytes()),
+            (Subsample::KIND, sample.snapshot_bytes()),
+            (ReleaseAnswersIndicator::KIND, indicator.snapshot_bytes()),
+        ];
         for threads in [1usize, 4] {
             let server = SketchServer::new(ServeConfig::default());
-            let loaded =
-                handle(&server, &Request::Load { id: 1, threads, frame: frame.clone() }.to_bytes());
+            for (id, (kind, frame)) in fleet.iter().enumerate() {
+                let id = id as u64;
+                let load = Request::Load { id, threads, frame: frame.clone() };
+                prop_assert_eq!(
+                    handle(&server, &load.to_bytes()),
+                    Response::Loaded {
+                        id,
+                        kind: *kind,
+                        size_bits: frame.len() as u64 * 8,
+                        evicted: vec![],
+                    }
+                );
+            }
+            assert_served_matches(&server, 0, &release.clone().with_threads(threads), &queries);
+            assert_served_matches(&server, 1, &sample.clone().with_threads(threads), &queries);
             prop_assert_eq!(
-                loaded,
-                Response::Loaded {
-                    id: 1,
-                    kind: itemset_sketches::core::snapshot::KIND_RELEASE_DB,
-                    size_bits: frame.len() as u64 * 8,
-                    evicted: vec![],
-                }
+                served_indicators(&server, 2, &exact_k),
+                indicator.is_frequent_batch(&exact_k),
+                "indicator store diverged at {} threads",
+                threads
             );
-            let sharded = offline.clone().with_threads(threads);
-            match serve_batch(&server, 1, QueryMode::Estimate, &queries) {
-                Response::Estimates(got) => {
-                    let got: Vec<u64> = got.iter().map(|f| f.to_bits()).collect();
-                    let want: Vec<u64> =
-                        sharded.estimate_batch(&queries).iter().map(|f| f.to_bits()).collect();
-                    prop_assert_eq!(got, want, "estimates diverged at {} threads", threads);
-                }
-                other => {
-                    prop_assert!(false, "expected estimates: {other:?}");
-                }
-            }
-            match serve_batch(&server, 1, QueryMode::Indicator, &queries) {
-                Response::Indicators(got) => {
-                    prop_assert_eq!(
-                        got,
-                        sharded.is_frequent_batch(&queries),
-                        "indicators diverged at {} threads",
-                        threads
-                    );
-                }
-                other => {
-                    prop_assert!(false, "expected indicators: {other:?}");
-                }
-            }
         }
     }
 
@@ -180,33 +211,37 @@ proptest! {
 }
 
 /// A hot-set budget holding exactly one decoded sketch forces an
-/// evict/reload on every round-robin batch; answers must not change.
+/// evict/reload on every round-robin batch, across sketch kinds; answers
+/// must not change.
 #[test]
 fn eviction_then_reload_is_bit_identical() {
     let mut rng = Rng64::seeded(0xE71C7);
     let db = generators::uniform(80, 32, 0.3, &mut rng);
-    let sketches = [ReleaseDb::build(&db, 0.2), ReleaseDb::build(&db, 0.4)];
-    let frames: Vec<Vec<u8>> = sketches.iter().map(|s| s.snapshot_bytes()).collect();
+    let release = [ReleaseDb::build(&db, 0.2), ReleaseDb::build(&db, 0.4)];
+    let sample = Subsample::with_sample_count_seeded(&db, 40, 0.2, 0xE71C7);
+    let frames =
+        [release[0].snapshot_bytes(), release[1].snapshot_bytes(), sample.snapshot_bytes()];
+    let offline = |id: usize, queries: &[Itemset]| match id {
+        2 => sample.estimate_batch(queries),
+        _ => release[id].estimate_batch(queries),
+    };
     let budget = frames.iter().map(|f| f.len() as u64 * 8).max().unwrap();
     let server = SketchServer::new(ServeConfig { budget_bits: budget, ..Default::default() });
     for (id, frame) in frames.iter().enumerate() {
         server.load_frame(id as u64, 1, frame).expect("admit");
     }
-    // Both frames fit the budget alone but not together: the second load
-    // already evicted the first.
+    // Every frame fits the budget alone but no two fit together: each
+    // load already evicted the one before.
     assert_eq!(server.stats().hot, 1);
     for b in 0..10 {
-        let id = b % sketches.len();
+        let id = b % frames.len();
         let queries = random_queries(32, 20, &mut rng);
-        match serve_batch(&server, id as u64, QueryMode::Estimate, &queries) {
-            Response::Estimates(got) => {
-                let got: Vec<u64> = got.iter().map(|f| f.to_bits()).collect();
-                let want: Vec<u64> =
-                    sketches[id].estimate_batch(&queries).iter().map(|f| f.to_bits()).collect();
-                assert_eq!(got, want, "batch {b}: reloaded sketch diverged");
-            }
-            other => panic!("expected estimates, got {other:?}"),
-        }
+        let want: Vec<u64> = offline(id, &queries).iter().map(|f| f.to_bits()).collect();
+        assert_eq!(
+            served_estimates(&server, id as u64, &queries),
+            want,
+            "batch {b}: reloaded sketch {id} diverged"
+        );
     }
     let stats = server.stats();
     assert!(stats.evictions >= 10, "round-robin under a one-sketch budget must thrash");
