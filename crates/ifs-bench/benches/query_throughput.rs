@@ -2,8 +2,8 @@
 //! multi-threaded query execution.
 //!
 //! The acceptance targets for the columnar query engine (DESIGN.md §7) and
-//! its parallel layer (DESIGN.md §8), on a 100k-row × 128-dim database with
-//! a 1k-itemset query log:
+//! its parallel layer (DESIGN.md §8), on a 100k-row × 128-dim database
+//! (20k rows in the debug smoke) with a 1k-itemset query log:
 //!
 //! 1. **Identity** — the batched and the 4-thread sharded answers are bit
 //!    for bit the scalar row-major answers, checked before anything is
@@ -25,7 +25,10 @@ use ifs_util::Rng64;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-const ROWS: usize = 100_000;
+/// 100k rows release; the debug smoke runs a fifth of that, since its
+/// unoptimized scalar pass dominates the smoke's time and the gates
+/// compare paths, not absolute speeds.
+const ROWS: usize = if cfg!(debug_assertions) { 20_000 } else { 100_000 };
 const DIMS: usize = 128;
 const QUERIES: usize = 1_000;
 

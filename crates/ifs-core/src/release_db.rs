@@ -46,7 +46,9 @@ impl ReleaseDb {
         let mut body = Writer::new();
         body.f64_bits(self.epsilon);
         codec::write_database(&mut body, &self.db);
-        codec::encode_frame(KIND_RELEASE_DB, 1, &body.into_bytes())
+        let mut out = Vec::new();
+        codec::append_frame(KIND_RELEASE_DB, 1, body.as_slice(), &mut out);
+        out
     }
 }
 

@@ -94,20 +94,17 @@ pub trait Snapshot: Sized {
     /// and the number of bytes consumed. Trailing bytes are *left* for the
     /// caller — this is the entry point for streams of concatenated frames.
     fn decode_from(bytes: &[u8]) -> Result<(Self, usize), DecodeError> {
-        let (body, consumed) = decode_frame(bytes, Self::KIND, Self::VERSION)?;
-        // The frame version, re-read from the validated prefix so
-        // decode_body can branch on layout once more than one version
-        // exists; decode_frame guarantees it is in 1..=VERSION.
-        let version = u16::from_le_bytes([bytes[6], bytes[7]]);
+        // decode_frame guarantees the version is in 1..=VERSION.
+        let (body, info) = decode_frame(bytes, Self::KIND, Self::VERSION)?;
         let mut body_reader = Reader::new(body);
-        let decoded = Self::decode_body(&mut body_reader, version)?;
+        let decoded = Self::decode_body(&mut body_reader, info.version)?;
         if body_reader.remaining() != 0 {
             return Err(DecodeError::Corrupt(format!(
                 "{} unconsumed bytes inside the snapshot body",
                 body_reader.remaining()
             )));
         }
-        Ok((decoded, consumed))
+        Ok((decoded, info.frame_len()))
     }
 
     /// Decodes exactly one snapshot spanning all of `bytes`; surplus bytes

@@ -52,20 +52,6 @@ impl Subsample {
         Self::with_sample_count(db, s, params.epsilon, rng)
     }
 
-    /// [`Subsample::build`] with the fold run as a sharded build merged on
-    /// up to `threads` workers — bit-identical to the serial build at every
-    /// thread count (DESIGN.md §9).
-    pub fn build_with_threads(
-        db: &Database,
-        params: &SketchParams,
-        guarantee: Guarantee,
-        rng: &mut Rng64,
-        threads: usize,
-    ) -> Self {
-        let s = Self::sample_count(db.dims(), params, guarantee);
-        Self::with_sample_count_sharded(db, s, params.epsilon, rng.next_u64(), threads)
-    }
-
     /// Builds a sketch with an explicit number of sampled rows — the knob the
     /// lower-bound experiments turn to trade space against accuracy.
     ///

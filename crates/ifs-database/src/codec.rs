@@ -351,24 +351,10 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Wraps a kind-specific `body` into a full self-describing frame.
-pub fn encode_frame(kind: u16, version: u16, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    append_frame(kind, version, body, &mut out);
-    out
-}
-
-/// [`encode_frame`] into a caller-owned buffer: `out` is cleared and
-/// overwritten with the complete frame, retaining its capacity, so a
-/// connection that frames every message through one buffer stops
-/// allocating once warm.
-pub fn encode_frame_into(kind: u16, version: u16, body: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    append_frame(kind, version, body, out);
-}
-
 /// Appends the complete frame around `body` to `out`, leaving the bytes
 /// already in `out` untouched; the checksum covers only the new frame.
+/// The one frame writer: a caller that wants a fresh frame starts from an
+/// empty (or cleared, capacity-retaining) vector.
 pub fn append_frame(kind: u16, version: u16, body: &[u8], out: &mut Vec<u8>) {
     let start = out.len();
     let mut w = Writer { buf: std::mem::take(out) };
@@ -383,10 +369,88 @@ pub fn append_frame(kind: u16, version: u16, body: &[u8], out: &mut Vec<u8>) {
     *out = w.into_bytes();
 }
 
-/// Validates one frame at the start of `bytes` and returns `(body,
-/// consumed)` — the kind-specific body slice and the total frame length.
-/// Bytes past `consumed` are left for the caller (streams of frames are
-/// legal at this layer; strict single-snapshot decoding rejects them with
+/// A frame's header: the registry tags and the byte geometry a decoder,
+/// a storage layer or a transport needs to judge, file away or skip over
+/// the frame. [`parse_frame_header`] reads it without touching the body
+/// or the checksum; [`peek_frame`] and [`decode_frame`] return it only
+/// for frames whose checksum holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameInfo {
+    /// Sketch-type tag (see `ifs_core::snapshot` for the registry).
+    pub kind: u16,
+    /// Body-layout version recorded in the frame.
+    pub version: u16,
+    /// Offset of the body: the 8 fixed header bytes plus the length varint.
+    pub body_start: usize,
+    /// Declared body length in bytes.
+    pub body_len: usize,
+}
+
+impl FrameInfo {
+    /// Total frame length: header + length varint + body + checksum
+    /// (saturating for a declared body no buffer could hold).
+    pub fn frame_len(&self) -> usize {
+        self.body_start.saturating_add(self.body_len).saturating_add(8)
+    }
+}
+
+/// Parses the header at the start of `prefix`: magic, kind, version and
+/// the body-length varint — the one place a frame header is read.
+///
+/// - `Ok(Some(info))` — the header is complete; `prefix` may hold fewer
+///   or more bytes than [`FrameInfo::frame_len`].
+/// - `Ok(None)` — the header is a valid but incomplete prefix; a stream
+///   reader should wait for more bytes.
+/// - `Err(_)` — `prefix` can never begin a frame (bad magic, malformed
+///   length varint).
+///
+/// Kind and version are reported, not judged: that is the caller's
+/// contract ([`decode_frame`] matches them, [`peek_frame`] files every
+/// kind).
+pub fn parse_frame_header(prefix: &[u8]) -> Result<Option<FrameInfo>, DecodeError> {
+    let mut r = Reader::new(prefix);
+    let header = (|| {
+        let magic = r.u32()?;
+        if magic != SNAPSHOT_MAGIC {
+            return Err(DecodeError::BadMagic(magic));
+        }
+        let kind = u16::from_le_bytes(r.bytes(2)?.try_into().expect("2"));
+        let version = u16::from_le_bytes(r.bytes(2)?.try_into().expect("2"));
+        let body_len = r.varint_usize()?;
+        Ok(FrameInfo { kind, version, body_start: r.consumed(), body_len })
+    })();
+    match header {
+        Err(DecodeError::Truncated { .. }) => Ok(None),
+        header => header.map(Some),
+    }
+}
+
+/// [`parse_frame_header`] for input that must hold a whole frame: an
+/// incomplete header is [`DecodeError::Truncated`] (it needs at least one
+/// more byte). The kind-dispatching decoders read the kind tag here.
+pub fn frame_header(bytes: &[u8]) -> Result<FrameInfo, DecodeError> {
+    parse_frame_header(bytes)?
+        .ok_or(DecodeError::Truncated { needed: bytes.len() + 1, available: bytes.len() })
+}
+
+/// The body of the frame `info` describes, once the checksum over header
+/// and body matches the one recorded after them.
+fn checked_body<'a>(bytes: &'a [u8], info: &FrameInfo) -> Result<&'a [u8], DecodeError> {
+    let mut r = Reader::new(&bytes[info.body_start..]);
+    let body = r.bytes(info.body_len)?;
+    let expected = r.u64()?;
+    let actual = fnv1a64(&bytes[..info.body_start + info.body_len]);
+    if expected != actual {
+        return Err(DecodeError::ChecksumMismatch { expected, actual });
+    }
+    Ok(body)
+}
+
+/// Validates one frame at the start of `bytes` and returns its body slice
+/// and header (the version the body was written at, and the total length
+/// consumed, [`FrameInfo::frame_len`]). Bytes past the frame are left for
+/// the caller (streams of frames are legal at this layer; strict
+/// single-snapshot decoding rejects them with
 /// [`DecodeError::TrailingBytes`] one level up).
 ///
 /// Check order is part of the contract: magic, kind, and version are
@@ -397,49 +461,19 @@ pub fn decode_frame(
     bytes: &[u8],
     kind: u16,
     supported_version: u16,
-) -> Result<(&[u8], usize), DecodeError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.u32()?;
-    if magic != SNAPSHOT_MAGIC {
-        return Err(DecodeError::BadMagic(magic));
+) -> Result<(&[u8], FrameInfo), DecodeError> {
+    let info = frame_header(bytes)?;
+    if info.kind != kind {
+        return Err(DecodeError::WrongKind { expected: kind, got: info.kind });
     }
-    let got_kind = u16::from_le_bytes(r.bytes(2)?.try_into().expect("2"));
-    if got_kind != kind {
-        return Err(DecodeError::WrongKind { expected: kind, got: got_kind });
-    }
-    let version = u16::from_le_bytes(r.bytes(2)?.try_into().expect("2"));
-    if version == 0 || version > supported_version {
+    if info.version == 0 || info.version > supported_version {
         return Err(DecodeError::UnsupportedVersion {
             kind,
-            got: version,
+            got: info.version,
             supported: supported_version,
         });
     }
-    let body_len = r.varint_usize()?;
-    let body_start = r.consumed();
-    let body = r.bytes(body_len)?;
-    let covered = body_start + body_len;
-    let expected = r.u64()?;
-    let actual = fnv1a64(&bytes[..covered]);
-    if expected != actual {
-        return Err(DecodeError::ChecksumMismatch { expected, actual });
-    }
-    Ok((body, r.consumed()))
-}
-
-/// What [`peek_frame`] learned about a frame without decoding its body:
-/// the registry tags and the byte geometry a storage layer needs to file
-/// the frame away or skip over it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameInfo {
-    /// Sketch-type tag (see `ifs_core::snapshot` for the registry).
-    pub kind: u16,
-    /// Body-layout version recorded in the frame.
-    pub version: u16,
-    /// Declared body length in bytes.
-    pub body_len: usize,
-    /// Total frame length: header + length varint + body + checksum.
-    pub frame_len: usize,
+    Ok((checked_body(bytes, &info)?, info))
 }
 
 /// Validates one frame at the start of `bytes` *without* interpreting its
@@ -447,30 +481,20 @@ pub struct FrameInfo {
 /// kind and version are reported rather than matched — the entry point for
 /// kind-agnostic storage layers (the sketch log) that must file frames of
 /// every registry kind, including versions only future decoders know.
-/// Bytes past `frame_len` are the caller's business, as in
+/// Bytes past [`FrameInfo::frame_len`] are the caller's business, as in
 /// [`decode_frame`]. Version 0 is still refused (it is reserved in every
 /// kind's numbering).
 pub fn peek_frame(bytes: &[u8]) -> Result<FrameInfo, DecodeError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.u32()?;
-    if magic != SNAPSHOT_MAGIC {
-        return Err(DecodeError::BadMagic(magic));
+    let info = frame_header(bytes)?;
+    if info.version == 0 {
+        return Err(DecodeError::UnsupportedVersion {
+            kind: info.kind,
+            got: 0,
+            supported: u16::MAX,
+        });
     }
-    let kind = u16::from_le_bytes(r.bytes(2)?.try_into().expect("2"));
-    let version = u16::from_le_bytes(r.bytes(2)?.try_into().expect("2"));
-    if version == 0 {
-        return Err(DecodeError::UnsupportedVersion { kind, got: 0, supported: u16::MAX });
-    }
-    let body_len = r.varint_usize()?;
-    let body_start = r.consumed();
-    r.bytes(body_len)?;
-    let covered = body_start + body_len;
-    let expected = r.u64()?;
-    let actual = fnv1a64(&bytes[..covered]);
-    if expected != actual {
-        return Err(DecodeError::ChecksumMismatch { expected, actual });
-    }
-    Ok(FrameInfo { kind, version, body_len, frame_len: r.consumed() })
+    checked_body(bytes, &info)?;
+    Ok(info)
 }
 
 /// Encodes a database (rows, dims, packed row words) as a snapshot body
@@ -748,6 +772,12 @@ fn read_items(
 mod tests {
     use super::*;
 
+    fn encode(kind: u16, version: u16, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        append_frame(kind, version, body, &mut out);
+        out
+    }
+
     #[test]
     fn itemset_roundtrips_and_validates() {
         for items in [vec![], vec![0], vec![0, 1, 63, 64, 1000]] {
@@ -822,10 +852,10 @@ mod tests {
     #[test]
     fn frame_roundtrips_and_refuses_each_attack() {
         let body = b"sketch body bytes";
-        let frame = encode_frame(3, 1, body);
-        let (got, consumed) = decode_frame(&frame, 3, 1).expect("well-formed frame");
+        let frame = encode(3, 1, body);
+        let (got, info) = decode_frame(&frame, 3, 1).expect("well-formed frame");
         assert_eq!(got, body);
-        assert_eq!(consumed, frame.len());
+        assert_eq!((info.version, info.frame_len()), (1, frame.len()));
 
         // Truncation at every prefix length errors, never panics.
         for cut in 0..frame.len() {
@@ -858,8 +888,8 @@ mod tests {
         // Trailing bytes are visible to the caller via `consumed`.
         let mut long = frame.clone();
         long.extend_from_slice(b"junk");
-        let (_, consumed) = decode_frame(&long, 3, 1).expect("frame itself is intact");
-        assert_eq!(long.len() - consumed, 4);
+        let (_, info) = decode_frame(&long, 3, 1).expect("frame itself is intact");
+        assert_eq!(long.len() - info.frame_len(), 4);
     }
 
     #[test]
@@ -887,16 +917,21 @@ mod tests {
 
     #[test]
     fn peek_frame_reports_tags_without_judging_kind() {
-        let frame = encode_frame(42, 9, b"opaque body");
+        let frame = encode(42, 9, b"opaque body");
         let info = peek_frame(&frame).expect("well-formed frame peeks");
-        assert_eq!(info, FrameInfo { kind: 42, version: 9, body_len: 11, frame_len: frame.len() });
+        assert_eq!(info, FrameInfo { kind: 42, version: 9, body_start: 9, body_len: 11 });
+        assert_eq!(info.frame_len(), frame.len());
         // Trailing bytes are the caller's business, as in decode_frame.
         let mut long = frame.clone();
         long.extend_from_slice(b"tail");
-        assert_eq!(peek_frame(&long).expect("prefix intact").frame_len, frame.len());
-        // Truncation at every prefix refuses typed.
+        assert_eq!(peek_frame(&long).expect("prefix intact").frame_len(), frame.len());
+        // Truncation at every prefix refuses typed; the header parser
+        // waits on every prefix shorter than the header and reports the
+        // header on every longer one.
         for cut in 0..frame.len() {
             assert!(peek_frame(&frame[..cut]).is_err(), "prefix {cut} peeked");
+            let header = parse_frame_header(&frame[..cut]).expect("a valid prefix");
+            assert_eq!(header, (cut >= 9).then_some(info), "prefix {cut}");
         }
         // Magic, checksum, and the reserved version 0 still refuse.
         let mut bad = frame.clone();

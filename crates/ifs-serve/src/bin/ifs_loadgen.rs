@@ -223,17 +223,6 @@ fn write_log(path: &str, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// The modes a sketch's contract can answer (fleet order mirrors ids).
-fn supported_modes(sketch: &ServedSketch) -> &'static [QueryMode] {
-    match sketch {
-        ServedSketch::Subsample(_) | ServedSketch::ReleaseDb(_) => {
-            &[QueryMode::Estimate, QueryMode::Indicator]
-        }
-        ServedSketch::AnswersIndicator(_) => &[QueryMode::Indicator],
-        ServedSketch::AnswersEstimator(_) => &[QueryMode::Estimate],
-    }
-}
-
 /// One deterministic query batch for `sketch` (respecting its cardinality
 /// contract, so every query is answerable).
 fn batch_for(sketch: &ServedSketch, size: usize, rng: &mut Rng64) -> Vec<Itemset> {
@@ -300,7 +289,10 @@ fn plan_connection(
         .map(|b| {
             let id = b % oracle.len();
             let sketch = &oracle[id];
-            let modes = supported_modes(sketch);
+            let modes: Vec<QueryMode> = [QueryMode::Estimate, QueryMode::Indicator]
+                .into_iter()
+                .filter(|&m| sketch.supports(m))
+                .collect();
             let mode = modes[(b / oracle.len()) % modes.len()];
             let queries = batch_for(sketch, shape.batch_size, &mut rng);
             let expected = sketch.answer(mode, &queries).map_err(|e| format!("oracle: {e}"))?;

@@ -29,11 +29,11 @@
 //!   substrate, under kind tags disjoint from the sketch registry.
 //! - [`sketch`] — [`ServedSketch`], the kind-dispatched union of servable
 //!   snapshot types, with query validation at the trust boundary.
-//! - [`hot`] — [`HotSet`], the LRU over decoded sketches bounded by
-//!   measured bits.
-//! - [`server`] — [`SketchServer`], gluing the above behind one
-//!   request → response map ([`SketchServer::respond`]) and its byte-level
-//!   form ([`SketchServer::handle_into`]), with explicit backpressure
+//! - [`server`] — [`SketchServer`]: one entry per admitted id (its frame,
+//!   and its decoded form while it is in the hot set, an LRU bounded by
+//!   measured bits), behind one request → response map
+//!   ([`SketchServer::respond`]) and its byte-level form
+//!   ([`SketchServer::handle_into`]), with explicit backpressure
 //!   ([`BatchSlot`]).
 //! - [`net`] — wire framing and a blocking [`Client`].
 //! - [`pool`] — the server transport (DESIGN.md §13): a fixed worker
@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod hot;
 pub mod net;
 pub mod pool;
 pub mod protocol;
@@ -53,7 +52,6 @@ pub mod server;
 pub mod sketch;
 
 pub use error::ServeError;
-pub use hot::HotSet;
 pub use net::{Client, MAX_WIRE_FRAME};
 pub use pool::{serve_pooled, PoolWorker};
 pub use protocol::{

@@ -18,7 +18,7 @@
 //! connection stays open.
 
 use crate::protocol::{EncodeBuf, Request, Response};
-use ifs_database::codec::{DecodeError, SNAPSHOT_MAGIC};
+use ifs_database::codec::{parse_frame_header, DecodeError};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
@@ -26,6 +26,9 @@ use std::net::TcpStream;
 /// (1 GiB). A peer can therefore never make the transport buffer more
 /// than this (plus the fixed header/checksum overhead) per frame.
 pub const MAX_WIRE_FRAME: usize = 1 << 30;
+
+/// The fixed part of a frame header: magic u32, kind u16, version u16.
+const HEADER_LEN: usize = 8;
 
 /// Largest first body read in [`read_frame_into`]. The buffer grows as
 /// bytes arrive — at most this much, or as much as has already arrived,
@@ -54,36 +57,29 @@ pub fn read_frame_into<R: Read>(
     frame: &mut Vec<u8>,
 ) -> io::Result<Option<Result<(), DecodeError>>> {
     frame.clear();
-    // Header: magic u32 + kind u16 + version u16. EOF before the first
-    // byte is a clean close; EOF after it is a truncated frame.
-    let mut header = [0u8; 8];
-    match stream.read_exact(&mut header[..1]) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    stream.read_exact(&mut header[1..])?;
-    frame.extend_from_slice(&header);
-    // Varint body length, byte-wise off the stream, until the total is known.
-    let total = loop {
-        match frame_len(frame) {
-            Ok(Some(total)) => break total,
-            Ok(None) => {
-                let mut b = [0u8; 1];
-                stream.read_exact(&mut b)?;
-                frame.push(b[0]);
-            }
-            Err(e) => return Ok(Some(Err(e))),
-        }
-    };
-    // Body + trailing u64 checksum (validated by the codec layer), in one
-    // read for frames up to `BODY_READ_STEP`, growing geometrically past it.
-    while frame.len() < total {
+    loop {
+        // The header, then the varint body length byte by byte, never
+        // reading past the frame; then the body and trailing checksum in
+        // one read for frames up to `BODY_READ_STEP`, growing
+        // geometrically past it.
         let start = frame.len();
-        frame.resize(start + (total - start).min(BODY_READ_STEP.max(start)), 0);
-        stream.read_exact(&mut frame[start..])?;
+        let want = match frame_len(frame) {
+            Ok(Some(total)) if start == total => return Ok(Some(Ok(()))),
+            Ok(Some(total)) => (total - start).min(BODY_READ_STEP.max(start)),
+            Ok(None) => HEADER_LEN.saturating_sub(start).max(1),
+            Err(e) => return Ok(Some(Err(e))),
+        };
+        frame.resize(start + want, 0);
+        match stream.read(&mut frame[start..]) {
+            // EOF before the first byte is a clean close; after it, a
+            // truncated frame.
+            Ok(0) if start == 0 => return Ok(None),
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => frame.truncate(start + n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => frame.truncate(start),
+            Err(e) => return Err(e),
+        }
     }
-    Ok(Some(Ok(())))
 }
 
 /// Writes one already-framed message and flushes it.
@@ -92,9 +88,10 @@ pub fn write_frame<W: Write>(stream: &mut W, frame: &[u8]) -> io::Result<()> {
     stream.flush()
 }
 
-/// The total length of the frame that `prefix` begins, once its 8-byte
-/// header and varint body length are visible — the one place the
-/// transport judges framing (magic, varint overflow, [`MAX_WIRE_FRAME`]).
+/// The total length of the frame that `prefix` begins, once its header
+/// and varint body length are visible: the codec's header parser
+/// ([`parse_frame_header`]) plus the transport's [`MAX_WIRE_FRAME`] cap —
+/// the one place the transport judges framing.
 ///
 /// - `Ok(Some(total))` — the frame spans `total` bytes (header, length,
 ///   body and checksum); `prefix` may hold fewer or more.
@@ -102,48 +99,17 @@ pub fn write_frame<W: Write>(stream: &mut W, frame: &[u8]) -> io::Result<()> {
 /// - `Err(_)` — `prefix` can never extend to a frame (bad magic,
 ///   malformed or oversized length); the stream position is meaningless
 ///   and the connection should be closed after one typed error response.
-///
-/// Inline so that [`read_frame_into`], instantiated in its callers' crates,
-/// does not pay a call per varint byte.
-#[inline]
 fn frame_len(prefix: &[u8]) -> Result<Option<usize>, DecodeError> {
-    let Some(header) = prefix.get(..8) else {
+    let Some(header) = parse_frame_header(prefix)? else {
         return Ok(None);
     };
-    let magic = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    if magic != SNAPSHOT_MAGIC {
-        return Err(DecodeError::BadMagic(magic));
-    }
-    let mut body_len = 0u64;
-    let mut shift = 0u32;
-    let mut at = 8;
-    loop {
-        let Some(&b) = prefix.get(at) else {
-            return Ok(None);
-        };
-        at += 1;
-        let payload = u64::from(b & 0x7F);
-        if shift >= 63 && payload > 1 {
-            return Err(DecodeError::Corrupt("frame length varint overflows u64".into()));
-        }
-        body_len |= payload << shift;
-        if b & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(DecodeError::Corrupt(
-                "frame length varint continues beyond 10 bytes".into(),
-            ));
-        }
-    }
-    if body_len > MAX_WIRE_FRAME as u64 {
+    if header.body_len > MAX_WIRE_FRAME {
         return Err(DecodeError::Corrupt(format!(
-            "frame declares a {body_len}-byte body, transport cap is {MAX_WIRE_FRAME}"
+            "frame declares a {}-byte body, transport cap is {MAX_WIRE_FRAME}",
+            header.body_len
         )));
     }
-    // Body + trailing u64 checksum.
-    Ok(Some(at + body_len as usize + 8))
+    Ok(Some(header.frame_len()))
 }
 
 /// Finds the first frame boundary in a buffered prefix of a byte stream —
@@ -244,7 +210,7 @@ mod tests {
 
     /// A frame header followed by the varint body length `varint`.
     fn header_with_len(varint: &[u8]) -> Vec<u8> {
-        let mut frame = SNAPSHOT_MAGIC.to_le_bytes().to_vec();
+        let mut frame = ifs_database::codec::SNAPSHOT_MAGIC.to_le_bytes().to_vec();
         frame.extend_from_slice(&64u16.to_le_bytes());
         frame.extend_from_slice(&1u16.to_le_bytes());
         frame.extend_from_slice(varint);
@@ -335,11 +301,11 @@ mod tests {
             ),
             (
                 header_with_len(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02]),
-                corrupt("frame length varint overflows u64"),
+                corrupt("varint overflows u64"),
             ),
             (
                 header_with_len(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x81]),
-                corrupt("frame length varint continues beyond 10 bytes"),
+                corrupt("varint continuation beyond 10 bytes"),
             ),
         ];
         for (input, whole) in &cases {

@@ -39,6 +39,7 @@
 //! the old decoded form while the next sub-round answers the new one —
 //! no request ever observes a torn state.
 
+use crate::error::ServeError;
 use crate::net::frame_boundary;
 use crate::protocol::{EncodeBuf, QueryMode, Request, Response};
 use crate::server::SketchServer;
@@ -119,13 +120,6 @@ impl<S> Conn<S> {
     /// Done: nothing queued, nothing to flush, and no more bytes coming.
     fn finished(&self) -> bool {
         (self.eof || self.closing) && self.queue.is_empty() && self.written == self.outbuf.len()
-    }
-}
-
-fn mode_tag(mode: QueryMode) -> u8 {
-    match mode {
-        QueryMode::Estimate => 1,
-        QueryMode::Indicator => 2,
     }
 }
 
@@ -279,7 +273,7 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
             }
             if !taken.is_empty() {
                 round = true;
-                let responses = self.execute(&taken);
+                let responses = self.execute(&mut taken);
                 for ((ci, _, _, _), resp) in taken.iter().zip(responses) {
                     let conn = &mut self.conns[*ci];
                     let frame = resp.encode_into(&mut conn.buf);
@@ -296,65 +290,63 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
     /// Executes one sub-round's taken queries: groups by `(id, mode)`,
     /// resolves each group's sketch `Arc` once (so every request in the
     /// group answers the same snapshot generation), validates each
-    /// request individually, then runs the group's survivors as one
+    /// request once, then runs the group's valid requests as one
     /// concatenated batch under one in-flight slot and scatters the
-    /// answers back. Returns one response per taken request, aligned.
-    fn execute(&self, taken: &[(usize, u64, QueryMode, Vec<Itemset>)]) -> Vec<Response> {
+    /// answers back. Returns one response per taken request, aligned; the
+    /// requests' itemsets are moved into the aggregate.
+    fn execute(&self, taken: &mut [(usize, u64, QueryMode, Vec<Itemset>)]) -> Vec<Response> {
         let mut responses: Vec<Option<Response>> = (0..taken.len()).map(|_| None).collect();
         let mut groups: BTreeMap<(u64, u8), Vec<usize>> = BTreeMap::new();
         for (i, (_, id, mode, _)) in taken.iter().enumerate() {
-            groups.entry((*id, mode_tag(*mode))).or_default().push(i);
+            groups.entry((*id, mode.wire_tag())).or_default().push(i);
         }
+        let refuse = |responses: &mut [Option<Response>], of: &[usize], e: ServeError| {
+            for &m in of {
+                responses[m] = Some(Response::Error(e.clone()));
+            }
+        };
         for ((id, _), members) in groups {
             let mode = taken[members[0]].2;
             let sketch = match self.server.sketch(id) {
                 Ok(sketch) => sketch,
                 Err(e) => {
-                    for &m in &members {
-                        responses[m] = Some(Response::Error(e.clone()));
-                    }
+                    refuse(&mut responses, &members, e);
                     continue;
                 }
             };
-            // Pre-validate each request alone: a bad query refuses only
-            // its own request (with the same typed error `handle_into`
+            // Validate each request alone: a bad query refuses only its
+            // own request (with the same typed error `handle_into`
             // produces) and never joins the aggregate.
             let mut valid = Vec::with_capacity(members.len());
             for &m in &members {
-                let queries = &taken[m].3;
-                if !sketch.supports(mode) {
-                    let err = sketch.answer(mode, queries).expect_err("unsupported mode refuses");
-                    responses[m] = Some(Response::Error(err));
-                } else if let Err(e) = sketch.validate(queries) {
-                    responses[m] = Some(Response::Error(e));
-                } else {
-                    valid.push(m);
+                match sketch.validate(&taken[m].3) {
+                    Ok(()) => valid.push(m),
+                    Err(e) => responses[m] = Some(Response::Error(e)),
                 }
             }
             if valid.is_empty() {
                 continue;
             }
             // One backpressure slot and one engine dispatch for the whole
-            // aggregated group — the point of micro-batching.
-            let slot = match self.server.try_begin_batch() {
+            // aggregated group — the point of micro-batching. The slot
+            // comes first, as in `handle_into`.
+            let _slot = match self.server.try_begin_batch() {
                 Ok(slot) => slot,
                 Err(e) => {
-                    for &m in &valid {
-                        responses[m] = Some(Response::Error(e.clone()));
-                    }
+                    refuse(&mut responses, &valid, e);
                     continue;
                 }
             };
-            let mut all: Vec<Itemset> = Vec::new();
+            let lens: Vec<usize> = valid.iter().map(|&m| taken[m].3.len()).collect();
+            let mut all: Vec<Itemset> = Vec::with_capacity(lens.iter().sum());
             for &m in &valid {
-                all.extend_from_slice(&taken[m].3);
+                all.append(&mut taken[m].3);
             }
-            match sketch.answer(mode, &all) {
+            match sketch.dispatch(mode, &all) {
                 Ok(answers) => {
                     self.server.record_dispatch();
                     let mut at = 0;
-                    for &m in &valid {
-                        let n = taken[m].3.len();
+                    for (&m, &n) in valid.iter().zip(&lens) {
                         responses[m] = Some(match &answers {
                             Answers::Estimates(v) => Response::Estimates(v[at..at + n].to_vec()),
                             Answers::Indicators(v) => Response::Indicators(v[at..at + n].to_vec()),
@@ -362,19 +354,9 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
                         at += n;
                     }
                 }
-                // Unreachable given per-request validation, but a server
-                // must degrade to per-request answers, not panic.
-                Err(_) => {
-                    for &m in &valid {
-                        responses[m] = Some(match sketch.answer(mode, &taken[m].3) {
-                            Ok(answers) => answers.into(),
-                            Err(e) => Response::Error(e),
-                        });
-                        self.server.record_dispatch();
-                    }
-                }
+                // A mode the sketch cannot answer refuses every member.
+                Err(e) => refuse(&mut responses, &valid, e),
             }
-            drop(slot);
         }
         responses.into_iter().map(|r| r.expect("every taken request answered")).collect()
     }
@@ -489,7 +471,6 @@ pub fn serve_pooled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::ServeError;
     use crate::server::ServeConfig;
     use ifs_core::{FrequencyEstimator, ReleaseDb, Snapshot};
     use ifs_database::Database;
@@ -563,11 +544,20 @@ mod tests {
         out
     }
 
+    fn demo_db() -> Database {
+        Database::from_rows(5, &[vec![0, 1], vec![0], vec![1, 2], vec![0, 1, 4], vec![3]])
+    }
+
     fn demo() -> (ReleaseDb, Vec<u8>) {
-        let db = Database::from_rows(5, &[vec![0, 1], vec![0], vec![1, 2], vec![0, 1, 4], vec![3]]);
-        let sketch = ReleaseDb::build(&db, 0.3);
+        let sketch = ReleaseDb::build(&demo_db(), 0.3);
         let bytes = sketch.snapshot_bytes();
         (sketch, bytes)
+    }
+
+    /// A RELEASE-ANSWERS indicator store over the demo database: it
+    /// answers only indicator queries on 2-itemsets.
+    fn demo_answers() -> Vec<u8> {
+        ifs_core::ReleaseAnswersIndicator::build(&demo_db(), 2, 0.3).snapshot_bytes()
     }
 
     fn query(id: u64, queries: Vec<Itemset>) -> Vec<u8> {
@@ -771,6 +761,79 @@ mod tests {
         run_until_drained_or(&mut worker, &out, 2);
         let responses = decode_responses(&out.borrow());
         assert_eq!(responses[1], Response::Estimates(offline.estimate_batch(&queries)));
+    }
+
+    /// Answers `frames`, one connection each, in one worker pass; each
+    /// response must equal `handle_into` of the same frame on `reference`,
+    /// an identically loaded server. Returns the responses.
+    fn replay(
+        server: &SketchServer,
+        reference: &SketchServer,
+        frames: &[Vec<u8>],
+    ) -> Vec<Response> {
+        let mut worker = PoolWorker::new(server);
+        let outs: Vec<_> = frames
+            .iter()
+            .map(|frame| {
+                let (conn, out) = ScriptStream::new(ScriptStream::whole(frame.clone()));
+                worker.push(conn);
+                out
+            })
+            .collect();
+        worker.pass();
+        let responses = frames.iter().zip(&outs).map(|(frame, out)| {
+            let want = reference.handle_into(frame, &mut EncodeBuf::new()).to_vec();
+            assert_eq!(*out.borrow(), want, "{:?}", decode_responses(&want));
+            decode_responses(&want).remove(0)
+        });
+        responses.collect()
+    }
+
+    /// Refusals in the same `(id, mode)` group as valid requests, all
+    /// taken in one worker pass, answer as `handle_into` does, and
+    /// `served_batches` counts exactly the answered dispatches. At
+    /// saturation a valid query in a mode the sketch cannot answer is
+    /// refused `Overloaded`, as `handle_into` refuses it: the slot is
+    /// taken before the mode is judged.
+    #[test]
+    fn refused_requests_share_a_group_with_valid_ones() {
+        // One slot: each group's dispatch, and each reference request,
+        // takes it alone.
+        let config = ServeConfig { max_in_flight: 1, ..ServeConfig::default() };
+        let (server, reference) = (SketchServer::new(config.clone()), SketchServer::new(config));
+        for s in [&server, &reference] {
+            s.load_frame(1, 1, &demo_answers()).expect("admit answers store");
+            s.load_frame(2, 1, &demo().1).expect("admit release");
+        }
+        let request = |id, mode, queries: Vec<Vec<u32>>| {
+            let queries = queries.into_iter().map(Itemset::new).collect();
+            Request::Query { id, mode, queries }.to_bytes()
+        };
+        let frames = [
+            request(1, QueryMode::Indicator, vec![vec![0, 1], vec![1, 2]]),
+            request(1, QueryMode::Indicator, vec![vec![0, 1], vec![3, 7]]),
+            request(1, QueryMode::Indicator, vec![vec![0, 1, 2]]),
+            request(1, QueryMode::Indicator, vec![vec![2, 4]]),
+            request(1, QueryMode::Estimate, vec![vec![0, 1]]),
+            request(2, QueryMode::Estimate, vec![vec![0], vec![9]]),
+            request(2, QueryMode::Estimate, vec![vec![], vec![0, 1]]),
+        ];
+        let got = replay(&server, &reference, &frames);
+        assert!(matches!(got[1], Response::Error(ServeError::BadQuery { index: 1, .. })));
+        assert!(matches!(got[2], Response::Error(ServeError::BadQuery { index: 0, .. })));
+        assert!(matches!(got[4], Response::Error(ServeError::Unanswerable { .. })));
+        assert!(matches!(got[5], Response::Error(ServeError::BadQuery { index: 1, .. })));
+        // Two answered dispatches: id 1's two valid indicator batches, and
+        // id 2's one valid estimate batch. The refused estimate group on
+        // id 1 is not a dispatch.
+        assert_eq!(server.stats().served_batches, 2);
+
+        let _held = (server.try_begin_batch().unwrap(), reference.try_begin_batch().unwrap());
+        let got = replay(&server, &reference, &frames[4..5]);
+        assert!(matches!(
+            got[0],
+            Response::Error(ServeError::Overloaded { in_flight: 1, limit: 1 })
+        ));
     }
 
     fn run_until_drained_or(

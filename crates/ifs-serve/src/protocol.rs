@@ -43,7 +43,7 @@
 //! a fleet of replicas (DESIGN.md §13).
 
 use crate::error::ServeError;
-use ifs_database::codec::{self, decode_frame, encode_frame_into, DecodeError, Reader, Writer};
+use ifs_database::codec::{self, append_frame, decode_frame, DecodeError, Reader, Writer};
 use ifs_database::Itemset;
 use ifs_util::bits;
 
@@ -383,9 +383,9 @@ fn decode_exact<T>(
     kind: u16,
     body: impl FnOnce(&mut Reader) -> Result<T, DecodeError>,
 ) -> Result<T, DecodeError> {
-    let (frame_body, consumed) = decode_frame(bytes, kind, PROTOCOL_VERSION)?;
-    if consumed != bytes.len() {
-        return Err(DecodeError::TrailingBytes { extra: bytes.len() - consumed });
+    let (frame_body, info) = decode_frame(bytes, kind, PROTOCOL_VERSION)?;
+    if info.frame_len() != bytes.len() {
+        return Err(DecodeError::TrailingBytes { extra: bytes.len() - info.frame_len() });
     }
     let mut r = Reader::new(frame_body);
     let decoded = body(&mut r)?;
@@ -420,7 +420,8 @@ impl EncodeBuf {
 fn frame_into(kind: u16, buf: &mut EncodeBuf, body: impl FnOnce(&mut Writer)) -> &[u8] {
     buf.body.clear();
     body(&mut buf.body);
-    encode_frame_into(kind, PROTOCOL_VERSION, buf.body.as_slice(), &mut buf.frame);
+    buf.frame.clear();
+    append_frame(kind, PROTOCOL_VERSION, buf.body.as_slice(), &mut buf.frame);
     &buf.frame
 }
 
@@ -471,7 +472,6 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifs_database::codec::encode_frame;
 
     fn roundtrip_request(req: &Request) {
         let bytes = req.to_bytes();
@@ -570,7 +570,8 @@ mod tests {
         long.push(0);
         assert!(matches!(Request::from_bytes(&long), Err(DecodeError::TrailingBytes { extra: 1 })));
         // An unknown body tag inside a valid frame is Corrupt.
-        let framed = encode_frame(REQUEST_KIND, PROTOCOL_VERSION, &[0xAB]);
+        let mut framed = Vec::new();
+        append_frame(REQUEST_KIND, PROTOCOL_VERSION, &[0xAB], &mut framed);
         assert!(matches!(Request::from_bytes(&framed), Err(DecodeError::Corrupt(_))));
     }
 

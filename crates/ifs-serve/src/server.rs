@@ -1,5 +1,5 @@
-//! The sketch server: admitted frames, a hot set, and bounded in-flight
-//! query batches.
+//! The sketch server: one entry per admitted id, a hot set, and bounded
+//! in-flight query batches.
 //!
 //! [`SketchServer`] is transport-agnostic —
 //! [`respond`](SketchServer::respond) maps one decoded request to one
@@ -9,6 +9,15 @@
 //! batches execute *outside* it on an [`Arc`]'d sketch, so concurrent
 //! connections overlap their (dominant) batch work and the lock guards
 //! only admissions and LRU bookkeeping.
+//!
+//! **The hot set.** Each admitted id's entry always keeps its frame, but
+//! only a working set stays **decoded**, bounded by the sum of measured
+//! frame `size_bits()` (the paper's `|S|`) over decoded entries. That
+//! bounds frame bits, not resident memory: a queried `ReleaseDb` holds
+//! row and tid-set words, about 4.7× its frame on a 10k × 128, 3 %-dense
+//! database. Eviction (least recently used first) drops the decoded form
+//! only; the next query re-decodes the frame bit-identically (DESIGN.md
+//! §10 and §11).
 //!
 //! Backpressure is explicit: at most
 //! [`max_in_flight`](ServeConfig::max_in_flight) query batches may be
@@ -20,11 +29,11 @@
 //! refusal tells the client to back off.
 
 use crate::error::ServeError;
-use crate::hot::HotSet;
 use crate::protocol::{EncodeBuf, QueryMode, Request, Response, ServerStats};
 use crate::sketch::{Answers, ServedSketch};
 use ifs_database::Itemset;
 use ifs_util::threads::{clamp_threads, host_cores};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -49,22 +58,63 @@ impl Default for ServeConfig {
     }
 }
 
-/// One admitted frame: the encoded bytes (always retained; the hot set
-/// only ever holds the decoded form) plus the knobs to re-decode it.
-struct AdmittedFrame {
+/// One admitted id: the encoded frame (always retained), the knobs to
+/// re-decode it, and its decoded form while it is hot.
+struct Entry {
     bytes: Vec<u8>,
     threads: usize,
     size_bits: u64,
     kind: u16,
     /// How many times this id has been (re-)admitted; 1 on first load.
     generation: u64,
+    /// The decoded sketch while the id is hot. Handed out as [`Arc`]s, so
+    /// a batch keeps executing on a sketch a concurrent load evicts; the
+    /// memory is reclaimed when the last in-flight batch drops its handle.
+    decoded: Option<Arc<ServedSketch>>,
 }
 
+#[derive(Default)]
 struct ServeState {
-    admitted: std::collections::BTreeMap<u64, AdmittedFrame>,
-    hot: HotSet,
+    entries: BTreeMap<u64, Entry>,
+    /// Decoded ids, least recently used first.
+    recency: Vec<u64>,
+    /// Sum of `size_bits` over decoded entries.
+    hot_bits: u64,
+    evictions: u64,
     served_batches: u64,
     reloads: u64,
+}
+
+impl ServeState {
+    /// Takes `id` out of the recency order; returns whether it was there
+    /// (decoded).
+    fn unlist(&mut self, id: u64) -> bool {
+        let pos = self.recency.iter().position(|&x| x == id);
+        pos.map(|pos| self.recency.remove(pos)).is_some()
+    }
+
+    /// Makes the admitted, not decoded `id` hot with `sketch` as most
+    /// recently used, evicting least-recently-used decoded entries until
+    /// it fits within `budget_bits`; returns the evicted ids, oldest
+    /// first. Admission refuses frames over the whole budget up front
+    /// ([`ServeError::FrameOverBudget`]), so the new entry always fits.
+    fn make_hot(&mut self, id: u64, sketch: Arc<ServedSketch>, budget_bits: u64) -> Vec<u64> {
+        let size_bits = self.entries[&id].size_bits;
+        debug_assert!(size_bits <= budget_bits, "admission must refuse over-budget frames");
+        let mut evicted = Vec::new();
+        while self.hot_bits + size_bits > budget_bits && !self.recency.is_empty() {
+            let victim = self.recency.remove(0);
+            let entry = self.entries.get_mut(&victim).expect("decoded ids are admitted");
+            entry.decoded = None;
+            self.hot_bits -= entry.size_bits;
+            self.evictions += 1;
+            evicted.push(victim);
+        }
+        self.entries.get_mut(&id).expect("admitted").decoded = Some(sketch);
+        self.hot_bits += size_bits;
+        self.recency.push(id);
+        evicted
+    }
 }
 
 /// What a successful [`SketchServer::load_frame`] did: the admitted
@@ -112,22 +162,7 @@ impl Drop for BatchSlot<'_> {
 impl SketchServer {
     /// A server with the given knobs and an empty hot set.
     pub fn new(config: ServeConfig) -> Self {
-        let budget = config.budget_bits;
-        Self {
-            config,
-            state: Mutex::new(ServeState {
-                admitted: std::collections::BTreeMap::new(),
-                hot: HotSet::new(budget),
-                served_batches: 0,
-                reloads: 0,
-            }),
-            in_flight: AtomicUsize::new(0),
-        }
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
+        Self { config, state: Mutex::default(), in_flight: AtomicUsize::new(0) }
     }
 
     /// Tries to occupy an in-flight batch slot, refusing with a typed
@@ -196,14 +231,19 @@ impl SketchServer {
         // would block every other worker's resolve for its duration.
         let bytes = frame.to_vec();
         let mut state = self.state.lock().expect("server state poisoned");
-        let previous = state.admitted.get(&id);
-        let previous_kind = previous.map(|p| p.kind);
-        let generation = previous.map_or(1, |p| p.generation + 1);
-        if previous_kind.is_some() {
+        let previous = state.entries.remove(&id);
+        if let Some(previous) = &previous {
             state.reloads += 1;
+            if state.unlist(id) {
+                state.hot_bits -= previous.size_bits;
+            }
         }
-        state.admitted.insert(id, AdmittedFrame { bytes, threads, size_bits, kind, generation });
-        let evicted = state.hot.insert(id, Arc::new(sketch), size_bits);
+        let generation = previous.as_ref().map_or(1, |p| p.generation + 1);
+        state
+            .entries
+            .insert(id, Entry { bytes, threads, size_bits, kind, generation, decoded: None });
+        let evicted = state.make_hot(id, Arc::new(sketch), self.config.budget_bits);
+        let previous_kind = previous.map(|p| p.kind);
         Ok(LoadOutcome { kind, size_bits, generation, previous_kind, evicted })
     }
 
@@ -214,15 +254,17 @@ impl SketchServer {
     /// answers against the same snapshot generation.
     pub fn sketch(&self, id: u64) -> Result<Arc<ServedSketch>, ServeError> {
         let mut state = self.state.lock().expect("server state poisoned");
-        if let Some(sketch) = state.hot.get(id) {
+        let entry = state.entries.get(&id).ok_or(ServeError::UnknownSketch { id })?;
+        if let Some(sketch) = &entry.decoded {
+            let sketch = Arc::clone(sketch);
+            state.unlist(id);
+            state.recency.push(id);
             return Ok(sketch);
         }
-        let frame = state.admitted.get(&id).ok_or(ServeError::UnknownSketch { id })?;
         // Admission already validated these bytes; a failure here would
         // mean in-memory corruption, which still must not panic a server.
-        let sketch = Arc::new(ServedSketch::admit(&frame.bytes, frame.threads)?);
-        let size_bits = frame.size_bits;
-        state.hot.insert(id, Arc::clone(&sketch), size_bits);
+        let sketch = Arc::new(ServedSketch::admit(&entry.bytes, entry.threads)?);
+        state.make_hot(id, Arc::clone(&sketch), self.config.budget_bits);
         Ok(sketch)
     }
 
@@ -254,14 +296,14 @@ impl SketchServer {
     pub fn stats(&self) -> ServerStats {
         let state = self.state.lock().expect("server state poisoned");
         ServerStats {
-            admitted: state.admitted.len() as u64,
-            hot: state.hot.len() as u64,
-            hot_bits: state.hot.hot_bits(),
-            budget_bits: state.hot.budget_bits(),
+            admitted: state.entries.len() as u64,
+            hot: state.recency.len() as u64,
+            hot_bits: state.hot_bits,
+            budget_bits: self.config.budget_bits,
             in_flight: self.in_flight.load(Ordering::Acquire) as u64,
             max_in_flight: self.config.max_in_flight as u64,
             served_batches: state.served_batches,
-            evictions: state.hot.evictions(),
+            evictions: state.evictions,
             reloads: state.reloads,
         }
     }
@@ -269,7 +311,7 @@ impl SketchServer {
     /// Ids currently decoded, least-recently-used first (observability for
     /// tests and operators; not part of the wire protocol).
     pub fn hot_ids(&self) -> Vec<u64> {
-        self.state.lock().expect("server state poisoned").hot.ids_by_recency().to_vec()
+        self.state.lock().expect("server state poisoned").recency.clone()
     }
 
     /// Maps one decoded request to its response: Load (or reload),
@@ -452,6 +494,73 @@ mod tests {
         drop(a);
         let c = server.try_begin_batch().expect("released slot is reusable");
         assert!(server.query(&c, 0, QueryMode::Estimate, &[Itemset::empty()]).is_ok());
+    }
+
+    /// A valid frame of `rows` rows over 4 attributes (row `i` holds the
+    /// set bits of `i`); its size grows by a few bytes per row.
+    fn frame_of_rows(rows: usize) -> Vec<u8> {
+        let rows: Vec<Vec<u32>> =
+            (0..rows).map(|i| (0..4).filter(|b| (i >> b) & 1 == 1).collect()).collect();
+        ReleaseDb::build(&Database::from_rows(4, &rows), 0.1).snapshot_bytes()
+    }
+
+    fn bits(frame: &[u8]) -> u64 {
+        frame.len() as u64 * 8
+    }
+
+    fn with_budget(budget_bits: u64) -> SketchServer {
+        SketchServer::new(ServeConfig { budget_bits, ..ServeConfig::default() })
+    }
+
+    #[test]
+    fn lru_evicts_oldest_first_and_touch_reorders() {
+        let small = frame_of_rows(1);
+        let s = bits(&small);
+        let server = with_budget(3 * s);
+        for id in 1..=3 {
+            assert_eq!(server.load_frame(id, 1, &small).unwrap().evicted, Vec::<u64>::new());
+        }
+        assert_eq!(server.stats().hot_bits, 3 * s);
+        // Touch 1: now 2 is the LRU victim.
+        server.sketch(1).expect("hot");
+        assert_eq!(server.load_frame(4, 1, &small).unwrap().evicted, vec![2]);
+        assert_eq!(server.hot_ids(), vec![3, 1, 4]);
+        assert_eq!(server.stats().evictions, 1);
+        // A frame over two small ones evicts several, oldest first.
+        let big = (2..100).map(frame_of_rows).find(|f| bits(f) > 2 * s).unwrap();
+        assert!(bits(&big) <= 3 * s, "{} bits fit the budget", bits(&big));
+        assert_eq!(server.load_frame(5, 1, &big).unwrap().evicted, vec![3, 1, 4]);
+        let stats = server.stats();
+        assert_eq!((stats.hot, stats.hot_bits, stats.evictions), (1, bits(&big), 4));
+        // Evicted ids stay admitted: resolving one re-decodes it, which
+        // evicts in turn.
+        assert_eq!(stats.admitted, 5);
+        server.sketch(2).expect("re-decoded");
+        assert_eq!(server.hot_ids(), vec![2]);
+        assert_eq!((server.stats().hot_bits, server.stats().evictions), (s, 5));
+    }
+
+    #[test]
+    fn replacing_an_id_keeps_accounting_exact() {
+        let (big, small) = (frame_of_rows(40), frame_of_rows(1));
+        assert!(bits(&big) > bits(&small));
+        let server = with_budget(1 << 20);
+        server.load_frame(1, 1, &big).expect("admit");
+        let out = server.load_frame(1, 1, &small).expect("reload");
+        assert_eq!((out.generation, out.evicted), (2, vec![]));
+        let stats = server.stats();
+        assert_eq!((stats.admitted, stats.hot, stats.hot_bits), (1, 1, bits(&small)));
+        assert_eq!((stats.reloads, stats.evictions), (1, 0));
+        assert_eq!(server.hot_ids(), vec![1]);
+    }
+
+    #[test]
+    fn exact_fit_does_not_evict() {
+        let small = frame_of_rows(1);
+        let server = with_budget(2 * bits(&small));
+        server.load_frame(1, 1, &small).expect("admit");
+        assert_eq!(server.load_frame(2, 1, &small).unwrap().evicted, Vec::<u64>::new());
+        assert_eq!((server.stats().hot_bits, server.stats().evictions), (2 * bits(&small), 0));
     }
 
     #[test]

@@ -19,14 +19,13 @@
 use crate::error::ServeError;
 use crate::protocol::{QueryMode, Response};
 use ifs_core::snapshot::{
-    KIND_COUNT_MIN, KIND_COUNT_SKETCH, KIND_RELEASE_ANSWERS_ESTIMATOR,
-    KIND_RELEASE_ANSWERS_INDICATOR, KIND_RELEASE_DB, KIND_SUBSAMPLE, KIND_SUBSAMPLE_BUILDER,
+    KIND_RELEASE_ANSWERS_ESTIMATOR, KIND_RELEASE_ANSWERS_INDICATOR, KIND_RELEASE_DB, KIND_SUBSAMPLE,
 };
 use ifs_core::{
     FrequencyEstimator, FrequencyIndicator, Parallel, ReleaseAnswersEstimator,
     ReleaseAnswersIndicator, ReleaseDb, Snapshot, Subsample,
 };
-use ifs_database::codec::{DecodeError, SNAPSHOT_MAGIC};
+use ifs_database::codec::frame_header;
 use ifs_database::Itemset;
 
 /// Answers to one query batch.
@@ -60,59 +59,23 @@ pub enum ServedSketch {
     AnswersEstimator(ReleaseAnswersEstimator),
 }
 
-/// Reads the kind tag of a snapshot frame without decoding it — the
-/// admission switch. Refuses short or mis-magicked prefixes with the
-/// usual taxonomy.
-pub fn peek_kind(frame: &[u8]) -> Result<u16, DecodeError> {
-    if frame.len() < 6 {
-        return Err(DecodeError::Truncated { needed: 6, available: frame.len() });
-    }
-    let magic = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes"));
-    if magic != SNAPSHOT_MAGIC {
-        return Err(DecodeError::BadMagic(magic));
-    }
-    Ok(u16::from_le_bytes(frame[4..6].try_into().expect("2 bytes")))
-}
-
 impl ServedSketch {
-    /// Decodes one servable frame from the front of `bytes`, returning the
-    /// sketch and the bytes consumed — the entry point for streams of
-    /// concatenated frames (a snapshot file on disk). Unservable kinds and
-    /// every decode failure refuse typed.
-    pub fn decode_prefix(bytes: &[u8]) -> Result<(Self, usize), ServeError> {
-        match peek_kind(bytes)? {
-            KIND_SUBSAMPLE => {
-                let (s, n) = Subsample::decode_from(bytes)?;
-                Ok((ServedSketch::Subsample(s), n))
-            }
-            KIND_RELEASE_DB => {
-                let (s, n) = ReleaseDb::decode_from(bytes)?;
-                Ok((ServedSketch::ReleaseDb(s), n))
-            }
-            KIND_RELEASE_ANSWERS_INDICATOR => {
-                let (s, n) = ReleaseAnswersIndicator::decode_from(bytes)?;
-                Ok((ServedSketch::AnswersIndicator(s), n))
-            }
-            KIND_RELEASE_ANSWERS_ESTIMATOR => {
-                let (s, n) = ReleaseAnswersEstimator::decode_from(bytes)?;
-                Ok((ServedSketch::AnswersEstimator(s), n))
-            }
-            kind @ (KIND_COUNT_MIN | KIND_COUNT_SKETCH | KIND_SUBSAMPLE_BUILDER) => {
-                Err(ServeError::UnservableKind { kind })
-            }
-            kind => Err(ServeError::UnservableKind { kind }),
-        }
-    }
-
     /// Admits a frame spanning exactly all of `bytes` and applies the
     /// per-sketch thread knob (a no-op for the scalar-lookup stores).
+    /// Dispatch reads only the frame header; unservable kinds and every
+    /// decode failure refuse typed.
     pub fn admit(bytes: &[u8], threads: usize) -> Result<Self, ServeError> {
-        let (mut sketch, consumed) = Self::decode_prefix(bytes)?;
-        if consumed != bytes.len() {
-            return Err(ServeError::Decode(DecodeError::TrailingBytes {
-                extra: bytes.len() - consumed,
-            }));
-        }
+        let mut sketch = match frame_header(bytes)?.kind {
+            KIND_SUBSAMPLE => ServedSketch::Subsample(Subsample::from_snapshot(bytes)?),
+            KIND_RELEASE_DB => ServedSketch::ReleaseDb(ReleaseDb::from_snapshot(bytes)?),
+            KIND_RELEASE_ANSWERS_INDICATOR => {
+                ServedSketch::AnswersIndicator(ReleaseAnswersIndicator::from_snapshot(bytes)?)
+            }
+            KIND_RELEASE_ANSWERS_ESTIMATOR => {
+                ServedSketch::AnswersEstimator(ReleaseAnswersEstimator::from_snapshot(bytes)?)
+            }
+            kind => return Err(ServeError::UnservableKind { kind }),
+        };
         sketch.set_threads(threads);
         Ok(sketch)
     }
@@ -169,8 +132,8 @@ impl ServedSketch {
 
     /// True iff this sketch's contract can answer `mode` queries at all
     /// (the mode half of [`answer`](Self::answer)'s refusal surface,
-    /// checkable without a batch — the pool's micro-batcher pre-screens
-    /// requests with it before aggregating across connections).
+    /// checkable without a batch — the load generators pick their query
+    /// modes with it).
     pub fn supports(&self, mode: QueryMode) -> bool {
         match mode {
             QueryMode::Estimate => !matches!(self, ServedSketch::AnswersIndicator(_)),
@@ -207,10 +170,22 @@ impl ServedSketch {
         Ok(())
     }
 
-    /// Answers one validated batch in `mode`; modes the sketch's contract
-    /// cannot provide refuse with [`ServeError::Unanswerable`].
+    /// Answers one batch in `mode`: [`validate`](Self::validate), then
+    /// the kind's batch procedure; modes the sketch's contract cannot
+    /// provide refuse with [`ServeError::Unanswerable`].
     pub fn answer(&self, mode: QueryMode, queries: &[Itemset]) -> Result<Answers, ServeError> {
         self.validate(queries)?;
+        self.dispatch(mode, queries)
+    }
+
+    /// [`answer`](Self::answer) for a batch the caller has already
+    /// validated — the pool validates each request once, then dispatches
+    /// the group's valid requests together.
+    pub(crate) fn dispatch(
+        &self,
+        mode: QueryMode,
+        queries: &[Itemset],
+    ) -> Result<Answers, ServeError> {
         match (mode, self) {
             (QueryMode::Estimate, ServedSketch::Subsample(s)) => {
                 Ok(Answers::Estimates(s.estimate_batch(queries)))
@@ -241,6 +216,8 @@ impl ServedSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ifs_core::snapshot::KIND_SUBSAMPLE_BUILDER;
+    use ifs_database::codec::DecodeError;
     use ifs_database::Database;
 
     fn demo_db() -> Database {

@@ -184,11 +184,11 @@ fn scan_record(bytes: &[u8], offset: u64) -> RecordScan {
     }
     // The carried frame must itself be one complete, valid snapshot frame.
     match peek_frame(&frame) {
-        Ok(info) if info.frame_len == frame.len() => {}
+        Ok(info) if info.frame_len() == frame.len() => {}
         Ok(info) => {
             return RecordScan::Invalid(format!(
                 "record carries {} bytes beyond its snapshot frame",
-                frame.len() - info.frame_len
+                frame.len() - info.frame_len()
             ))
         }
         Err(e) => return RecordScan::Invalid(format!("carried frame: {e}")),
@@ -338,9 +338,9 @@ impl SketchLog {
         let offset = self.len;
         let frame_err = |source| StoreError::Frame { offset, id, source };
         let info = peek_frame(frame).map_err(frame_err)?;
-        if info.frame_len != frame.len() {
+        if info.frame_len() != frame.len() {
             return Err(frame_err(ifs_database::codec::DecodeError::TrailingBytes {
-                extra: frame.len() - info.frame_len,
+                extra: frame.len() - info.frame_len(),
             }));
         }
         let mut w = Writer::new();

@@ -63,9 +63,10 @@ pub enum StoredSketch {
 
 impl StoredSketch {
     /// Decodes a frame of any registry kind, spanning exactly `frame`.
+    /// Dispatch reads only the header; the kind's decoder judges the
+    /// checksum, once.
     pub fn decode(frame: &[u8]) -> Result<Self, DecodeError> {
-        let info = ifs_database::codec::peek_frame(frame)?;
-        match info.kind {
+        match ifs_database::codec::frame_header(frame)?.kind {
             KIND_SUBSAMPLE => Ok(Self::Subsample(Subsample::from_snapshot(frame)?)),
             KIND_RELEASE_DB => Ok(Self::ReleaseDb(ReleaseDb::from_snapshot(frame)?)),
             KIND_RELEASE_ANSWERS_INDICATOR => {

@@ -12,7 +12,7 @@ fn main() {
 
     // Synthetic transactions: Zipf-popular catalogue + two real bundles.
     let spec = generators::MarketBasketSpec {
-        transactions: 30_000,
+        transactions: 60_000,
         items: 40,
         zipf_exponent: 1.1,
         mean_basket: 5.0,
@@ -25,9 +25,12 @@ fn main() {
     println!("transactions: {} over {} items, density {:.3}", db.rows(), db.dims(), db.density());
 
     // Keep only a For-All-Estimator sample; pretend the raw data is gone.
-    let params = SketchParams::new(3, 0.02, 0.05);
+    let params = SketchParams::new(3, 0.03, 0.05);
     let sketch = Subsample::build(&db, &params, Guarantee::ForAllEstimator, &mut rng);
     let full_bits = ReleaseDb::build(&db, params.epsilon).size_bits();
+    // The Lemma 9 sample size depends on d, k, ε and δ, not on n: at this ε
+    // and n the sample is the smaller summary, which is its whole point.
+    assert!(sketch.size_bits() < full_bits, "the sample must be smaller than the database");
     println!(
         "sketch: {} sampled rows, {} bits ({:.1}% of the database's RELEASE-DB frame)",
         sketch.rows(),

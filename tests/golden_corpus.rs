@@ -239,6 +239,6 @@ fn golden_corpus_is_complete() {
         let info = itemset_sketches::database::codec::peek_frame(&bytes)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!((info.kind, info.version), (kind, version), "{name}");
-        assert_eq!(info.frame_len, bytes.len(), "{name}: exactly one frame per file");
+        assert_eq!(info.frame_len(), bytes.len(), "{name}: exactly one frame per file");
     }
 }

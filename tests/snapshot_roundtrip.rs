@@ -300,7 +300,12 @@ fn snapshots_refuse_cross_kind_decoding() {
 /// hardening pass.
 #[test]
 fn crafted_headers_refuse_without_panicking_or_allocating() {
-    use itemset_sketches::database::codec::{encode_frame, Writer};
+    use itemset_sketches::database::codec::{append_frame, Writer};
+    let frame_of = |kind: u16, version: u16, body: &[u8]| {
+        let mut frame = Vec::new();
+        append_frame(kind, version, body, &mut frame);
+        frame
+    };
 
     // C(100, 50) overflows u64: the answer-shape validation must refuse,
     // not hit the trusted-path binomial panic.
@@ -308,7 +313,7 @@ fn crafted_headers_refuse_without_panicking_or_allocating() {
     body.varint(50); // k
     body.varint(100); // d
     body.varint(7); // count (arbitrary)
-    let frame = encode_frame(ReleaseAnswersIndicator::KIND, 1, &body.into_bytes());
+    let frame = frame_of(ReleaseAnswersIndicator::KIND, 1, &body.into_bytes());
     assert!(matches!(ReleaseAnswersIndicator::from_snapshot(&frame), Err(DecodeError::Corrupt(_))));
 
     // A SubsampleBuilder offset in the last chunk of the u64 range has no
@@ -326,7 +331,7 @@ fn crafted_headers_refuse_without_panicking_or_allocating() {
     body.varint(0); // back len
     body.u8(0); // slot 0 empty
     body.u8(0); // slot 1 empty
-    let frame = encode_frame(SubsampleBuilder::KIND, 1, &body.into_bytes());
+    let frame = frame_of(SubsampleBuilder::KIND, 1, &body.into_bytes());
     assert!(matches!(SubsampleBuilder::from_snapshot(&frame), Err(DecodeError::Corrupt(_))));
 
     // A tiny Count-Min frame declaring depth 2^40 must report truncation
@@ -336,7 +341,7 @@ fn crafted_headers_refuse_without_panicking_or_allocating() {
     body.varint(1 << 40); // depth
     body.u8(0); // conservative
     body.varint(0); // stream length
-    let frame = encode_frame(CountMinSketch::<u32>::KIND, 1, &body.into_bytes());
+    let frame = frame_of(CountMinSketch::<u32>::KIND, 1, &body.into_bytes());
     assert!(matches!(
         CountMinSketch::<u32>::from_snapshot(&frame),
         Err(DecodeError::Truncated { .. })
@@ -347,7 +352,7 @@ fn crafted_headers_refuse_without_panicking_or_allocating() {
     body.varint(1 << 40); // width
     body.varint(3); // depth
     body.varint(0); // stream length
-    let frame = encode_frame(CountSketch::<u32>::KIND, 1, &body.into_bytes());
+    let frame = frame_of(CountSketch::<u32>::KIND, 1, &body.into_bytes());
     assert!(matches!(
         CountSketch::<u32>::from_snapshot(&frame),
         Err(DecodeError::Truncated { .. })
@@ -370,7 +375,7 @@ fn crafted_headers_refuse_without_panicking_or_allocating() {
     body.varint(1); // item 0 = 1
     body.varint(u64::MAX); // delta overflowing past u64::MAX
     body.u8(0); // slot empty
-    let frame = encode_frame(SubsampleBuilder::KIND, 1, &body.into_bytes());
+    let frame = frame_of(SubsampleBuilder::KIND, 1, &body.into_bytes());
     assert!(matches!(SubsampleBuilder::from_snapshot(&frame), Err(DecodeError::Corrupt(_))));
 }
 
