@@ -36,17 +36,32 @@ pub fn mine_with_threads(
     threads: usize,
 ) -> Vec<MinedItemset> {
     assert!((0.0..=1.0).contains(&min_frequency), "min_frequency must be in [0,1]");
-    let mut results = Vec::new();
-    if db.rows() == 0 || max_len == 0 {
-        return results;
+    if db.rows() == 0 {
+        return Vec::new();
     }
-    // Level 1: every singleton is a candidate.
-    let mut current: Vec<Itemset> = (0..db.dims() as u32).map(Itemset::singleton).collect();
+    level_wise(db.dims(), min_frequency, max_len, |level| {
+        db.frequencies_with_threads(level, threads)
+    })
+}
+
+/// The level-wise loop of every Apriori-style miner: start from the
+/// singletons over `dims` items, get one batch of frequencies per level
+/// from `frequencies`, keep the itemsets at or above `min_frequency`, and
+/// join the survivors into the next level with [`generate_candidates`],
+/// for at most `max_len` levels.
+pub(crate) fn level_wise(
+    dims: usize,
+    min_frequency: f64,
+    max_len: usize,
+    mut frequencies: impl FnMut(&[Itemset]) -> Vec<f64>,
+) -> Vec<MinedItemset> {
+    let mut results = Vec::new();
+    let mut current: Vec<Itemset> = (0..dims as u32).map(Itemset::singleton).collect();
     let mut k = 0usize;
     while !current.is_empty() && k < max_len {
-        let frequencies = db.frequencies_with_threads(&current, threads);
+        let level = frequencies(&current);
         let mut next = Vec::new();
-        for (cand, f) in current.into_iter().zip(frequencies) {
+        for (cand, f) in current.into_iter().zip(level) {
             if f >= min_frequency {
                 results.push(MinedItemset { itemset: cand.clone(), frequency: f });
                 next.push(cand);

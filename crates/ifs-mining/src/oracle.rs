@@ -15,7 +15,6 @@
 
 use crate::MinedItemset;
 use ifs_core::FrequencyEstimator;
-use ifs_database::Itemset;
 
 /// Level-wise mining against a frequency estimator.
 ///
@@ -35,26 +34,7 @@ pub fn mine_with_estimator<E: FrequencyEstimator>(
     min_frequency: f64,
     max_len: usize,
 ) -> Vec<MinedItemset> {
-    let mut results = Vec::new();
-    if max_len == 0 {
-        return results;
-    }
-    // Level 1: every singleton is a candidate.
-    let mut current: Vec<Itemset> = (0..dims as u32).map(Itemset::singleton).collect();
-    let mut k = 0usize;
-    while !current.is_empty() && k < max_len {
-        let estimates = sketch.estimate_batch(&current);
-        let mut next = Vec::new();
-        for (cand, f) in current.into_iter().zip(estimates) {
-            if f >= min_frequency {
-                results.push(MinedItemset { itemset: cand.clone(), frequency: f });
-                next.push(cand);
-            }
-        }
-        k += 1;
-        current = if k < max_len { crate::apriori::generate_candidates(&next) } else { Vec::new() };
-    }
-    results
+    crate::apriori::level_wise(dims, min_frequency, max_len, |level| sketch.estimate_batch(level))
 }
 
 /// Recall/precision of sketch-mined itemsets against exact mining at a

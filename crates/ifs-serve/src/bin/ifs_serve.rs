@@ -32,7 +32,7 @@
 //! or corrupt snapshot file, or an unbindable address all exit 2 with the
 //! typed error printed.
 
-use ifs_serve::{net, pool, ServeConfig, ServeError, SketchServer};
+use ifs_serve::{net::FrameReader, pool, ServeConfig, ServeError, SketchServer};
 use ifs_store::SketchLog;
 use ifs_util::threads::env_threads;
 use std::net::TcpListener;
@@ -113,19 +113,18 @@ fn parse_args() -> Result<Args, String> {
 /// the frame index *and the byte offset* the frame starts at, so a bad
 /// frame in a multi-megabyte file can be located without re-parsing.
 fn preload(server: &SketchServer, path: &str) -> Result<u64, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut reader = std::io::BufReader::new(file);
-    let mut frame = Vec::new();
+    let mut file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut reader = FrameReader::default();
     let mut id = 0u64;
     let mut offset = 0u64;
     loop {
         let at =
             |e: &dyn std::fmt::Display| format!("{path}: frame {id} at byte offset {offset}: {e}");
-        match net::read_frame_into(&mut reader, &mut frame).map_err(|e| at(&e))? {
+        match reader.read_frame(&mut file).map_err(|e| at(&e))? {
             None => return Ok(id),
             Some(Err(e)) => return Err(at(&e)),
-            Some(Ok(())) => {
-                server.load_frame(id, 0, &frame).map_err(|e| at(&e))?;
+            Some(Ok(frame)) => {
+                server.load_frame(id, 0, frame).map_err(|e| at(&e))?;
                 offset += frame.len() as u64;
                 id += 1;
             }

@@ -33,9 +33,11 @@
 //!   and its decoded form while it is in the hot set, an LRU bounded by
 //!   measured bits), behind one request → response map
 //!   ([`SketchServer::respond`]) and its byte-level form
-//!   ([`SketchServer::handle_into`]), with explicit backpressure
+//!   ([`SketchServer::handle_into`]), one query executor
+//!   ([`SketchServer::query_group`]), and explicit backpressure
 //!   ([`BatchSlot`]).
-//! - [`net`] — wire framing and a blocking [`Client`].
+//! - [`net`] — wire framing: the one inbound reader
+//!   ([`FrameReader`](net::FrameReader)) and a blocking [`Client`].
 //! - [`pool`] — the server transport (DESIGN.md §13): a fixed worker
 //!   pool multiplexing nonblocking connections with pipelining,
 //!   cross-connection micro-batching, and hot-reload-safe dispatch. The

@@ -4,9 +4,10 @@
 //! self-delimiting frames (8-byte header, varint body length, body, 8-byte
 //! checksum), so the transport's only jobs are to find frame boundaries in
 //! the stream and to bound how much a peer can make the server buffer.
-//! The server side of the wire is [`crate::pool::serve_pooled`], which
-//! finds boundaries with [`frame_boundary`]; blocking readers (the
-//! [`Client`], `ifs-serve`'s snapshot preload) use [`read_frame_into`].
+//! Every reader of the wire — the server's pooled connections
+//! ([`crate::pool::serve_pooled`]), the [`Client`], and `ifs-serve`'s
+//! snapshot preload — reads through one [`FrameReader`], which cuts
+//! frames with [`frame_boundary`], the one framing check.
 //! Everything semantic — checksums, kinds, versions, body tags — is judged
 //! by the codec layer after the frame is reassembled, which keeps the
 //! adversarial-input story in one place.
@@ -27,80 +28,25 @@ use std::net::TcpStream;
 /// than this (plus the fixed header/checksum overhead) per frame.
 pub const MAX_WIRE_FRAME: usize = 1 << 30;
 
-/// The fixed part of a frame header: magic u32, kind u16, version u16.
-const HEADER_LEN: usize = 8;
+/// Smallest growth of a [`FrameReader`]'s buffer, and so its size after
+/// the first read. Past it the buffer grows by at most what it already
+/// holds per read, so a peer that declares a huge body and then stops
+/// costs about what it actually sent, not what it declared.
+pub const READ_STEP: usize = 16 * 1024;
 
-/// Largest first body read in [`read_frame_into`]. The buffer grows as
-/// bytes arrive — at most this much, or as much as has already arrived,
-/// per read — so a peer that declares a huge body and then stops costs
-/// about what it actually sent, not what it declared.
-const BODY_READ_STEP: usize = 64 * 1024;
-
-/// Reads one complete frame from `stream` into a caller-owned buffer:
-/// `frame` is cleared and overwritten with the complete frame bytes,
-/// retaining its capacity, so a connection that reads every frame through
-/// one buffer stops allocating once it has seen its largest frame.
+/// Finds the first frame boundary in a buffered prefix of a byte stream,
+/// where bytes arrive in arbitrary chunks and a partial frame must simply
+/// wait for more: the codec's header parser ([`parse_frame_header`]) plus
+/// the transport's [`MAX_WIRE_FRAME`] cap — the one place the transport
+/// judges framing, and the check every [`FrameReader`] cuts frames with.
 ///
-/// - `Ok(None)` — the peer closed the connection cleanly at a frame
-///   boundary.
-/// - `Ok(Some(Ok(())))` — one whole frame spans all of `frame`, ready for
-///   the codec layer.
-/// - `Ok(Some(Err(e)))` — the stream is not speaking the frame format
-///   (bad magic, oversized or malformed length); the caller should answer
-///   once and close, since the next frame boundary is unknowable.
-/// - `Err(_)` — transport failure (including mid-frame EOF).
-///
-/// Every framing check is shared with [`frame_boundary`], the server's
-/// parser, so both refuse the same streams identically.
-pub fn read_frame_into<R: Read>(
-    stream: &mut R,
-    frame: &mut Vec<u8>,
-) -> io::Result<Option<Result<(), DecodeError>>> {
-    frame.clear();
-    loop {
-        // The header, then the varint body length byte by byte, never
-        // reading past the frame; then the body and trailing checksum in
-        // one read for frames up to `BODY_READ_STEP`, growing
-        // geometrically past it.
-        let start = frame.len();
-        let want = match frame_len(frame) {
-            Ok(Some(total)) if start == total => return Ok(Some(Ok(()))),
-            Ok(Some(total)) => (total - start).min(BODY_READ_STEP.max(start)),
-            Ok(None) => HEADER_LEN.saturating_sub(start).max(1),
-            Err(e) => return Ok(Some(Err(e))),
-        };
-        frame.resize(start + want, 0);
-        match stream.read(&mut frame[start..]) {
-            // EOF before the first byte is a clean close; after it, a
-            // truncated frame.
-            Ok(0) if start == 0 => return Ok(None),
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => frame.truncate(start + n),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => frame.truncate(start),
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Writes one already-framed message and flushes it.
-pub fn write_frame<W: Write>(stream: &mut W, frame: &[u8]) -> io::Result<()> {
-    stream.write_all(frame)?;
-    stream.flush()
-}
-
-/// The total length of the frame that `prefix` begins, once its header
-/// and varint body length are visible: the codec's header parser
-/// ([`parse_frame_header`]) plus the transport's [`MAX_WIRE_FRAME`] cap —
-/// the one place the transport judges framing.
-///
-/// - `Ok(Some(total))` — the frame spans `total` bytes (header, length,
-///   body and checksum); `prefix` may hold fewer or more.
-/// - `Ok(None)` — the header or length is not complete yet; read more.
-/// - `Err(_)` — `prefix` can never extend to a frame (bad magic,
-///   malformed or oversized length); the stream position is meaningless
-///   and the connection should be closed after one typed error response.
-fn frame_len(prefix: &[u8]) -> Result<Option<usize>, DecodeError> {
-    let Some(header) = parse_frame_header(prefix)? else {
+/// - `Ok(Some(len))` — `buf[..len]` is one complete frame.
+/// - `Ok(None)` — `buf` is a valid but incomplete prefix; read more.
+/// - `Err(_)` — `buf` can never extend to a frame (bad magic, malformed
+///   or oversized length); the stream position is meaningless and the
+///   connection should be closed after one typed error response.
+pub fn frame_boundary(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
+    let Some(header) = parse_frame_header(buf)? else {
         return Ok(None);
     };
     if header.body_len > MAX_WIRE_FRAME {
@@ -109,21 +55,90 @@ fn frame_len(prefix: &[u8]) -> Result<Option<usize>, DecodeError> {
             header.body_len
         )));
     }
-    Ok(Some(header.frame_len()))
+    Ok(Some(header.frame_len()).filter(|&total| buf.len() >= total))
 }
 
-/// Finds the first frame boundary in a buffered prefix of a byte stream —
-/// the incremental form of [`read_frame_into`] the nonblocking server
-/// transport ([`crate::pool`]) uses, where bytes arrive in arbitrary
-/// chunks and a partial frame must simply wait for more.
+/// The inbound bytes of one stream: reads whatever the stream gives into
+/// one reusable buffer, cuts complete frames off its front with
+/// [`frame_boundary`], and keeps the bytes after the last whole frame for
+/// the next call — so one read can bring in several pipelined frames, and
+/// a frame already buffered costs no syscall.
 ///
-/// - `Ok(Some(len))` — `buf[..len]` is one complete frame.
-/// - `Ok(None)` — `buf` is a valid but incomplete prefix; read more.
-/// - `Err(_)` — `buf` can never extend to a frame (bad magic, malformed
-///   or oversized length); the stream position is meaningless and the
-///   connection should be closed after one typed error response.
-pub fn frame_boundary(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
-    Ok(frame_len(buf)?.filter(|&total| buf.len() >= total))
+/// The buffer is zero-extended only when a read finds it full, by at most
+/// `max(READ_STEP, bytes buffered)` and never past the end of a frame
+/// whose header is visible; it is compacted only when its consumed prefix
+/// is at least as long as the bytes it still holds. Work per read stays
+/// proportional to the bytes read.
+#[derive(Default)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// `buf[start..end]` is read but not yet cut into a frame.
+    start: usize,
+    end: usize,
+}
+
+impl FrameReader {
+    /// One `read` from `stream` into the buffer's free tail, making room
+    /// first if there is none. Returns the byte count (`0` at EOF) and
+    /// whether the read filled the free tail — a nonblocking caller reads
+    /// again only then.
+    pub fn fill<R: Read>(&mut self, stream: &mut R) -> io::Result<(usize, bool)> {
+        let buffered = self.end - self.start;
+        if buffered == 0 {
+            (self.start, self.end) = (0, 0);
+        } else if self.end == self.buf.len() && self.start >= buffered {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, buffered);
+        }
+        if self.end == self.buf.len() {
+            // A sizing hint only: the declared end of the frame begun here.
+            let rest = match parse_frame_header(&self.buf[self.start..self.end]) {
+                Ok(Some(header)) if header.frame_len() > buffered => header.frame_len() - buffered,
+                _ => usize::MAX,
+            };
+            self.buf.resize(self.end + READ_STEP.max(buffered).min(rest), 0);
+        }
+        let n = stream.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok((n, self.end == self.buf.len()))
+    }
+
+    /// Cuts the next complete frame off the buffered bytes, without
+    /// reading: `Ok(None)` until a whole frame is buffered, `Err` once
+    /// the buffered bytes can never frame.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, DecodeError> {
+        let Some(len) = frame_boundary(&self.buf[self.start..self.end])? else {
+            return Ok(None);
+        };
+        self.start += len;
+        Ok(Some(&self.buf[self.start - len..self.start]))
+    }
+
+    /// Blocks on `stream` for the next complete frame.
+    ///
+    /// - `Ok(None)` — the peer closed the connection cleanly at a frame
+    ///   boundary.
+    /// - `Ok(Some(Ok(frame)))` — one whole frame, ready for the codec
+    ///   layer; valid until the reader's next call.
+    /// - `Ok(Some(Err(e)))` — the stream is not speaking the frame format
+    ///   (bad magic, oversized or malformed length); the caller should
+    ///   answer once and close, since the next frame boundary is
+    ///   unknowable.
+    /// - `Err(_)` — transport failure, including EOF mid-frame.
+    pub fn read_frame<R: Read>(
+        &mut self,
+        stream: &mut R,
+    ) -> io::Result<Option<Result<&[u8], DecodeError>>> {
+        while let Ok(None) = frame_boundary(&self.buf[self.start..self.end]) {
+            match self.fill(stream) {
+                Ok((0, _)) if self.start == self.end => return Ok(None),
+                Ok((0, _)) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Err(e) if e.kind() != io::ErrorKind::Interrupted => return Err(e),
+                _ => {}
+            }
+        }
+        Ok(self.next_frame().transpose())
+    }
 }
 
 /// A blocking client for the serving protocol: one call, one response.
@@ -131,23 +146,24 @@ pub fn frame_boundary(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
 /// issuing many calls stops allocating at the framing layer once warm.
 pub struct Client {
     stream: TcpStream,
-    frame: Vec<u8>,
+    inbound: FrameReader,
     buf: EncodeBuf,
 }
 
 impl Client {
-    /// Wraps an established connection.
-    pub fn new(stream: TcpStream) -> Self {
-        Self { stream, frame: Vec::new(), buf: EncodeBuf::new() }
-    }
-
     /// Connects to `addr`, retrying for roughly `retry_ms` milliseconds —
     /// enough slack for a just-spawned server process to reach `bind`.
     pub fn connect(addr: &str, retry_ms: u64) -> io::Result<Self> {
         let mut waited = 0u64;
         loop {
             match TcpStream::connect(addr) {
-                Ok(stream) => return Ok(Self::new(stream)),
+                Ok(stream) => {
+                    return Ok(Self {
+                        stream,
+                        inbound: FrameReader::default(),
+                        buf: EncodeBuf::new(),
+                    })
+                }
                 Err(e) if waited >= retry_ms => return Err(e),
                 Err(_) => {
                     std::thread::sleep(std::time::Duration::from_millis(50));
@@ -170,18 +186,17 @@ impl Client {
     /// in send order on this connection, so `k` sends followed by `k`
     /// [`recv`](Self::recv)s pair up positionally.
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
-        write_frame(&mut self.stream, request.encode_into(&mut self.buf))
+        self.stream.write_all(request.encode_into(&mut self.buf))
     }
 
     /// Blocks for the next in-order response to a previous
     /// [`send`](Self::send). Error layering as in [`call`](Self::call).
     pub fn recv(&mut self) -> io::Result<Result<Response, DecodeError>> {
-        match read_frame_into(&mut self.stream, &mut self.frame)? {
+        match self.inbound.read_frame(&mut self.stream)? {
             None => {
                 Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed before responding"))
             }
-            Some(Ok(())) => Ok(Response::from_bytes(&self.frame)),
-            Some(Err(e)) => Ok(Err(e)),
+            Some(frame) => Ok(frame.and_then(Response::from_bytes)),
         }
     }
 }
@@ -189,23 +204,45 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ServerStats;
+    use crate::protocol::{QueryMode, ServerStats};
     use crate::server::{ServeConfig, SketchServer};
 
+    /// A stream that hands out at most `chunk` bytes per `read` — the
+    /// arbitrary chunking a socket may deliver.
+    struct Chunked<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.chunk.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Runs of small frames around ones larger than the buffer, in any
+    /// chunking: every frame comes back whole, through growth and
+    /// compaction.
     #[test]
     fn frames_roundtrip_over_a_byte_stream() {
-        let frame = Request::Stats.to_bytes();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &frame).unwrap();
-        write_frame(&mut wire, &frame).unwrap();
-        let mut cursor = &wire[..];
-        let mut got = Vec::new();
-        for _ in 0..2 {
-            read_frame_into(&mut cursor, &mut got).unwrap().expect("frame").expect("well-formed");
-            assert_eq!(got, frame);
+        let query = |id| Request::Query { id, mode: QueryMode::Estimate, queries: vec![] };
+        let run: Vec<_> = (0..1000).map(|id| query(id * 997).to_bytes()).collect();
+        let big = Request::Load { id: 1, threads: 1, frame: vec![7; 3 * READ_STEP] }.to_bytes();
+        let frames = [run.clone(), vec![big.clone()], run.clone(), vec![big], run].concat();
+        let wire = frames.concat();
+        for chunk in [1, 5, 1000, 4093, READ_STEP - 3, usize::MAX] {
+            let mut stream = Chunked { bytes: &wire, chunk };
+            let mut reader = FrameReader::default();
+            for frame in &frames {
+                let got = reader.read_frame(&mut stream).unwrap().expect("frame");
+                assert_eq!(got.expect("well-formed"), frame);
+            }
+            let end = reader.read_frame(&mut stream).unwrap();
+            assert!(end.is_none(), "clean EOF after the last frame");
         }
-        let end = read_frame_into(&mut cursor, &mut got).unwrap();
-        assert!(end.is_none(), "clean EOF after the last frame");
     }
 
     /// A frame header followed by the varint body length `varint`.
@@ -219,32 +256,40 @@ mod tests {
 
     #[test]
     fn unframeable_streams_refuse_without_panicking() {
-        let mut frame = Vec::new();
+        let read = |mut bytes: &[u8]| match FrameReader::default().read_frame(&mut bytes) {
+            Ok(Some(Err(e))) => e,
+            other => panic!("expected a framing refusal, got {other:?}"),
+        };
         // Wrong magic.
-        let mut junk = &b"NOTAFRAMEATALL!!"[..];
-        let got = read_frame_into(&mut junk, &mut frame).unwrap();
-        assert!(matches!(got, Some(Err(DecodeError::BadMagic(_)))));
+        assert!(matches!(read(b"NOTAFRAMEATALL!!"), DecodeError::BadMagic(_)));
         // A declared body length over the transport cap.
         let huge = header_with_len(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]);
-        let got = read_frame_into(&mut &huge[..], &mut frame).unwrap();
-        assert!(matches!(got, Some(Err(DecodeError::Corrupt(_)))));
+        assert!(matches!(read(&huge), DecodeError::Corrupt(_)));
         // Mid-frame EOF is a transport error, not a panic.
         let whole = Request::Stats.to_bytes();
         let mut cut = &whole[..whole.len() - 3];
-        assert!(read_frame_into(&mut cut, &mut frame).is_err());
+        assert!(FrameReader::default().read_frame(&mut cut).is_err());
     }
 
     /// A peer that declares a 2^30-byte body and then closes costs the
-    /// reader about what it sent, not the gigabyte it declared.
+    /// reader about what it sent, not the gigabyte it declared; a frame
+    /// that arrives costs its own length.
     #[test]
     fn declared_body_length_is_not_allocated_up_front() {
         let prefix = header_with_len(&[0x80, 0x80, 0x80, 0x80, 0x04]);
         assert_eq!(prefix.len(), 13);
-        assert_eq!(frame_len(&prefix), Ok(Some(13 + MAX_WIRE_FRAME + 8)), "2^30 is within the cap");
-        let mut frame = Vec::new();
-        let err = read_frame_into(&mut &prefix[..], &mut frame).expect_err("EOF mid-body");
+        let declared = parse_frame_header(&prefix).unwrap().expect("header").frame_len();
+        assert_eq!(declared, 13 + MAX_WIRE_FRAME + 8);
+        assert_eq!(frame_boundary(&prefix), Ok(None), "2^30 is within the cap");
+        let mut reader = FrameReader::default();
+        let err = reader.read_frame(&mut &prefix[..]).expect_err("EOF mid-body");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        assert!(frame.capacity() <= 2 * BODY_READ_STEP, "capacity {}", frame.capacity());
+        assert!(reader.buf.capacity() <= 2 * READ_STEP, "capacity {}", reader.buf.capacity());
+        // A frame that does arrive grows the buffer to its length, no more.
+        let big = Request::Load { id: 1, threads: 1, frame: vec![7; 3 * READ_STEP] }.to_bytes();
+        let mut reader = FrameReader::default();
+        reader.read_frame(&mut &big[..]).unwrap().expect("frame").expect("well-formed");
+        assert_eq!(reader.buf.len(), big.len());
     }
 
     /// What one entry point made of a byte string.
@@ -263,10 +308,9 @@ mod tests {
         }
     }
 
-    fn blocking(mut buf: &[u8]) -> Outcome {
-        let mut frame = Vec::new();
-        match read_frame_into(&mut buf, &mut frame) {
-            Ok(Some(Ok(()))) => Outcome::Frame(frame.len()),
+    fn blocking(bytes: &[u8], chunk: usize) -> Outcome {
+        match FrameReader::default().read_frame(&mut Chunked { bytes, chunk }) {
+            Ok(Some(Ok(frame))) => Outcome::Frame(frame.len()),
             Ok(Some(Err(e))) => Outcome::Refused(e),
             // A clean close before the first byte, or EOF mid-frame.
             Ok(None) => Outcome::Incomplete,
@@ -275,10 +319,11 @@ mod tests {
         }
     }
 
-    /// The slice parser and the blocking reader agree on every prefix of
-    /// every input: incomplete prefixes wait, the exact frame length is
-    /// found, trailing bytes are left alone, and each malformed header
-    /// refuses with the same error at the same byte.
+    /// The reader, fed one byte per read or everything at once, agrees
+    /// with the slice check on every prefix of every input: incomplete
+    /// prefixes wait, the exact frame length is found, trailing bytes are
+    /// left alone, and each malformed header refuses with the same error
+    /// at the same byte.
     #[test]
     fn frame_boundary_agrees_with_the_blocking_reader() {
         let frame = Request::Stats.to_bytes();
@@ -311,7 +356,13 @@ mod tests {
         for (input, whole) in &cases {
             for cut in 0..=input.len() {
                 let prefix = &input[..cut];
-                assert_eq!(sliced(prefix), blocking(prefix), "{input:?}, prefix of {cut} bytes");
+                for chunk in [1, usize::MAX] {
+                    assert_eq!(
+                        sliced(prefix),
+                        blocking(prefix, chunk),
+                        "{input:?}, prefix of {cut} bytes, {chunk}-byte reads"
+                    );
+                }
             }
             assert_eq!(&sliced(input), whole, "{input:?}");
         }

@@ -8,20 +8,23 @@
 //! set of [`PoolWorker`]s, each owning a disjoint set of nonblocking
 //! connections and their reusable buffers, polled in a read → dispatch →
 //! write loop. Its answers are byte-identical to
-//! [`SketchServer::handle_into`] applied to the same frames in order.
+//! [`SketchServer::handle_into`] applied to the same frames in order,
+//! below saturation and at it: both answer queries through the one
+//! executor, [`SketchServer::query_group`].
 //!
 //! Three properties define the hot path, and each is load-bearing for the
 //! tier's bit-identity contract:
 //!
 //! - **Pipelining.** A connection may write many request frames before
-//!   reading. The worker parses read-ahead bytes into a per-connection
-//!   queue ([`frame_boundary`] finds boundaries incrementally, so a
-//!   partial frame on one connection never blocks another) and answers
-//!   strictly in arrival order per connection.
+//!   reading. The worker cuts read-ahead bytes into a per-connection
+//!   queue (each connection's [`FrameReader`] keeps a partial frame until
+//!   the rest arrives, so it never blocks another connection) and
+//!   answers strictly in arrival order per connection.
 //! - **Micro-batching.** Within one dispatch sub-round, the maximal
 //!   *prefix run* of Query requests at each connection's queue head is
-//!   taken, and runs across connections are grouped by `(id, mode)` into
-//!   one engine dispatch under one [`BatchSlot`](crate::server::BatchSlot).
+//!   taken, and runs across connections are grouped by `(id, mode)`; each
+//!   group is one [`SketchServer::query_group`] call — one
+//!   [`BatchSlot`](crate::server::BatchSlot), one engine dispatch.
 //!   Aggregation only regroups work — per-query supports are independent
 //!   of batch composition, so scattering the concatenated answers back is
 //!   bit-identical to answering each request alone. Requests are
@@ -39,11 +42,9 @@
 //! the old decoded form while the next sub-round answers the new one —
 //! no request ever observes a torn state.
 
-use crate::error::ServeError;
-use crate::net::frame_boundary;
+use crate::net::FrameReader;
 use crate::protocol::{EncodeBuf, QueryMode, Request, Response};
 use crate::server::SketchServer;
-use crate::sketch::Answers;
 use ifs_database::Itemset;
 use ifs_util::threads::{clamp_threads, host_cores};
 use std::collections::{BTreeMap, VecDeque};
@@ -72,24 +73,19 @@ pub fn resolve_workers(workers: usize) -> usize {
     }
 }
 
-/// One parsed inbound item, queued in arrival order. A complete frame
-/// that fails request decoding (bad checksum, unknown tag) still occupies
-/// its arrival slot, as the typed error response it will be answered with
-/// — in-order responses are the pipelining contract.
-enum Pending {
-    Request(Request),
-    Immediate(Response),
-}
-
 /// One multiplexed connection: the stream plus every per-connection
 /// reusable buffer (inbound bytes, parsed queue, outbound bytes, encode
 /// scratch). A warm connection allocates nothing at the framing layer.
 struct Conn<S> {
     stream: S,
-    /// Unparsed inbound bytes (a partial frame at most `MAX_WIRE_FRAME`).
-    inbuf: Vec<u8>,
-    /// Parsed, not yet answered, in arrival order.
-    queue: VecDeque<Pending>,
+    /// Inbound bytes not yet cut into frames (a partial frame declares at
+    /// most `MAX_WIRE_FRAME` body bytes).
+    inbound: FrameReader,
+    /// Parsed, not yet answered, in arrival order. A frame that fails
+    /// request decoding (bad checksum, unknown tag) still occupies its
+    /// arrival slot, as the typed error response it will be answered with
+    /// — in-order responses are the pipelining contract.
+    queue: VecDeque<Result<Request, Response>>,
     /// Encoded responses not yet fully written.
     outbuf: Vec<u8>,
     /// Prefix of `outbuf` already written to the stream.
@@ -104,19 +100,6 @@ struct Conn<S> {
 }
 
 impl<S> Conn<S> {
-    fn new(stream: S) -> Self {
-        Self {
-            stream,
-            inbuf: Vec::new(),
-            queue: VecDeque::new(),
-            outbuf: Vec::new(),
-            written: 0,
-            buf: EncodeBuf::new(),
-            eof: false,
-            closing: false,
-        }
-    }
-
     /// Done: nothing queued, nothing to flush, and no more bytes coming.
     fn finished(&self) -> bool {
         (self.eof || self.closing) && self.queue.is_empty() && self.written == self.outbuf.len()
@@ -131,20 +114,28 @@ impl<S> Conn<S> {
 pub struct PoolWorker<'s, S> {
     server: &'s SketchServer,
     conns: Vec<Conn<S>>,
-    chunk: Vec<u8>,
 }
 
 impl<'s, S: Read + Write> PoolWorker<'s, S> {
     /// A worker with no connections yet.
     pub fn new(server: &'s SketchServer) -> Self {
-        Self { server, conns: Vec::new(), chunk: vec![0; 16 * 1024] }
+        Self { server, conns: Vec::new() }
     }
 
     /// Adopts a connection. For TCP the stream must already be
     /// nonblocking; any stream whose `read`/`write` return
     /// [`io::ErrorKind::WouldBlock`] instead of blocking works.
     pub fn push(&mut self, stream: S) {
-        self.conns.push(Conn::new(stream));
+        self.conns.push(Conn {
+            stream,
+            inbound: FrameReader::default(),
+            queue: VecDeque::new(),
+            outbuf: Vec::new(),
+            written: 0,
+            buf: EncodeBuf::new(),
+            eof: false,
+            closing: false,
+        });
     }
 
     /// Live connections.
@@ -165,7 +156,7 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
     pub fn pass(&mut self) -> bool {
         let mut did = false;
         for conn in &mut self.conns {
-            did |= Self::read_and_parse(conn, &mut self.chunk);
+            did |= Self::read_and_parse(conn);
         }
         did |= self.dispatch();
         for conn in &mut self.conns {
@@ -180,54 +171,41 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
     /// and costs the *other* connections nothing, because this never
     /// blocks. An unframeable prefix queues one typed error response and
     /// marks the connection closing (the stream position is meaningless,
-    /// exactly the blocking transport's contract).
-    fn read_and_parse(conn: &mut Conn<S>, chunk: &mut [u8]) -> bool {
+    /// as [`FrameReader::read_frame`] refuses it).
+    fn read_and_parse(conn: &mut Conn<S>) -> bool {
         let mut did = false;
         if !conn.eof && !conn.closing && conn.queue.len() < READAHEAD {
             loop {
-                match conn.stream.read(chunk) {
-                    Ok(0) => {
-                        conn.eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.inbuf.extend_from_slice(&chunk[..n]);
-                        did = true;
-                        if n < chunk.len() {
+                match conn.inbound.fill(&mut conn.stream) {
+                    // A read that fills the free tail may have left more.
+                    Ok((n, filled)) => {
+                        did |= n > 0;
+                        conn.eof = n == 0;
+                        if !filled {
                             break;
                         }
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.eof = true;
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => {
+                        conn.eof = e.kind() != io::ErrorKind::WouldBlock;
                         break;
                     }
                 }
             }
         }
-        let mut consumed = 0;
         while !conn.closing && conn.queue.len() < READAHEAD {
-            match frame_boundary(&conn.inbuf[consumed..]) {
+            let pending = match conn.inbound.next_frame() {
                 Ok(None) => break,
-                Ok(Some(len)) => {
-                    let frame = &conn.inbuf[consumed..consumed + len];
-                    conn.queue.push_back(match Request::from_bytes(frame) {
-                        Ok(req) => Pending::Request(req),
-                        Err(e) => Pending::Immediate(Response::Error(e.into())),
-                    });
-                    consumed += len;
-                    did = true;
+                Ok(Some(frame)) => {
+                    Request::from_bytes(frame).map_err(|e| Response::Error(e.into()))
                 }
                 Err(e) => {
-                    conn.queue.push_back(Pending::Immediate(Response::Error(e.into())));
                     conn.closing = true;
-                    did = true;
+                    Err(Response::Error(e.into()))
                 }
-            }
-        }
-        if consumed > 0 {
-            conn.inbuf.drain(..consumed);
+            };
+            conn.queue.push_back(pending);
+            did = true;
         }
         did
     }
@@ -235,51 +213,34 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
     /// Dispatch sub-rounds until every queue is empty. Each sub-round:
     /// (a) answer every non-query queue head (Load/Stats and queued
     /// decode errors) in order — these are the barriers; (b) take each
-    /// queue's maximal prefix run of Query requests, group the runs
-    /// across connections by `(id, mode)`, execute each group as one
-    /// engine dispatch, and scatter answers back in arrival order.
+    /// queue's maximal prefix run of Query requests and
+    /// [`execute`](Self::execute) them.
     fn dispatch(&mut self) -> bool {
         let mut did = false;
         loop {
             let mut round = false;
+            let is_query =
+                |p: &mut Result<Request, Response>| matches!(p, Ok(Request::Query { .. }));
             for conn in &mut self.conns {
-                loop {
-                    match conn.queue.front() {
-                        Some(Pending::Request(Request::Query { .. })) | None => break,
-                        Some(_) => {}
-                    }
-                    let resp = match conn.queue.pop_front().expect("front was Some") {
-                        Pending::Immediate(resp) => resp,
-                        Pending::Request(req) => self.server.respond(&req),
-                    };
-                    let frame = resp.encode_into(&mut conn.buf);
-                    conn.outbuf.extend_from_slice(frame);
+                while let Some(head) = conn.queue.pop_front_if(|p| !is_query(p)) {
+                    let resp = head.map_or_else(|resp| resp, |req| self.server.respond(req));
+                    conn.outbuf.extend_from_slice(resp.encode_into(&mut conn.buf));
                     round = true;
                 }
             }
             // Maximal prefix runs of queries, taken per connection in
             // arrival order; `taken`'s order within one connection is
             // therefore that connection's response order.
-            let mut taken: Vec<(usize, u64, QueryMode, Vec<Itemset>)> = Vec::new();
+            let mut taken = Vec::new();
             for (ci, conn) in self.conns.iter_mut().enumerate() {
-                while matches!(conn.queue.front(), Some(Pending::Request(Request::Query { .. }))) {
-                    let Some(Pending::Request(Request::Query { id, mode, queries })) =
-                        conn.queue.pop_front()
-                    else {
-                        unreachable!("front matched Query")
-                    };
+                while let Some(Ok(Request::Query { id, mode, queries })) =
+                    conn.queue.pop_front_if(is_query)
+                {
                     taken.push((ci, id, mode, queries));
                 }
             }
-            if !taken.is_empty() {
-                round = true;
-                let responses = self.execute(&mut taken);
-                for ((ci, _, _, _), resp) in taken.iter().zip(responses) {
-                    let conn = &mut self.conns[*ci];
-                    let frame = resp.encode_into(&mut conn.buf);
-                    conn.outbuf.extend_from_slice(frame);
-                }
-            }
+            round |= !taken.is_empty();
+            self.execute(taken);
             did |= round;
             if !round {
                 return did;
@@ -287,78 +248,29 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
         }
     }
 
-    /// Executes one sub-round's taken queries: groups by `(id, mode)`,
-    /// resolves each group's sketch `Arc` once (so every request in the
-    /// group answers the same snapshot generation), validates each
-    /// request once, then runs the group's valid requests as one
-    /// concatenated batch under one in-flight slot and scatters the
-    /// answers back. Returns one response per taken request, aligned; the
-    /// requests' itemsets are moved into the aggregate.
-    fn execute(&self, taken: &mut [(usize, u64, QueryMode, Vec<Itemset>)]) -> Vec<Response> {
-        let mut responses: Vec<Option<Response>> = (0..taken.len()).map(|_| None).collect();
-        let mut groups: BTreeMap<(u64, u8), Vec<usize>> = BTreeMap::new();
-        for (i, (_, id, mode, _)) in taken.iter().enumerate() {
-            groups.entry((*id, mode.wire_tag())).or_default().push(i);
+    /// Answers one sub-round's taken queries: groups them across
+    /// connections by `(id, mode)`, moving each request's itemsets into
+    /// its group, answers each group with one
+    /// [`SketchServer::query_group`] (one slot, one resolve, one engine
+    /// dispatch), and scatters the responses back in taken order.
+    fn execute(&mut self, taken: Vec<(usize, u64, QueryMode, Vec<Itemset>)>) {
+        let mut groups: BTreeMap<(u64, QueryMode), Vec<Vec<Itemset>>> = BTreeMap::new();
+        let mut order = Vec::with_capacity(taken.len());
+        for (ci, id, mode, queries) in taken {
+            groups.entry((id, mode)).or_default().push(queries);
+            order.push((ci, (id, mode)));
         }
-        let refuse = |responses: &mut [Option<Response>], of: &[usize], e: ServeError| {
-            for &m in of {
-                responses[m] = Some(Response::Error(e.clone()));
-            }
-        };
-        for ((id, _), members) in groups {
-            let mode = taken[members[0]].2;
-            let sketch = match self.server.sketch(id) {
-                Ok(sketch) => sketch,
-                Err(e) => {
-                    refuse(&mut responses, &members, e);
-                    continue;
-                }
-            };
-            // Validate each request alone: a bad query refuses only its
-            // own request (with the same typed error `handle_into`
-            // produces) and never joins the aggregate.
-            let mut valid = Vec::with_capacity(members.len());
-            for &m in &members {
-                match sketch.validate(&taken[m].3) {
-                    Ok(()) => valid.push(m),
-                    Err(e) => responses[m] = Some(Response::Error(e)),
-                }
-            }
-            if valid.is_empty() {
-                continue;
-            }
-            // One backpressure slot and one engine dispatch for the whole
-            // aggregated group — the point of micro-batching. The slot
-            // comes first, as in `handle_into`.
-            let _slot = match self.server.try_begin_batch() {
-                Ok(slot) => slot,
-                Err(e) => {
-                    refuse(&mut responses, &valid, e);
-                    continue;
-                }
-            };
-            let lens: Vec<usize> = valid.iter().map(|&m| taken[m].3.len()).collect();
-            let mut all: Vec<Itemset> = Vec::with_capacity(lens.iter().sum());
-            for &m in &valid {
-                all.append(&mut taken[m].3);
-            }
-            match sketch.dispatch(mode, &all) {
-                Ok(answers) => {
-                    self.server.record_dispatch();
-                    let mut at = 0;
-                    for (&m, &n) in valid.iter().zip(&lens) {
-                        responses[m] = Some(match &answers {
-                            Answers::Estimates(v) => Response::Estimates(v[at..at + n].to_vec()),
-                            Answers::Indicators(v) => Response::Indicators(v[at..at + n].to_vec()),
-                        });
-                        at += n;
-                    }
-                }
-                // A mode the sketch cannot answer refuses every member.
-                Err(e) => refuse(&mut responses, &valid, e),
-            }
+        let mut answered: BTreeMap<_, _> = groups
+            .into_iter()
+            .map(|((id, mode), batches)| {
+                ((id, mode), self.server.query_group(id, mode, batches).into_iter())
+            })
+            .collect();
+        for (ci, key) in order {
+            let resp = answered.get_mut(&key).and_then(Iterator::next).expect("one per batch");
+            let conn = &mut self.conns[ci];
+            conn.outbuf.extend_from_slice(resp.encode_into(&mut conn.buf));
         }
-        responses.into_iter().map(|r| r.expect("every taken request answered")).collect()
     }
 
     /// Writes as much buffered output as the stream accepts without
@@ -367,19 +279,14 @@ impl<'s, S: Read + Write> PoolWorker<'s, S> {
         let mut did = false;
         while conn.written < conn.outbuf.len() {
             match conn.stream.write(&conn.outbuf[conn.written..]) {
-                Ok(0) => {
-                    conn.eof = true;
-                    conn.queue.clear();
-                    conn.written = conn.outbuf.len();
-                    break;
-                }
-                Ok(n) => {
+                Ok(n) if n > 0 => {
                     conn.written += n;
                     did = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
+                // A zero-byte write or a failure: the peer is gone.
+                _ => {
                     conn.eof = true;
                     conn.queue.clear();
                     conn.written = conn.outbuf.len();
@@ -471,6 +378,7 @@ pub fn serve_pooled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ServeError;
     use crate::server::ServeConfig;
     use ifs_core::{FrequencyEstimator, ReleaseDb, Snapshot};
     use ifs_database::Database;
@@ -533,13 +441,11 @@ mod tests {
         }
     }
 
-    fn decode_responses(wire: &[u8]) -> Vec<Response> {
+    fn decode_responses(mut wire: &[u8]) -> Vec<Response> {
+        let mut reader = FrameReader::default();
         let mut out = Vec::new();
-        let mut at = 0;
-        while at < wire.len() {
-            let len = frame_boundary(&wire[at..]).expect("well-formed").expect("complete");
-            out.push(Response::from_bytes(&wire[at..at + len]).expect("decodes"));
-            at += len;
+        while let Some(frame) = reader.read_frame(&mut wire).expect("complete frames") {
+            out.push(Response::from_bytes(frame.expect("well-formed")).expect("decodes"));
         }
         out
     }
@@ -758,7 +664,7 @@ mod tests {
             "saturated pool refuses"
         );
         drop(held);
-        run_until_drained_or(&mut worker, &out, 2);
+        run_until_drained(&mut worker);
         let responses = decode_responses(&out.borrow());
         assert_eq!(responses[1], Response::Estimates(offline.estimate_batch(&queries)));
     }
@@ -792,9 +698,10 @@ mod tests {
     /// Refusals in the same `(id, mode)` group as valid requests, all
     /// taken in one worker pass, answer as `handle_into` does, and
     /// `served_batches` counts exactly the answered dispatches. At
-    /// saturation a valid query in a mode the sketch cannot answer is
-    /// refused `Overloaded`, as `handle_into` refuses it: the slot is
-    /// taken before the mode is judged.
+    /// saturation a query in a mode the sketch cannot answer, on an
+    /// unknown id, or with an out-of-range item is refused `Overloaded`,
+    /// as `handle_into` refuses it: the slot is taken before anything
+    /// else is judged.
     #[test]
     fn refused_requests_share_a_group_with_valid_ones() {
         // One slot: each group's dispatch, and each reference request,
@@ -828,25 +735,13 @@ mod tests {
         // id 1 is not a dispatch.
         assert_eq!(server.stats().served_batches, 2);
 
+        // Saturated, every query — valid, on an unknown id, or with an
+        // out-of-range item — is refused `Overloaded` before it is judged.
         let _held = (server.try_begin_batch().unwrap(), reference.try_begin_batch().unwrap());
-        let got = replay(&server, &reference, &frames[4..5]);
-        assert!(matches!(
-            got[0],
-            Response::Error(ServeError::Overloaded { in_flight: 1, limit: 1 })
-        ));
-    }
-
-    fn run_until_drained_or(
-        worker: &mut PoolWorker<'_, ScriptStream>,
-        out: &Rc<RefCell<Vec<u8>>>,
-        responses: usize,
-    ) {
-        for _ in 0..10_000 {
-            worker.pass();
-            if decode_responses(&out.borrow()).len() >= responses {
-                return;
-            }
+        let saturated =
+            [frames[4].clone(), request(9, QueryMode::Estimate, vec![vec![0]]), frames[5].clone()];
+        for got in replay(&server, &reference, &saturated) {
+            assert_eq!(got, Response::Error(ServeError::Overloaded { in_flight: 1, limit: 1 }));
         }
-        panic!("worker never produced {responses} responses");
     }
 }

@@ -70,8 +70,8 @@ const RESP_STATS: u8 = 4;
 const RESP_ERROR: u8 = 5;
 const RESP_RELOADED: u8 = 6;
 
-/// Which query procedure a batch runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which query procedure a batch runs (ordered as its wire tag).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum QueryMode {
     /// `Q(S, T) ∈ [0, 1]` per itemset — answered as a vector of `f64`s.
     Estimate,

@@ -5,10 +5,12 @@
 //! [`respond`](SketchServer::respond) maps one decoded request to one
 //! response, [`handle_into`](SketchServer::handle_into) is the same map
 //! over frame bytes, and the TCP transport ([`crate::pool`]) is a loop
-//! around them. All state sits behind one mutex, but query
-//! batches execute *outside* it on an [`Arc`]'d sketch, so concurrent
-//! connections overlap their (dominant) batch work and the lock guards
-//! only admissions and LRU bookkeeping.
+//! around them. Every query, alone or micro-batched, is answered by one
+//! executor, [`query_group`](SketchServer::query_group): slot, resolve,
+//! validate, one dispatch, count, scatter. All state sits behind one
+//! mutex, but query batches execute *outside* it on an [`Arc`]'d sketch,
+//! so concurrent connections overlap their (dominant) batch work and the
+//! lock guards only admissions and LRU bookkeeping.
 //!
 //! **The hot set.** Each admitted id's entry always keeps its frame, but
 //! only a working set stays **decoded**, bounded by the sum of measured
@@ -166,29 +168,16 @@ impl SketchServer {
     }
 
     /// Tries to occupy an in-flight batch slot, refusing with a typed
-    /// [`ServeError::Overloaded`] when the bound is reached. The TCP layer
-    /// and [`respond`](Self::respond) call this per query batch; tests hold
-    /// slots directly to drive the server to saturation deterministically.
+    /// [`ServeError::Overloaded`] when the bound is reached.
+    /// [`query_group`](Self::query_group) calls this once per group of
+    /// query batches; tests hold slots directly to drive the server to
+    /// saturation deterministically.
     pub fn try_begin_batch(&self) -> Result<BatchSlot<'_>, ServeError> {
         let limit = self.config.max_in_flight;
-        let mut current = self.in_flight.load(Ordering::Acquire);
-        loop {
-            if current >= limit {
-                return Err(ServeError::Overloaded {
-                    in_flight: current as u64,
-                    limit: limit as u64,
-                });
-            }
-            match self.in_flight.compare_exchange_weak(
-                current,
-                current + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Ok(BatchSlot { counter: &self.in_flight }),
-                Err(seen) => current = seen,
-            }
-        }
+        self.in_flight
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| (n < limit).then_some(n + 1))
+            .map(|_| BatchSlot { counter: &self.in_flight })
+            .map_err(|n| ServeError::Overloaded { in_flight: n as u64, limit: limit as u64 })
     }
 
     /// Admits a snapshot frame under `id`, validating it end to end
@@ -249,9 +238,9 @@ impl SketchServer {
 
     /// The decoded sketch at `id`, reloading it from the admitted frame
     /// bytes (and evicting as needed) if it is not hot. This is the one
-    /// place a dispatch resolves id → sketch; the pooled path calls it
-    /// once per aggregated micro-batch so every request in the batch
-    /// answers against the same snapshot generation.
+    /// place a dispatch resolves id → sketch; [`query_group`](Self::query_group)
+    /// calls it once per group so every batch in the group answers
+    /// against the same snapshot generation.
     pub fn sketch(&self, id: u64) -> Result<Arc<ServedSketch>, ServeError> {
         let mut state = self.state.lock().expect("server state poisoned");
         let entry = state.entries.get(&id).ok_or(ServeError::UnknownSketch { id })?;
@@ -268,17 +257,9 @@ impl SketchServer {
         Ok(sketch)
     }
 
-    /// Counts one served dispatch. [`query`](Self::query) calls this
-    /// internally; the pooled path, which executes batches on the [`Arc`]
-    /// from [`sketch`](Self::sketch) directly, calls it once per
-    /// aggregated dispatch — so `served_batches` counts *dispatches on
-    /// the engine*, not client-visible query responses.
-    pub fn record_dispatch(&self) {
-        self.state.lock().expect("server state poisoned").served_batches += 1;
-    }
-
-    /// Answers one query batch from the sketch at `id`. The caller must
-    /// hold a [`BatchSlot`]; batch execution runs outside the state lock.
+    /// Answers one query batch from the sketch at `id` — the one-batch
+    /// form of [`query_group`](Self::query_group)'s steps, under a slot
+    /// the caller holds. Batch execution runs outside the state lock.
     pub fn query(
         &self,
         _slot: &BatchSlot<'_>,
@@ -287,8 +268,68 @@ impl SketchServer {
         queries: &[Itemset],
     ) -> Result<Answers, ServeError> {
         let sketch = self.sketch(id)?;
-        let answers = sketch.answer(mode, queries)?;
-        self.record_dispatch();
+        sketch.validate(queries)?;
+        self.dispatch(&sketch, mode, queries)
+    }
+
+    /// Answers a group of query batches on one `(id, mode)` with one
+    /// engine dispatch, one response per batch in order: take an
+    /// in-flight slot, resolve the id once (so every batch answers the
+    /// same snapshot generation), validate each batch alone, answer the
+    /// valid batches' queries — moved, not copied, into one aggregate —
+    /// with one dispatch, count it, and give each batch its slice of the
+    /// answers or its own refusal. Aggregation only regroups work:
+    /// per-query answers are independent of batch composition, so each
+    /// response is bit-identical to the batch answered alone.
+    pub fn query_group(
+        &self,
+        id: u64,
+        mode: QueryMode,
+        batches: Vec<Vec<Itemset>>,
+    ) -> Vec<Response> {
+        let (_slot, sketch) = match self.try_begin_batch().and_then(|s| Ok((s, self.sketch(id)?))) {
+            Ok(resolved) => resolved,
+            Err(e) => return vec![Response::Error(e); batches.len()],
+        };
+        let mut all = Vec::new();
+        let checks: Vec<Result<usize, ServeError>> = batches
+            .into_iter()
+            .map(|mut batch| {
+                sketch.validate(&batch)?;
+                all.append(&mut batch);
+                Ok(all.len())
+            })
+            .collect();
+        let answers = checks.iter().any(Result::is_ok).then(|| self.dispatch(&sketch, mode, &all));
+        let mut start = 0;
+        checks
+            .into_iter()
+            .map(|check| {
+                let end = match check {
+                    Ok(end) => end,
+                    Err(e) => return Response::Error(e),
+                };
+                let range = std::mem::replace(&mut start, end)..end;
+                match answers.as_ref().expect("a valid batch was dispatched") {
+                    Ok(Answers::Estimates(v)) => Response::Estimates(v[range].to_vec()),
+                    Ok(Answers::Indicators(v)) => Response::Indicators(v[range].to_vec()),
+                    Err(e) => Response::Error(e.clone()),
+                }
+            })
+            .collect()
+    }
+
+    /// Runs one validated batch on `sketch` and counts the dispatch:
+    /// `served_batches` counts *dispatches on the engine*, not
+    /// client-visible query responses.
+    fn dispatch(
+        &self,
+        sketch: &ServedSketch,
+        mode: QueryMode,
+        queries: &[Itemset],
+    ) -> Result<Answers, ServeError> {
+        let answers = sketch.dispatch(mode, queries)?;
+        self.state.lock().expect("server state poisoned").served_batches += 1;
         Ok(answers)
     }
 
@@ -315,39 +356,31 @@ impl SketchServer {
     }
 
     /// Maps one decoded request to its response: Load (or reload),
-    /// Stats, and a single query batch under its own [`BatchSlot`]. Every
-    /// refusal comes back as [`Response::Error`]. [`Self::handle_into`]
-    /// answers every request through here; the pooled transport answers
-    /// Load and Stats through here and queries through its
-    /// cross-connection aggregation instead ([`crate::pool`]).
-    pub fn respond(&self, request: &Request) -> Response {
+    /// Stats, and a query batch answered as a group of one through
+    /// [`query_group`](Self::query_group). Every refusal comes back as
+    /// [`Response::Error`]. [`Self::handle_into`] answers every request
+    /// through here; the pooled transport answers Load and Stats through
+    /// here and groups queries across connections for `query_group`
+    /// itself ([`crate::pool`]).
+    pub fn respond(&self, request: Request) -> Response {
         match request {
-            Request::Load { id, threads, frame } => match self.load_frame(*id, *threads, frame) {
+            Request::Load { id, threads, frame } => match self.load_frame(id, threads, &frame) {
                 Ok(LoadOutcome {
                     kind,
                     size_bits,
                     generation,
                     previous_kind: Some(previous_kind),
                     evicted,
-                }) => Response::Reloaded {
-                    id: *id,
-                    kind,
-                    size_bits,
-                    generation,
-                    previous_kind,
-                    evicted,
-                },
+                }) => {
+                    Response::Reloaded { id, kind, size_bits, generation, previous_kind, evicted }
+                }
                 Ok(LoadOutcome { kind, size_bits, evicted, .. }) => {
-                    Response::Loaded { id: *id, kind, size_bits, evicted }
+                    Response::Loaded { id, kind, size_bits, evicted }
                 }
                 Err(e) => Response::Error(e),
             },
             Request::Query { id, mode, queries } => {
-                match self.try_begin_batch().and_then(|slot| self.query(&slot, *id, *mode, queries))
-                {
-                    Ok(answers) => answers.into(),
-                    Err(e) => Response::Error(e),
-                }
+                self.query_group(id, mode, vec![queries]).pop().expect("one response per batch")
             }
             Request::Stats => Response::Stats(self.stats()),
         }
@@ -362,7 +395,7 @@ impl SketchServer {
     /// valid until the buffer's next encode.
     pub fn handle_into<'a>(&self, request: &[u8], buf: &'a mut EncodeBuf) -> &'a [u8] {
         let response = match Request::from_bytes(request) {
-            Ok(request) => self.respond(&request),
+            Ok(request) => self.respond(request),
             Err(e) => Response::Error(ServeError::Decode(e)),
         };
         response.encode_into(buf)
@@ -442,13 +475,13 @@ mod tests {
         let (offline, frame) = demo();
         let server = SketchServer::new(ServeConfig::default());
         let load = Request::Load { id: 0, threads: 256, frame };
-        assert!(matches!(server.respond(&load), Response::Loaded { .. }));
+        assert!(matches!(server.respond(load), Response::Loaded { .. }));
         let threads = server.sketch(0).expect("admitted").threads();
         assert!((1..=host_cores()).contains(&threads), "resolved {threads} threads");
         let queries = vec![Itemset::empty(), Itemset::new(vec![0, 1]), Itemset::singleton(4)];
         let query = Request::Query { id: 0, mode: QueryMode::Estimate, queries: queries.clone() };
         assert_eq!(
-            server.respond(&query),
+            server.respond(query),
             Response::from(Answers::Estimates(offline.estimate_batch(&queries)))
         );
     }

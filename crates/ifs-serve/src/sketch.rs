@@ -65,9 +65,13 @@ impl ServedSketch {
     /// Dispatch reads only the frame header; unservable kinds and every
     /// decode failure refuse typed.
     pub fn admit(bytes: &[u8], threads: usize) -> Result<Self, ServeError> {
-        let mut sketch = match frame_header(bytes)?.kind {
-            KIND_SUBSAMPLE => ServedSketch::Subsample(Subsample::from_snapshot(bytes)?),
-            KIND_RELEASE_DB => ServedSketch::ReleaseDb(ReleaseDb::from_snapshot(bytes)?),
+        Ok(match frame_header(bytes)?.kind {
+            KIND_SUBSAMPLE => {
+                ServedSketch::Subsample(Subsample::from_snapshot(bytes)?.with_threads(threads))
+            }
+            KIND_RELEASE_DB => {
+                ServedSketch::ReleaseDb(ReleaseDb::from_snapshot(bytes)?.with_threads(threads))
+            }
             KIND_RELEASE_ANSWERS_INDICATOR => {
                 ServedSketch::AnswersIndicator(ReleaseAnswersIndicator::from_snapshot(bytes)?)
             }
@@ -75,9 +79,7 @@ impl ServedSketch {
                 ServedSketch::AnswersEstimator(ReleaseAnswersEstimator::from_snapshot(bytes)?)
             }
             kind => return Err(ServeError::UnservableKind { kind }),
-        };
-        sketch.set_threads(threads);
-        Ok(sketch)
+        })
     }
 
     /// This sketch's tag in the snapshot kind registry.
@@ -110,16 +112,6 @@ impl ServedSketch {
         }
     }
 
-    /// Applies the sharded-engine thread knob where the sketch has one.
-    pub fn set_threads(&mut self, threads: usize) {
-        match self {
-            ServedSketch::Subsample(s) => s.set_threads(threads),
-            ServedSketch::ReleaseDb(s) => s.set_threads(threads),
-            // Scalar bitset lookups: no batched engine underneath.
-            ServedSketch::AnswersIndicator(_) | ServedSketch::AnswersEstimator(_) => {}
-        }
-    }
-
     /// The sharded-engine thread knob in force (1 for the scalar-lookup
     /// stores, which have no batched engine).
     pub fn threads(&self) -> usize {
@@ -142,10 +134,10 @@ impl ServedSketch {
     }
 
     /// Refuses any query outside this sketch's contract — the checks the
-    /// offline paths perform with `assert!`, as typed errors. Public so
-    /// the micro-batcher can validate each connection's request *before*
-    /// aggregation: a bad query then refuses only its own request, never
-    /// a batch another connection contributed to.
+    /// offline paths perform with `assert!`, as typed errors. The server's
+    /// group executor validates each batch *before* aggregation, so a bad
+    /// query refuses only its own request, never a batch another
+    /// connection contributed to.
     pub fn validate(&self, queries: &[Itemset]) -> Result<(), ServeError> {
         let dims = self.dims();
         let required = self.required_len();
@@ -179,8 +171,8 @@ impl ServedSketch {
     }
 
     /// [`answer`](Self::answer) for a batch the caller has already
-    /// validated — the pool validates each request once, then dispatches
-    /// the group's valid requests together.
+    /// validated — the server validates each batch of a group once, then
+    /// dispatches the valid ones together.
     pub(crate) fn dispatch(
         &self,
         mode: QueryMode,

@@ -103,7 +103,10 @@ pub(crate) fn migrate(
     let mut out = SketchLog::create(dst)?;
     let mut rewritten = 0u64;
     for rec in &records {
-        let info = ifs_database::codec::peek_frame(&rec.frame)
+        // The strict scan behind `records` has checked every frame's
+        // checksum, and a stale frame's decoder checks it again, so the
+        // header alone decides staleness.
+        let info = ifs_database::codec::frame_header(&rec.frame)
             .map_err(|source| StoreError::Frame { offset: rec.offset, id: rec.id, source })?;
         let stale = current_version(info.kind).is_some_and(|v| info.version < v);
         if stale {

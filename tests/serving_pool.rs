@@ -24,8 +24,8 @@
 
 use itemset_sketches::prelude::*;
 use itemset_sketches::serve::{
-    net, pool, Answers, Client, EncodeBuf, QueryMode, Request, Response, ServeConfig, ServeError,
-    SketchServer,
+    net::FrameReader, pool, Answers, Client, EncodeBuf, QueryMode, Request, Response, ServeConfig,
+    ServeError, SketchServer,
 };
 use proptest::prelude::*;
 use std::io::Write as _;
@@ -35,11 +35,11 @@ use std::net::{TcpListener, TcpStream};
 /// parallelism.
 const TEST_WORKERS: usize = 2;
 
-/// Reads one response off a raw stream: `None` on a clean close.
-fn read_response(stream: &mut TcpStream) -> Option<Response> {
-    let mut frame = Vec::new();
-    net::read_frame_into(stream, &mut frame).expect("transport")?.expect("well-formed");
-    Some(Response::from_bytes(&frame).expect("decodes"))
+/// Reads one response off a raw stream through that stream's one
+/// reader: `None` on a clean close.
+fn read_response(stream: &mut TcpStream, reader: &mut FrameReader) -> Option<Response> {
+    let frame = reader.read_frame(stream).expect("transport")?.expect("well-formed");
+    Some(Response::from_bytes(frame).expect("decodes"))
 }
 
 /// Binds a loopback listener and returns it with its address.
@@ -173,7 +173,8 @@ fn tcp_slowloris_does_not_stall_other_connections() {
             slow.write_all(&[b]).expect("dribble");
             slow.flush().expect("flush");
         }
-        let resp = read_response(&mut slow).expect("a response arrives");
+        let resp =
+            read_response(&mut slow, &mut FrameReader::default()).expect("a response arrives");
         assert_eq!(expect_answers(resp), expected, "slow connection diverged");
     });
 }
@@ -206,19 +207,23 @@ fn tcp_garbage_closes_only_the_offending_connection() {
         bad.write_all(&wire).expect("write");
         bad.flush().expect("flush");
         // In order: the real answer, then the typed framing error.
-        let first = read_response(&mut bad).expect("frame");
+        let mut reader = FrameReader::default();
+        let first = read_response(&mut bad, &mut reader).expect("frame");
         assert_eq!(
             expect_answers(first),
             expected,
             "the pipelined request before the garbage must be answered"
         );
-        let second = read_response(&mut bad).expect("frame");
+        let second = read_response(&mut bad, &mut reader).expect("frame");
         assert!(
             matches!(second, Response::Error(ServeError::Decode(_))),
             "garbage must be refused typed"
         );
         // Then the connection is closed: clean EOF.
-        assert!(read_response(&mut bad).is_none(), "the offending connection must be closed");
+        assert!(
+            read_response(&mut bad, &mut reader).is_none(),
+            "the offending connection must be closed"
+        );
         // The healthy connection never noticed.
         let resp = good.call(&request).expect("transport").expect("decodes");
         assert_eq!(expect_answers(resp), expected, "the healthy connection was affected");
