@@ -162,7 +162,7 @@ fn main() {
     );
 
     // One cold full transpose over everything ingested — the DESIGN.md §12
-    // staging-buffer scatter, measured directly so its build-time effect is
+    // tile transpose, measured directly so its build-time effect is
     // recorded in the artifact (it is also the unit the invalidating loop
     // pays per batch).
     let t2 = std::time::Instant::now();

@@ -1,8 +1,8 @@
-//! Bench gate: the wide AND+popcount kernels against their scalar
-//! reference twins (DESIGN.md §12).
+//! Bench gate: the wide AND+popcount kernels and the 64×64 tile transpose
+//! against their scalar reference twins (DESIGN.md §12).
 //!
-//! Every hot loop in the workspace — `ColumnStore` supports, Eclat
-//! intersections, Hamming decodes — bottoms out in `ifs_util::bits`, so
+//! Every hot loop in the workspace — `ColumnStore` supports and builds,
+//! Eclat intersections, Hamming decodes — bottoms out in `ifs_util::bits`, so
 //! this bench measures exactly those kernels in isolation: L2-resident
 //! operands, deterministic contents, best-of-N wall-clock per kernel with
 //! the scalar and wide samples interleaved, so a noisy neighbor or a drift
@@ -17,9 +17,11 @@
 //!
 //! The release gate then requires the `and_count` family (two-, three-
 //! operand, and fused-update intersections) to run at **≥ 2×** the scalar
-//! baseline measured in the same process — the ROADMAP item-4 target. The
-//! debug smoke pass skips the ratio (unoptimized builds do not vectorize
-//! either side) but still checks identity.
+//! baseline measured in the same process — the ROADMAP item-4 target —
+//! and the tile transpose behind every tid-set build (`transpose64`) to
+//! run at **≥ 2×** its per-bit reference. The debug smoke pass skips the
+//! ratios (unoptimized builds do not vectorize either side) but still
+//! checks identity.
 //!
 //! Emits `bench_results/BENCH_kernels.json` from a release build; CI
 //! regenerates it and gates on `"mode": "release"` like the other four
@@ -76,8 +78,11 @@ struct Measured {
     speedup: f64,
 }
 
+/// Times `scalar` against `wide`, each of which processes `words` words
+/// per invocation.
 fn measure(
     name: &'static str,
+    words: usize,
     mut scalar: impl FnMut() -> usize,
     mut wide: impl FnMut() -> usize,
 ) -> Measured {
@@ -88,7 +93,7 @@ fn measure(
         scalar_s = scalar_s.min(time_once(&mut scalar));
         wide_s = wide_s.min(time_once(&mut wide));
     }
-    let words_per_run = ((WORDS + TAIL) * REPS) as f64;
+    let words_per_run = (words * REPS) as f64;
     Measured {
         name,
         scalar_mword_s: words_per_run / scalar_s / 1e6,
@@ -127,6 +132,17 @@ fn assert_kernel_identity(a: &[u64], b: &[u64], c: &[u64]) {
         let want = bits::scalar::and_count_into(&mut narrow_i, b);
         assert_eq!((wide_i, got), (narrow_i, want), "and_count_into len {len}");
     }
+    for (i, tile) in tiles(a).iter().enumerate() {
+        let (mut wide, mut narrow) = (*tile, *tile);
+        bits::transpose64(&mut wide);
+        bits::scalar::transpose64(&mut narrow);
+        assert_eq!(wide, narrow, "transpose64 tile {i}");
+    }
+}
+
+/// The whole 64-word tiles of `words` — the transpose rows' operands.
+fn tiles(words: &[u64]) -> Vec<[u64; 64]> {
+    words.chunks_exact(64).map(|c| c.try_into().expect("a 64-word chunk")).collect()
 }
 
 fn main() {
@@ -137,11 +153,13 @@ fn main() {
     let measured = vec![
         measure(
             "count_ones",
+            WORDS + TAIL,
             || bits::scalar::count_ones(black_box(&a)),
             || bits::count_ones(black_box(&a)),
         ),
         measure(
             "and_count",
+            WORDS + TAIL,
             || bits::scalar::and_count(black_box(&a), black_box(&b)),
             || bits::and_count(black_box(&a), black_box(&b)),
         ),
@@ -150,6 +168,7 @@ fn main() {
         // exact sequence `support_with_scratch` historically ran for k = 3.
         measure(
             "and3_count",
+            WORDS + TAIL,
             {
                 let scratch = &mut scratch;
                 let (a, b, z) = (&a, &b, &z);
@@ -169,6 +188,7 @@ fn main() {
         // just dilute both sides of the ratio with the same bandwidth tax.
         measure(
             "and_count_into",
+            WORDS + TAIL,
             {
                 let mut buf = a.clone();
                 let b = &b;
@@ -185,8 +205,34 @@ fn main() {
         ),
         measure(
             "hamming",
+            WORDS + TAIL,
             || bits::scalar::hamming(black_box(&a), black_box(&b)),
             || bits::hamming(black_box(&a), black_box(&b)),
+        ),
+        // The tid-set build's tile kernel against the per-bit transpose,
+        // over the `WORDS / 64` whole tiles of `a`, in place (transposing
+        // a tile twice restores it, so every rep does the same work).
+        measure(
+            "transpose64",
+            WORDS,
+            {
+                let mut tiles = tiles(&a);
+                move || {
+                    for t in &mut tiles {
+                        bits::scalar::transpose64(black_box(t));
+                    }
+                    tiles[0][0] as usize
+                }
+            },
+            {
+                let mut tiles = tiles(&a);
+                move || {
+                    for t in &mut tiles {
+                        bits::transpose64(black_box(t));
+                    }
+                    tiles[0][0] as usize
+                }
+            },
         ),
     ];
 
@@ -202,6 +248,7 @@ fn main() {
         .filter(|m| m.name.starts_with("and"))
         .map(|m| m.speedup)
         .fold(f64::INFINITY, f64::min);
+    let transpose = measured.iter().find(|m| m.name == "transpose64").expect("transpose64 row");
     let kernels: Vec<String> = measured
         .iter()
         .map(|m| {
@@ -226,6 +273,11 @@ fn main() {
             min_and_family >= 2.0,
             "and_count-family kernels must be >= 2x the scalar baseline in release, \
              got {min_and_family:.2}x"
+        );
+        assert!(
+            transpose.speedup >= 2.0,
+            "transpose64 must be >= 2x its per-bit reference in release, got {:.2}x",
+            transpose.speedup
         );
     }
 }

@@ -98,11 +98,7 @@ impl StreamingBuild for ReleaseDbBuilder {
     }
 
     fn observe_row(&mut self, row: &Itemset) {
-        let r = self.matrix.rows();
-        self.matrix.push_zero_rows(1);
-        for &c in row.items() {
-            self.matrix.set(r, c as usize, true);
-        }
+        self.matrix.push_row(row.items());
     }
 
     fn rows_seen(&self) -> u64 {

@@ -138,12 +138,27 @@ impl BitMatrix {
         out
     }
 
-    /// Appends `added` all-zero rows in place (the ingestion fast path:
-    /// [`crate::Database::append_rows`] grows the matrix, then sets the new
-    /// rows' bits; `words_per_row` is unchanged because the column count is).
+    /// Appends `added` all-zero rows in place (`words_per_row` is
+    /// unchanged because the column count is).
     pub fn push_zero_rows(&mut self, added: usize) {
         self.rows += added;
         self.data.resize(self.rows * self.words_per_row, 0);
+    }
+
+    /// Appends one row holding exactly `items` (each `< cols`) — the
+    /// ingestion paths' row write: one OR per item into the new row's
+    /// words, where a per-cell [`Self::set`] re-derives the row slice and
+    /// re-checks both bounds for every item.
+    pub fn push_row(&mut self, items: &[u32]) {
+        let start = self.data.len();
+        self.data.resize(start + self.words_per_row, 0);
+        self.rows += 1;
+        let row = &mut self.data[start..];
+        for &c in items {
+            let c = c as usize;
+            assert!(c < self.cols, "item {c} out of range for {} columns", self.cols);
+            row[c / 64] |= 1u64 << (c % 64);
+        }
     }
 
     /// Appends all rows of `other` in place — the in-place counterpart of
@@ -277,6 +292,25 @@ mod tests {
             }
         }
         assert_eq!(m, BitMatrix::from_fn(8, 70, f));
+    }
+
+    #[test]
+    fn push_row_matches_from_fn() {
+        let f = |r: usize, c: usize| (r * 7 + c).is_multiple_of(3);
+        for cols in [1usize, 63, 64, 70, 129] {
+            let mut m = BitMatrix::from_fn(2, cols, f);
+            for r in 2..6 {
+                let items: Vec<u32> = (0..cols).filter(|&c| f(r, c)).map(|c| c as u32).collect();
+                m.push_row(&items);
+            }
+            assert_eq!(m, BitMatrix::from_fn(6, cols, f), "cols {cols}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 70 out of range for 70 columns")]
+    fn push_row_rejects_out_of_range_items() {
+        BitMatrix::zeros(0, 70).push_row(&[3, 70]);
     }
 
     #[test]

@@ -521,6 +521,7 @@ pub fn read_database(r: &mut Reader) -> Result<Database, DecodeError> {
     for (row, row_words) in words.chunks_exact(words_per_row).enumerate() {
         check_row_padding(row_words, dims, row)?;
     }
+    check_tid_words(rows, dims)?;
     Ok(Database::from_matrix(BitMatrix::from_raw(rows, dims, words)))
 }
 
@@ -544,7 +545,9 @@ const ROW_GROUP_RAW: u8 = 1;
 /// packed words — mirroring the serving transport's `MAX_WIRE_FRAME`).
 /// Run-length groups legitimately amplify, so unlike [`read_database`] the
 /// decoded size is not bounded by the bytes backing it; without a cap a
-/// 20-byte frame could demand a terabyte allocation.
+/// 20-byte frame could demand a terabyte allocation. Both database
+/// decoders also hold the tid-set view a decoded database builds to this
+/// cap ([`check_tid_words`]).
 const MAX_COMPRESSED_DECODE_BYTES: usize = 1 << 30;
 
 /// Encodes a database as the *compressed* snapshot body fragment (v2
@@ -650,7 +653,23 @@ pub fn read_database_compressed(r: &mut Reader) -> Result<Database, DecodeError>
         }
         covered += repeat;
     }
+    check_tid_words(rows, dims)?;
     Ok(Database::from_matrix(BitMatrix::from_raw(rows, dims, words)))
+}
+
+/// Refuses a database whose tid-set view — which its first query builds —
+/// would exceed the decode cap, though its row words fit: one row over
+/// `2^27` items is a 16 MiB matrix but 1 GiB of tid words. Judged after
+/// every other check, so those keep their refusals.
+fn check_tid_words(rows: usize, dims: usize) -> Result<(), DecodeError> {
+    let tid_words = crate::sharded::tid_words(rows, dims);
+    if tid_words.saturating_mul(8) > MAX_COMPRESSED_DECODE_BYTES {
+        return Err(DecodeError::Corrupt(format!(
+            "database shape {rows}x{dims} needs {tid_words} tid words, over the \
+             {MAX_COMPRESSED_DECODE_BYTES}-byte cap"
+        )));
+    }
+    Ok(())
 }
 
 /// Encodes the first `bit_count` bits of a packed word vector as the
@@ -913,6 +932,37 @@ mod tests {
         bytes[last] = 0x80; // bit 63 of row 1's only word: past column 10
         let mut r = Reader::new(&bytes);
         assert!(matches!(read_database(&mut r), Err(DecodeError::Corrupt(_))));
+    }
+
+    /// One empty row over `dims` items: a `⌈dims/64⌉`-word row matrix, but
+    /// a `dims`-word tid-set view. Both decoders accept it up to exactly
+    /// the cap's 2^27 tid words and refuse one item more.
+    #[test]
+    fn both_database_decoders_cap_the_tid_set_view() {
+        for dims in [1usize << 27, (1 << 27) + 1] {
+            let mut v1 = Writer::new();
+            v1.varint(1);
+            v1.varint(dims as u64);
+            v1.words(&vec![0u64; bits::words_for(dims)]);
+            let mut v2 = Writer::new();
+            v2.varint(1);
+            v2.varint(dims as u64);
+            v2.varint(1); // one group of one row
+            v2.u8(ROW_GROUP_ITEMS);
+            v2.varint(0); // no items
+            for (which, decoded) in [
+                ("v1", read_database(&mut Reader::new(v1.as_slice()))),
+                ("v2", read_database_compressed(&mut Reader::new(v2.as_slice()))),
+            ] {
+                match decoded {
+                    Ok(db) => assert_eq!((dims, db.rows(), db.dims()), (1 << 27, 1, dims)),
+                    Err(DecodeError::Corrupt(what)) => {
+                        assert!(dims > 1 << 27 && what.contains("tid words"), "{which}: {what}")
+                    }
+                    Err(e) => panic!("{which} dims={dims}: wrong refusal {e}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! once into per-item packed row-index sets ("tid-sets", as the vertical
 //! mining literature calls them); the support of an itemset is then the
 //! popcount of the AND of `k` column words — `O(k·n/64)` word operations
-//! instead of `O(n·d/64)`.
+//! instead of `O(n·d/64)`. The transpose is word-parallel: each tile of 64
+//! rows × one row word is one [`bits::transpose64`], so the build costs a
+//! few word operations per tile rather than a store per set bit.
 //!
 //! This is the same representation Eclat uses internally. A `ColumnStore`
 //! is the per-shard kernel of [`crate::ShardedColumnStore`] (the view every
@@ -50,7 +52,7 @@ pub struct ColumnStore {
 
 impl ColumnStore {
     /// Transposes a row-major matrix into per-item tid-sets (one pass over
-    /// the set bits of the matrix).
+    /// the row words of the matrix, a 64×64 bit tile at a time).
     pub fn build(matrix: &BitMatrix) -> Self {
         Self::build_range(matrix, 0..matrix.rows())
     }
@@ -60,31 +62,40 @@ impl ColumnStore {
     /// build of [`crate::ShardedColumnStore`]: each shard transposes its
     /// contiguous row slice independently, so shards can be built in
     /// parallel and their popcounts summed (DESIGN.md §8).
+    ///
+    /// Word-parallel: 64 rows × one row word form a 64×64 bit tile, and
+    /// one [`bits::transpose64`] turns it into tid word `block` of 64
+    /// columns. An all-zero tile is skipped and only nonzero output words
+    /// are stored, so sparse data pays for its set tiles, not its area.
     pub fn build_range(matrix: &BitMatrix, range: std::ops::Range<usize>) -> Self {
         assert!(range.start <= range.end && range.end <= matrix.rows(), "row range out of bounds");
         let rows = range.len();
         let dims = matrix.cols();
         let words_per_col = bits::words_for(rows).max(1);
         let mut words = vec![0u64; dims * words_per_col];
-        // Blocked bit-scatter: 64 rows at a time accumulate into one
-        // L1-resident word per column (`colword`, `d` words), then each
-        // nonzero word is stored once. The naive transpose did one random
-        // store into the `d × n/64`-word output per set *bit*; this does one
-        // per set output *word*, and the per-bit stores all land in a `d`-
-        // word buffer that stays hot across the block.
-        let mut colword = vec![0u64; dims];
-        for block in 0..words_per_col {
+        let words_per_row = matrix.words_per_row();
+        let mut tile = [0u64; 64];
+        for block in 0..bits::words_for(rows) {
             let lo = range.start + block * 64;
             let hi = (lo + 64).min(range.end);
-            for (bit, r) in (lo..hi).enumerate() {
-                for c in bits::ones(matrix.row_words(r)) {
-                    colword[c] |= 1u64 << bit;
+            let block_rows = &matrix.raw_words()[lo * words_per_row..hi * words_per_row];
+            for j in 0..bits::words_for(dims) {
+                let mut any = 0;
+                for (t, row) in tile.iter_mut().zip(block_rows.chunks_exact(words_per_row)) {
+                    *t = row[j];
+                    any |= *t;
                 }
-            }
-            for (c, w) in colword.iter_mut().enumerate() {
-                if *w != 0 {
-                    words[c * words_per_col + block] = *w;
-                    *w = 0;
+                if any == 0 {
+                    continue;
+                }
+                // Rows past `range.end` (a ragged last block) are zero, so
+                // the tid words' tail bits stay clear.
+                tile[hi - lo..].fill(0);
+                bits::transpose64(&mut tile);
+                for (c, &w) in (64 * j..dims.min(64 * j + 64)).zip(&tile) {
+                    if w != 0 {
+                        words[c * words_per_col + block] = w;
+                    }
                 }
             }
         }
@@ -98,8 +109,8 @@ impl ColumnStore {
     /// **bit-identical** (`==`) to `ColumnStore::build` of the extended
     /// matrix. When the new row count needs more words per tid-set, every
     /// column is copied once into the wider stride — an `O(d·n/64)` word
-    /// memcpy, far cheaper than the `O(n·d)` bit-scatter of a fresh
-    /// transpose — and otherwise only the new rows' bits are set.
+    /// memcpy, cheaper than re-transposing every row — and otherwise only
+    /// the new rows' bits are set.
     pub fn append_rows(&mut self, rows: &[Itemset]) {
         let new_rows = self.rows + rows.len();
         let new_wpc = bits::words_for(new_rows).max(1);
@@ -388,6 +399,38 @@ mod tests {
         assert_eq!(store.support(&Itemset::new(vec![0, 64])), 1);
         assert_eq!(store.support(&Itemset::new(vec![0, 30, 64])), 1);
         assert!(ifs_util::bits::get(store.tids(0), n - 1), "last row, final word tail bit");
+    }
+
+    /// The tile transpose against the matrix, cell by cell: row and item
+    /// counts around the 64-bit tile edges, densities from empty to full,
+    /// and ranges that start mid-word (no shard does, but `build_range`
+    /// accepts any range), with every tail bit past the range clear.
+    #[test]
+    fn build_range_matches_every_cell() {
+        let mut rng = ifs_util::Rng64::seeded(0x7125);
+        for rows in [0usize, 1, 63, 64, 65, 130] {
+            for dims in [0usize, 1, 48, 63, 64, 65, 128, 129, 200] {
+                for density in [0.0, 0.03, 0.5, 1.0] {
+                    let m = BitMatrix::from_fn(rows, dims, |_, _| rng.bernoulli(density));
+                    for start in [0, 1, 7, 63].into_iter().filter(|&s| s <= rows) {
+                        let store = ColumnStore::build_range(&m, start..rows);
+                        assert_eq!(store.rows(), rows - start);
+                        assert_eq!(store.words_per_col(), bits::words_for(rows - start).max(1));
+                        for c in 0..dims {
+                            let tids = store.tids(c);
+                            for r in 0..tids.len() * 64 {
+                                let want = r < rows - start && m.get(start + r, c);
+                                assert_eq!(
+                                    bits::get(tids, r),
+                                    want,
+                                    "{rows}x{dims} at {density}, range {start}.., cell ({r}, {c})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

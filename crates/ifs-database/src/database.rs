@@ -126,12 +126,8 @@ impl Database {
                 );
             }
         }
-        let base = self.matrix.rows();
-        self.matrix.push_zero_rows(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            for &c in row.items() {
-                self.matrix.set(base + i, c as usize, true);
-            }
+        for row in rows {
+            self.matrix.push_row(row.items());
         }
         if let Some(store) = self.sharded.get_mut() {
             store.append_rows(rows);

@@ -38,6 +38,15 @@ use ifs_util::threads::{clamp_threads, parallel_map_indexed};
 /// spread over cores.
 pub const SHARD_ROWS: usize = 16_384;
 
+/// Tid words a `rows × dims` store holds: `dims` tid-sets of
+/// `⌈rows/64⌉` words, at least one each as a serial [`ColumnStore`] keeps
+/// (saturating). With few rows this is up to 64× the row matrix's words —
+/// one row pads every tid-set to a whole word — so decoders bound it
+/// separately from the row words (`codec::read_database`).
+pub(crate) fn tid_words(rows: usize, dims: usize) -> usize {
+    dims.saturating_mul(ifs_util::bits::words_for(rows).max(1))
+}
+
 /// Per-item tid-sets partitioned into contiguous word-aligned row shards.
 ///
 /// Equivalent to a [`ColumnStore`] over the same matrix — same supports,

@@ -50,6 +50,7 @@ use ifs_database::{generators, Itemset};
 use ifs_serve::{
     pool, Answers, Client, QueryMode, Request, Response, ServeConfig, ServedSketch, SketchServer,
 };
+use ifs_util::stats::quantile;
 use ifs_util::threads::host_cores;
 use ifs_util::Rng64;
 use std::collections::VecDeque;
@@ -248,14 +249,6 @@ fn identical(served: &Response, oracle: &Answers) -> bool {
     }
 }
 
-fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx]
-}
-
 /// The shape of one measured run.
 struct RunShape {
     connections: usize,
@@ -408,12 +401,15 @@ fn drive(
         latencies_ms.extend(lat);
         overload_retries += retries;
     }
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    // Linearly interpolated quantiles; `--batches 0` leaves no sample,
+    // reported as 0.
+    let quantile_ms =
+        |q: f64| if latencies_ms.is_empty() { 0.0 } else { quantile(&latencies_ms, q) };
     let queries_total = (shape.connections * shape.batches * shape.batch_size) as f64;
     Ok(Measured {
-        p50_ms: percentile_ms(&latencies_ms, 50.0),
-        p99_ms: percentile_ms(&latencies_ms, 99.0),
-        p999_ms: percentile_ms(&latencies_ms, 99.9),
+        p50_ms: quantile_ms(0.5),
+        p99_ms: quantile_ms(0.99),
+        p999_ms: quantile_ms(0.999),
         qps: queries_total / elapsed.max(1e-9),
         overload_retries,
     })

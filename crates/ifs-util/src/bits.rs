@@ -32,6 +32,10 @@
 //! instead of `k` times: fusing the final AND with the popcount (or the
 //! first two ANDs with each other) removes whole passes, which on a
 //! memory-bound workload is worth more than any in-register trick.
+//!
+//! [`transpose64`] is the build-side kernel: the row → tid-set transpose
+//! of every `ColumnStore` runs as 64×64 bit tiles through it, word pairs
+//! at a time, instead of moving one set bit at a time.
 
 /// Accumulator lanes per unrolled chunk. Four `u64`s is one cache line
 /// half: wide enough to saturate the popcount units and legal to
@@ -477,6 +481,34 @@ pub fn hamming(a: &[u64], b: &[u64]) -> usize {
     st.finish() + hamming_unrolled(xs.remainder(), ys.remainder())
 }
 
+/// In-place 64×64 bit transpose: afterwards bit `r` of `a[c]` is bit `c`
+/// of the old `a[r]` — 64 rows of one packed row word become 64 tid
+/// words, the tile of the row → column transpose (DESIGN.md §12).
+///
+/// Six rounds of masked swaps, widest first: round `j` (32, 16, …, 1)
+/// swaps the off-diagonal `j × j` blocks of every `2j × 2j` block, i.e.
+/// bit `c + j` of row `k` with bit `c` of row `k + j` wherever bit `j` of
+/// `c` and of `k` is clear. `6 · 32` word-pair updates replace the 4096
+/// single-bit moves of [`scalar::transpose64`]; each round is a plain
+/// loop over two disjoint halves, so it vectorizes like the kernels above.
+#[inline]
+pub fn transpose64(a: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFFu64;
+    while j != 0 {
+        for block in a.chunks_exact_mut(2 * j) {
+            let (lo, hi) = block.split_at_mut(j);
+            for (x, y) in lo.iter_mut().zip(hi) {
+                let t = ((*x >> j) ^ *y) & mask;
+                *y ^= t;
+                *x ^= t << j;
+            }
+        }
+        j /= 2;
+        mask ^= mask << j;
+    }
+}
+
 /// Packs a `&[bool]` into words.
 pub fn pack(bits: &[bool]) -> Vec<u64> {
     let mut words = vec![0u64; words_for(bits.len())];
@@ -552,6 +584,17 @@ pub mod scalar {
     /// Reference for [`super::hamming`].
     pub fn hamming(a: &[u64], b: &[u64]) -> usize {
         a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones() as usize).sum()
+    }
+
+    /// Reference for [`super::transpose64`]: one bit moved at a time.
+    pub fn transpose64(a: &mut [u64; 64]) {
+        let mut out = [0u64; 64];
+        for (r, &row) in a.iter().enumerate() {
+            for (c, word) in out.iter_mut().enumerate() {
+                *word |= ((row >> c) & 1) << r;
+            }
+        }
+        *a = out;
     }
 }
 
@@ -684,6 +727,42 @@ mod tests {
             assert!(is_subset(&x, &a), "a&b ⊆ a, len {len}");
             assert!(scalar::is_subset(&x, &b), "a&b ⊆ b, len {len}");
         }
+    }
+
+    /// The tile transpose against its per-bit twin on the edge tiles, plus
+    /// its defining property and involution on a random tile.
+    #[test]
+    fn transpose64_matches_scalar_on_edge_tiles() {
+        let check = |tile: [u64; 64], what: &str| {
+            let (mut wide, mut narrow) = (tile, tile);
+            transpose64(&mut wide);
+            scalar::transpose64(&mut narrow);
+            assert_eq!(wide, narrow, "{what}");
+            transpose64(&mut wide);
+            assert_eq!(wide, tile, "{what}: transposing twice is the identity");
+        };
+        check([0; 64], "zero tile");
+        check([u64::MAX; 64], "all-ones tile");
+        check(std::array::from_fn(|r| 1u64 << r), "diagonal");
+        for (r, c) in [(0, 0), (0, 63), (63, 0), (5, 40), (63, 63)] {
+            let mut tile = [0u64; 64];
+            tile[r] = 1u64 << c;
+            let mut t = tile;
+            transpose64(&mut t);
+            assert_eq!(t.iter().map(|w| w.count_ones()).sum::<u32>(), 1);
+            assert_eq!(t[c], 1u64 << r, "single bit ({r}, {c})");
+            check(tile, "single bit");
+        }
+        let mut rng = crate::Rng64::seeded(0x7A11);
+        let tile: [u64; 64] = std::array::from_fn(|_| rng.next_u64());
+        let mut t = tile;
+        transpose64(&mut t);
+        for (r, row) in tile.iter().enumerate() {
+            for (c, col) in t.iter().enumerate() {
+                assert_eq!((col >> r) & 1, (row >> c) & 1, "cell ({r}, {c})");
+            }
+        }
+        check(tile, "random tile");
     }
 
     #[test]

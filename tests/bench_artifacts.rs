@@ -35,6 +35,20 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
+/// Asserts that the committed `bench_results/{file}` contains every field.
+fn require_fields(file: &str, fields: &[&str]) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench_results").join(file);
+    let body = read(&path);
+    for field in fields {
+        assert!(body.contains(field), "{}: missing {field}", path.display());
+    }
+}
+
+/// What `write_bench_json` records about the CPU: the features compiled
+/// in and those the host reports.
+const TARGET_FEATURE_FIELDS: [&str; 2] =
+    ["\"target_features_compiled\":", "\"cpu_features_detected\":"];
+
 /// The tree must actually contain bench artifacts — an empty directory
 /// would make the release gate below pass vacuously.
 #[test]
@@ -82,12 +96,10 @@ fn committed_bench_artifacts_are_release_mode() {
 /// together.
 #[test]
 fn store_artifact_records_the_space_claim() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench_results/BENCH_store.json");
-    let body = read(&path);
-    for field in ["\"v1_bytes\":", "\"v2_bytes\":", "\"v1_over_v2\":", "\"min_required_ratio\": 2"]
-    {
-        assert!(body.contains(field), "{}: missing {field}", path.display());
-    }
+    require_fields(
+        "BENCH_store.json",
+        &["\"v1_bytes\":", "\"v2_bytes\":", "\"v1_over_v2\":", "\"min_required_ratio\": 2"],
+    );
 }
 
 /// The snapshot artifact must record the CPU features its codec numbers
@@ -95,11 +107,16 @@ fn store_artifact_records_the_space_claim() {
 /// other artifacts gain both fields when they are next regenerated.
 #[test]
 fn snapshot_artifact_records_target_features() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench_results/BENCH_snapshot.json");
-    let body = read(&path);
-    for field in ["\"target_features_compiled\":", "\"cpu_features_detected\":"] {
-        assert!(body.contains(field), "{}: missing {field}", path.display());
-    }
+    require_fields("BENCH_snapshot.json", &TARGET_FEATURE_FIELDS);
+}
+
+/// The kernel artifact's speedups mean little without the CPU features
+/// either side was built for, and it must carry the tile transpose row
+/// that the gate bounds next to the AND family.
+#[test]
+fn kernel_artifact_records_target_features_and_the_transpose_row() {
+    require_fields("BENCH_kernels.json", &TARGET_FEATURE_FIELDS);
+    require_fields("BENCH_kernels.json", &["\"kernel\": \"transpose64\""]);
 }
 
 /// The serving artifact must record the run's connection shape, so the
@@ -107,11 +124,8 @@ fn snapshot_artifact_records_target_features() {
 /// many-connection ones, and its tail latency and answer identity.
 #[test]
 fn serving_artifact_records_connection_shape() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench_results/BENCH_serving.json");
-    let body = read(&path);
-    for field in
-        ["\"connections\":", "\"pipeline_depth\":", "\"p999_ms\":", "\"identity_checked\": true"]
-    {
-        assert!(body.contains(field), "{}: missing {field}", path.display());
-    }
+    require_fields(
+        "BENCH_serving.json",
+        &["\"connections\":", "\"pipeline_depth\":", "\"p999_ms\":", "\"identity_checked\": true"],
+    );
 }

@@ -1,10 +1,10 @@
 //! Property tests pinning the wide kernels to their scalar references and
 //! the blocked batch paths to the unblocked answers (DESIGN.md §12).
 //!
-//! The CSA kernels in `ifs_util::bits` and the cache-blocked batch loops
-//! in `ifs_database` are execution strategies, never semantics: every
-//! result must be bit-identical to the straightforward scalar fold over
-//! the same words. This suite drives that contract with random operands
+//! The CSA kernels and the tile transpose in `ifs_util::bits` and the
+//! cache-blocked batch loops in `ifs_database` are execution strategies,
+//! never semantics: every result must be bit-identical to the
+//! straightforward scalar fold over the same words. This suite drives that contract with random operands
 //! at adversarial lengths — empty slices, sub-block slices, exact
 //! 64-word CSA blocks, and ragged tails just past a block boundary — and
 //! with batch block sizes that force queries to straddle block edges on
@@ -81,6 +81,23 @@ proptest! {
         let mut fused = a.clone();
         let count = bits::and_count_into(&mut fused, &b);
         prop_assert_eq!((fused, count), (inter.clone(), bits::count_ones(&inter)));
+    }
+
+    /// The 64×64 tile transpose equals its per-bit reference on random
+    /// tiles with saturated rows and a random count of zero rows at the
+    /// bottom (the ragged last block of a tid-set build).
+    #[test]
+    fn transpose64_matches_scalar_reference(
+        live_rows in 0usize..65,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Rng64::seeded(seed);
+        let mut tile = [0u64; 64];
+        tile[..live_rows].copy_from_slice(&words(live_rows, &mut rng));
+        let (mut wide, mut narrow) = (tile, tile);
+        bits::transpose64(&mut wide);
+        bits::scalar::transpose64(&mut narrow);
+        prop_assert_eq!(wide, narrow);
     }
 
     /// Blocked batch supports are identical to per-itemset supports at

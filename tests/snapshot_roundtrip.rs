@@ -379,6 +379,40 @@ fn crafted_headers_refuse_without_panicking_or_allocating() {
     assert!(matches!(SubsampleBuilder::from_snapshot(&frame), Err(DecodeError::Corrupt(_))));
 }
 
+/// A few-byte v2 `ReleaseDb` frame declaring one empty row over
+/// `2^27 + 64` items: its row matrix is only 16 MiB, under the decode cap,
+/// but the tid-set view its first query would build is one word per item,
+/// just over 1 GiB. Decoding must refuse it — as a sketch and at server
+/// admission — before any query can ask for that view. No query is run.
+#[test]
+fn release_db_frame_with_an_oversized_tid_view_is_refused() {
+    use itemset_sketches::database::codec::{append_frame, Writer};
+    use itemset_sketches::serve::{ServeConfig, ServeError, SketchServer};
+    let mut body = Writer::new();
+    body.f64_bits(0.1); // epsilon
+    body.varint(1); // rows
+    body.varint((1 << 27) + 64); // dims
+    body.varint(1); // one row group of one row...
+    body.u8(0); // ...in ITEMS mode...
+    body.varint(0); // ...with no items
+    let mut frame = Vec::new();
+    append_frame(ReleaseDb::KIND, 2, body.as_slice(), &mut frame);
+    assert!(frame.len() < 64, "the attack frame is tiny: {} bytes", frame.len());
+
+    let refused = ReleaseDb::from_snapshot(&frame).expect_err("oversized tid view decoded");
+    assert!(
+        matches!(&refused, DecodeError::Corrupt(what) if what.contains("tid words")),
+        "{refused}"
+    );
+    let server = SketchServer::new(ServeConfig::default());
+    match server.load_frame(1, 1, &frame) {
+        Err(ServeError::Decode(DecodeError::Corrupt(what))) => {
+            assert!(what.contains("tid words"), "{what}")
+        }
+        other => panic!("admission must refuse the frame, got {other:?}"),
+    }
+}
+
 /// The serving loop in one test: build sharded (§8/§9), snapshot, move the
 /// bytes to another thread, decode, serve a query log — answers match the
 /// builder process bit for bit. (`examples/snapshot_serving.rs` is the
