@@ -81,13 +81,6 @@ pub fn alpha_pow(e: i64) -> u8 {
     t.exp[e]
 }
 
-/// Discrete log base α; panics on 0.
-#[inline]
-pub fn log_alpha(a: u8) -> u8 {
-    assert_ne!(a, 0, "log of zero");
-    tables().log[a as usize]
-}
-
 /// `a^e` for arbitrary field element a.
 pub fn pow(a: u8, e: u64) -> u8 {
     if e == 0 {
@@ -185,7 +178,7 @@ mod tests {
     #[test]
     fn log_exp_roundtrip() {
         for a in 1..=255u8 {
-            assert_eq!(alpha_pow(log_alpha(a) as i64), a);
+            assert_eq!(alpha_pow(tables().log[a as usize] as i64), a);
         }
     }
 }

@@ -26,11 +26,6 @@ impl Guarantee {
         Guarantee::ForEachEstimator,
     ];
 
-    /// True for the two "for all" contracts.
-    pub fn is_for_all(self) -> bool {
-        matches!(self, Guarantee::ForAllIndicator | Guarantee::ForAllEstimator)
-    }
-
     /// True for the two estimator contracts.
     pub fn is_estimator(self) -> bool {
         matches!(self, Guarantee::ForAllEstimator | Guarantee::ForEachEstimator)
@@ -75,13 +70,6 @@ impl SketchParams {
         assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1), got {delta}");
         Self { k, epsilon, delta }
     }
-
-    /// The indicator decision threshold used by estimator-backed indicators:
-    /// the midpoint `3ε/4` of the `[ε/2, ε]` dead zone. An estimator accurate
-    /// to ±ε/4 thresholded here satisfies Definition 1/3.
-    pub fn indicator_threshold(&self) -> f64 {
-        0.75 * self.epsilon
-    }
 }
 
 #[cfg(test)]
@@ -91,8 +79,7 @@ mod tests {
     #[test]
     fn valid_params() {
         let p = SketchParams::new(3, 0.1, 0.05);
-        assert_eq!(p.k, 3);
-        assert!((p.indicator_threshold() - 0.075).abs() < 1e-12);
+        assert_eq!((p.k, p.epsilon, p.delta), (3, 0.1, 0.05));
     }
 
     #[test]
@@ -115,9 +102,7 @@ mod tests {
 
     #[test]
     fn guarantee_classification() {
-        assert!(Guarantee::ForAllEstimator.is_for_all());
         assert!(Guarantee::ForAllEstimator.is_estimator());
-        assert!(!Guarantee::ForEachIndicator.is_for_all());
         assert!(!Guarantee::ForEachIndicator.is_estimator());
         assert_eq!(Guarantee::ALL.len(), 4);
     }

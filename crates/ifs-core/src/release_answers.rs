@@ -146,11 +146,6 @@ impl ReleaseAnswersIndicator {
         )
     }
 
-    /// Number of stored answers (`C(d,k)`).
-    pub fn answer_count(&self) -> u64 {
-        self.count
-    }
-
     /// Itemset cardinality `k` this sketch answers — queries of any other
     /// length are outside its contract (the serving tier refuses them
     /// before they reach [`is_frequent`](FrequencyIndicator::is_frequent),
@@ -290,16 +285,6 @@ impl ReleaseAnswersEstimator {
             0,
             &ReleaseAnswersParams { k, epsilon },
         )
-    }
-
-    /// Bits stored per answer.
-    pub fn bits_per_answer(&self) -> u32 {
-        self.bits_per
-    }
-
-    /// Number of stored answers (`C(d,k)`).
-    pub fn answer_count(&self) -> u64 {
-        self.count
     }
 
     /// Itemset cardinality `k` this sketch answers (see
@@ -478,16 +463,15 @@ mod tests {
         let db = Database::zeros(10, 8);
         let coarse = ReleaseAnswersEstimator::build(&db, 2, 0.25);
         let fine = ReleaseAnswersEstimator::build(&db, 2, 1.0 / 1024.0);
-        assert!(fine.bits_per_answer() > coarse.bits_per_answer());
-        assert!(fine.size_bits() > coarse.size_bits());
-        assert_eq!(coarse.answer_count(), 28);
+        // All C(8,2) = 28 answers grow from ⌈log₂ 3⌉ = 2 to ⌈log₂ 513⌉ = 10
+        // bits, so the frame grows by at least 28 · 8 bits.
+        assert!(fine.size_bits() >= coarse.size_bits() + 28 * 8);
     }
 
     #[test]
     fn indicator_size_is_one_bit_per_itemset_plus_measured_framing() {
         let db = Database::zeros(10, 12);
         let s = ReleaseAnswersIndicator::build(&db, 3, 0.1);
-        assert_eq!(s.answer_count(), 220);
         let bytes = s.snapshot_bytes();
         assert_eq!(s.size_bits(), bytes.len() as u64 * 8, "size_bits must equal encoded length");
         // Body: k (1) + d (1) + count=220 (2) + ⌈220/8⌉ = 28 answer bytes;

@@ -112,30 +112,9 @@ impl BitMatrix {
         out
     }
 
-    /// Number of ones in row `r`.
-    #[inline]
-    pub fn row_weight(&self, r: usize) -> usize {
-        bits::count_ones(self.row_words(r))
-    }
-
     /// Total number of ones.
     pub fn total_weight(&self) -> usize {
         bits::count_ones(&self.data)
-    }
-
-    /// Horizontal concatenation: `self` then `other`, row-wise.
-    pub fn hconcat(&self, other: &BitMatrix) -> BitMatrix {
-        assert_eq!(self.rows, other.rows, "hconcat requires equal row counts");
-        let mut out = BitMatrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            for c in bits::ones(self.row_words(r)) {
-                out.set(r, c, true);
-            }
-            for c in bits::ones(other.row_words(r)) {
-                out.set(r, self.cols + c, true);
-            }
-        }
-        out
     }
 
     /// Appends `added` all-zero rows in place (`words_per_row` is
@@ -257,24 +236,13 @@ mod tests {
     }
 
     #[test]
-    fn hconcat_layout() {
-        let a = BitMatrix::from_fn(2, 3, |r, c| r == 0 && c == 1);
-        let b = BitMatrix::from_fn(2, 66, |r, c| r == 1 && c == 65);
-        let m = a.hconcat(&b);
-        assert_eq!(m.cols(), 69);
-        assert!(m.get(0, 1));
-        assert!(m.get(1, 3 + 65));
-        assert_eq!(m.total_weight(), 2);
-    }
-
-    #[test]
     fn vconcat_layout() {
         let a = BitMatrix::from_fn(2, 5, |_, _| true);
         let b = BitMatrix::from_fn(3, 5, |_, _| false);
         let m = a.vconcat(&b);
         assert_eq!(m.rows(), 5);
-        assert_eq!(m.row_weight(0), 5);
-        assert_eq!(m.row_weight(4), 0);
+        assert_eq!(bits::count_ones(m.row_words(0)), 5);
+        assert_eq!(bits::count_ones(m.row_words(4)), 0);
     }
 
     #[test]
@@ -284,7 +252,7 @@ mod tests {
         m.push_zero_rows(3);
         assert_eq!(m.rows(), 8);
         for r in 5..8 {
-            assert_eq!(m.row_weight(r), 0);
+            assert_eq!(bits::count_ones(m.row_words(r)), 0);
             for c in 0..70 {
                 if f(r, c) {
                     m.set(r, c, true);

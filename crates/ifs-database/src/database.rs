@@ -94,7 +94,7 @@ impl Database {
     /// scratch. This is the only **arbitrary** mutation path — row appends
     /// go through [`Database::append_rows`], which maintains a warm view in
     /// place instead of dropping it, and constructors and derivations
-    /// (`select_rows`, `stack`, codec decodes, the generators)
+    /// (`stack`, `repeat_rows`, codec decodes, the generators)
     /// all produce fresh `Database` values with cold caches, so a stale
     /// view cannot be served (regression-tested in
     /// `caches_never_serve_stale_views`).
@@ -248,24 +248,9 @@ impl Database {
         ifs_util::bits::ones(self.matrix.row_words(row)).map(|i| i as u32).collect()
     }
 
-    /// A database consisting of the selected rows (indices may repeat —
-    /// exactly what `SUBSAMPLE` needs for sampling with replacement).
-    pub fn select_rows(&self, indices: &[usize]) -> Database {
-        let mut m = BitMatrix::zeros(indices.len(), self.dims());
-        for (out_r, &r) in indices.iter().enumerate() {
-            m.set_row_words(out_r, self.matrix.row_words(r));
-        }
-        Database::from_matrix(m)
-    }
-
     /// Vertically stacks two databases over the same attribute set.
     pub fn stack(&self, other: &Database) -> Database {
         Database::from_matrix(self.matrix.vconcat(other.matrix()))
-    }
-
-    /// Horizontally concatenates attributes of two databases with equal `n`.
-    pub fn join_columns(&self, other: &Database) -> Database {
-        Database::from_matrix(self.matrix.hconcat(other.matrix()))
     }
 
     /// Repeats every row `times` times (used by the Theorem 13 construction,
@@ -338,16 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn select_rows_with_replacement() {
-        let db = toy();
-        let s = db.select_rows(&[3, 3, 0]);
-        assert_eq!(s.rows(), 3);
-        assert_eq!(s.row_itemset(0), Itemset::singleton(4));
-        assert_eq!(s.row_itemset(1), Itemset::singleton(4));
-        assert_eq!(s.row_itemset(2), Itemset::new(vec![0, 1, 2]));
-    }
-
-    #[test]
     fn repeat_rows_scales_support_not_frequency() {
         let db = toy();
         let t = Itemset::new(vec![0, 1]);
@@ -355,19 +330,6 @@ mod tests {
         assert_eq!(rep.rows(), 12);
         assert_eq!(rep.support(&t), 6);
         assert!((rep.frequency(&t) - db.frequency(&t)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stack_and_join() {
-        let a = Database::from_rows(3, &[vec![0], vec![1]]);
-        let b = Database::from_rows(3, &[vec![2], vec![0, 1, 2]]);
-        let v = a.stack(&b);
-        assert_eq!(v.rows(), 4);
-        assert_eq!(v.dims(), 3);
-        let h = a.join_columns(&b);
-        assert_eq!(h.rows(), 2);
-        assert_eq!(h.dims(), 6);
-        assert!(h.get(0, 0) && h.get(0, 3 + 2));
     }
 
     #[test]
@@ -450,7 +412,7 @@ mod tests {
 
     /// The cache-invalidation audit (every path that could serve a stale
     /// columnar view): mutation drops the cache; codec round-trips, row
-    /// selection, and generator outputs produce fresh databases whose views
+    /// repetition, and generator outputs produce fresh databases whose views
     /// are rebuilt from their own matrices.
     #[test]
     fn caches_never_serve_stale_views() {
@@ -473,12 +435,12 @@ mod tests {
         assert!(!back.has_sharded_cache());
         assert_eq!(back.sharded_columns(1).support(&t), 2);
 
-        // select_rows from a warm database: the selection is a fresh
-        // database over different rows; its view must reflect those rows.
-        let sel = db.select_rows(&[0, 0, 3]);
-        assert!(!sel.has_sharded_cache());
-        assert_eq!(sel.sharded_columns(1).support(&t), 3); // rows 0,0,3 all contain item 4 now
-        assert_eq!(sel.frequencies_with_threads(std::slice::from_ref(&t), 2), vec![1.0]);
+        // repeat_rows from a warm database: the copy is a fresh database
+        // over different rows; its view must reflect those rows.
+        let rep = db.repeat_rows(2);
+        assert!(!rep.has_sharded_cache());
+        assert_eq!(rep.sharded_columns(1).support(&t), 4); // rows 0 and 3, twice each
+        assert_eq!(rep.frequencies_with_threads(std::slice::from_ref(&t), 2), vec![0.5]);
 
         // A clone taken warm, then mutated, must diverge from its source
         // without corrupting it.
@@ -555,6 +517,9 @@ mod tests {
     fn append_database_matches_stack() {
         let a = toy();
         let b = Database::from_rows(5, &[vec![0, 4], vec![]]);
+        let stacked = a.stack(&b);
+        assert_eq!((stacked.rows(), stacked.dims()), (6, 5));
+        assert_eq!(stacked.row_itemset(4), Itemset::new(vec![0, 4]));
         let mut warm = a.clone();
         let _ = warm.sharded_columns(2);
         warm.append_database(&b);

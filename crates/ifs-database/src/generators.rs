@@ -235,7 +235,7 @@ mod tests {
         let db = categorical_to_binary(&[vec![0, 0]], &[4, 3]);
         assert_eq!(db.dims(), 8);
         // Every bit position sets exactly one of its column pair.
-        assert_eq!(db.matrix().row_weight(0), 4);
+        assert_eq!(db.row_itemset(0).len(), 4);
     }
 
     #[test]

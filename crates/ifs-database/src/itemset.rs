@@ -98,11 +98,6 @@ impl Itemset {
     pub fn colex_rank(&self) -> u64 {
         combin::rank_colex(&self.items)
     }
-
-    /// Inverse of [`Self::colex_rank`] for `k`-itemsets.
-    pub fn from_colex_rank(rank: u64, k: u32) -> Self {
-        Itemset { items: combin::unrank_colex(rank, k) }
-    }
 }
 
 impl std::fmt::Debug for Itemset {
@@ -184,7 +179,7 @@ mod tests {
     #[test]
     fn colex_rank_roundtrip() {
         for rank in 0..35u64 {
-            let t = Itemset::from_colex_rank(rank, 3);
+            let t = Itemset::new(combin::unrank_colex(rank, 3));
             assert_eq!(t.colex_rank(), rank);
             assert_eq!(t.len(), 3);
         }

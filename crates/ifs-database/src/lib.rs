@@ -11,8 +11,8 @@
 //!   columns) with subset tests done word-wise.
 //! * [`Itemset`] — a sorted attribute set with a packed-mask representation
 //!   aligned to the matrix layout, so `row ⊇ T` is a handful of AND/CMP ops.
-//! * [`Database`] — rows + dimension bookkeeping + frequency/support queries
-//!   and column views.
+//! * [`Database`] — rows + dimension bookkeeping, row-scan frequency/support
+//!   queries, and batched queries on its one cached columnar view.
 //! * [`ColumnStore`] — the columnar kernel: per-item packed tid-sets with
 //!   AND+popcount intersection kernels and batched support/frequency
 //!   queries. It is one shard of the view below, and the whole-column
@@ -44,7 +44,6 @@ mod database;
 pub mod generators;
 mod itemset;
 mod sharded;
-pub mod stats;
 
 pub use bitmatrix::BitMatrix;
 pub use codec::DecodeError;

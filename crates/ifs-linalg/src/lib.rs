@@ -10,7 +10,8 @@
 //!
 //! * [`Matrix`] — row-major dense `f64` matrix with the usual operations.
 //! * [`qr`] — Householder QR and least-squares solves (the L2/KRSU decoder).
-//! * [`svd`] — one-sided Jacobi SVD: singular values, rank, pseudo-inverse.
+//! * [`svd`] — one-sided Jacobi SVD: singular values, rank, pseudo-inverse
+//!   solves.
 //!   Chosen over Golub–Kahan for robustness at the small/medium sizes we
 //!   need; accuracy is what matters for σ_min measurements.
 //! * [`products`] — Hadamard (row-tensor) products of matrices.

@@ -102,8 +102,9 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `A·B`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
+    /// Matrix product `A·B` — the tests' reconstruction of a decomposition.
+    #[cfg(test)]
+    pub(crate) fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
         for r in 0..self.rows {
@@ -120,11 +121,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute entry.
@@ -197,12 +193,6 @@ pub fn norm1(x: &[f64]) -> f64 {
     x.iter().map(|v| v.abs()).sum()
 }
 
-/// Dot product.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,11 +230,9 @@ mod tests {
     #[test]
     fn norms() {
         let m = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
-        assert!((m.frobenius() - 5.0).abs() < 1e-12);
         assert_eq!(m.max_abs(), 4.0);
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert_eq!(norm1(&[1.0, -2.0, 3.0]), 6.0);
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
     }
 
     #[test]

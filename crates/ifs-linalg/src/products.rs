@@ -49,8 +49,10 @@ pub fn hadamard_product(mats: &[&Matrix]) -> Matrix {
     out
 }
 
-/// Row index of tuple `(i₁,…,i_s)` in [`hadamard_product`] output.
-pub fn tuple_to_row(tuple: &[usize], dims: &[usize]) -> usize {
+/// Row index of tuple `(i₁,…,i_s)` in [`hadamard_product`] output — the
+/// inverse of [`row_to_tuple`], kept as the tests' reference layout.
+#[cfg(test)]
+fn tuple_to_row(tuple: &[usize], dims: &[usize]) -> usize {
     assert_eq!(tuple.len(), dims.len());
     let mut r = 0usize;
     for (t, d) in tuple.iter().zip(dims) {
@@ -60,7 +62,7 @@ pub fn tuple_to_row(tuple: &[usize], dims: &[usize]) -> usize {
     r
 }
 
-/// Inverse of [`tuple_to_row`].
+/// The tuple `(i₁,…,i_s)` behind row `row` of [`hadamard_product`] output.
 pub fn row_to_tuple(mut row: usize, dims: &[usize]) -> Vec<usize> {
     let mut tuple = vec![0usize; dims.len()];
     for j in (0..dims.len()).rev() {

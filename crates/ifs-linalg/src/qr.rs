@@ -5,7 +5,6 @@
 //! rank `A` that is exactly the least-squares solve provided here; the
 //! rank-deficient case goes through [`crate::svd`]'s pseudo-inverse.
 
-use crate::matrix::norm2;
 use crate::Matrix;
 
 /// Compact QR factorization of an `m × n` matrix with `m ≥ n`.
@@ -109,13 +108,6 @@ impl Qr {
         }
         Some(x)
     }
-
-    /// The residual norm `‖Ax − b‖₂` for a candidate solution.
-    pub fn residual_norm(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
-        let ax = a.matvec(x);
-        let diff: Vec<f64> = ax.iter().zip(b).map(|(p, q)| p - q).collect();
-        norm2(&diff)
-    }
 }
 
 /// Convenience wrapper: least-squares solve of `min ‖Ax − b‖₂`.
@@ -126,7 +118,16 @@ pub fn least_squares(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::norm2;
     use ifs_util::Rng64;
+
+    /// The residual norm `‖Ax − b‖₂` for a candidate solution — the
+    /// independent check that a solve minimises it.
+    fn residual_norm(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
+        let ax = a.matvec(x);
+        let diff: Vec<f64> = ax.iter().zip(b).map(|(p, q)| p - q).collect();
+        norm2(&diff)
+    }
 
     #[test]
     fn solves_square_system_exactly() {
@@ -160,10 +161,10 @@ mod tests {
         let x = least_squares(&a, &b).unwrap();
         // Analytic answer: x = (2, 5).
         assert!((x[0] - 2.0).abs() < 1e-10 && (x[1] - 5.0).abs() < 1e-10);
-        let base = Qr::residual_norm(&a, &x, &b);
+        let base = residual_norm(&a, &x, &b);
         for d in [[1e-3, 0.0], [0.0, 1e-3], [-1e-3, 1e-3]] {
             let xp = vec![x[0] + d[0], x[1] + d[1]];
-            assert!(Qr::residual_norm(&a, &xp, &b) >= base - 1e-12);
+            assert!(residual_norm(&a, &xp, &b) >= base - 1e-12);
         }
     }
 

@@ -24,14 +24,6 @@ pub struct RoundTrip {
 }
 
 impl RoundTrip {
-    /// Sketch bits per payload bit — must be Ω(1) for exact recoveries.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.payload_bits == 0 {
-            return f64::INFINITY;
-        }
-        self.sketch_bits as f64 / self.payload_bits as f64
-    }
-
     /// An exact recovery from a sketch materially smaller than the payload
     /// would violate the encoding argument (allowing `slack` for the code
     /// rate and the δ failure probability).
@@ -70,16 +62,6 @@ impl Aggregate {
         self.trips.iter().filter(|t| t.exact).count() as f64 / self.trips.len() as f64
     }
 
-    /// Mean recovered fraction.
-    pub fn mean_recovered(&self) -> f64 {
-        ifs_util::stats::mean(&self.trips.iter().map(|t| t.recovered_fraction).collect::<Vec<_>>())
-    }
-
-    /// Mean sketch size.
-    pub fn mean_sketch_bits(&self) -> f64 {
-        ifs_util::stats::mean(&self.trips.iter().map(|t| t.sketch_bits as f64).collect::<Vec<_>>())
-    }
-
     /// Any trip violating the information bound at the given slack.
     pub fn any_violation(&self, slack: f64) -> bool {
         self.trips.iter().any(|t| t.violates_information_bound(slack))
@@ -94,7 +76,6 @@ mod tests {
     fn ratio_and_violation() {
         let ok =
             RoundTrip { payload_bits: 100, sketch_bits: 300, recovered_fraction: 1.0, exact: true };
-        assert_eq!(ok.compression_ratio(), 3.0);
         assert!(!ok.violates_information_bound(0.5));
 
         let impossible =
@@ -124,14 +105,6 @@ mod tests {
         }
         assert_eq!(agg.len(), 4);
         assert_eq!(agg.exact_rate(), 0.75);
-        assert!((agg.mean_recovered() - 0.875).abs() < 1e-12);
-        assert_eq!(agg.mean_sketch_bits(), 350.0);
         assert!(!agg.any_violation(0.5));
-    }
-
-    #[test]
-    fn zero_payload_is_infinite_ratio() {
-        let t = RoundTrip { payload_bits: 0, sketch_bits: 1, recovered_fraction: 1.0, exact: true };
-        assert!(t.compression_ratio().is_infinite());
     }
 }

@@ -9,10 +9,10 @@
 //! *balanced* frequent itemset is NP-hard (via hardness of Balanced Complete
 //! Bipartite Subgraph [FK04]).
 //!
-//! This module makes the reduction executable: conversions both ways, an
-//! exact (exponential) maximum-balanced-biclique search for small instances,
-//! and a greedy heuristic — experiment E13 contrasts their runtime growth,
-//! which is the point of the hardness discussion.
+//! This module makes the reduction executable: the itemset-to-biclique
+//! conversion, an exact (exponential) maximum-balanced-biclique search for
+//! small instances, and a greedy heuristic — experiment E13 contrasts their
+//! runtime growth, which is the point of the hardness discussion.
 //!
 //! [FK04]: https://www.wisdom.weizmann.ac.il/~feige/TechnicalReports/bipartiteclique.pdf
 
@@ -35,8 +35,10 @@ impl Biclique {
         self.rows.len().min(self.cols.len())
     }
 
-    /// Checks the biclique property against a database.
-    pub fn is_valid(&self, db: &Database) -> bool {
+    /// Checks the biclique property against a database — the tests'
+    /// independent check of every search result.
+    #[cfg(test)]
+    fn is_valid(&self, db: &Database) -> bool {
         let itemset: Itemset = self.cols.iter().copied().collect();
         self.rows.iter().all(|&r| db.row_contains(r, &itemset))
     }
@@ -51,8 +53,10 @@ pub fn itemset_to_biclique(db: &Database, itemset: &Itemset) -> Biclique {
 }
 
 /// The reverse reduction: a biclique's column side is an itemset whose
-/// frequency is at least `|rows|/n`.
-pub fn biclique_to_itemset(b: &Biclique) -> Itemset {
+/// frequency is at least `|rows|/n`. The tests use it to check that the
+/// reduction round-trips.
+#[cfg(test)]
+fn biclique_to_itemset(b: &Biclique) -> Itemset {
     b.cols.iter().copied().collect()
 }
 
@@ -142,21 +146,6 @@ pub fn plant_biclique(
     cols
 }
 
-/// The frequency/cardinality correspondence from §1.1.1: an itemset of
-/// cardinality `⌈εn⌉` with frequency ≥ ε exists iff a balanced biclique of
-/// size `⌈εn⌉` exists (on the `n`-row side).
-pub fn has_eps_square(db: &Database, eps: f64) -> bool {
-    let target = (eps * db.rows() as f64).ceil() as usize;
-    if target == 0 {
-        return true;
-    }
-    if db.dims() <= 20 {
-        max_balanced_exact(db).balanced_size() >= target
-    } else {
-        max_balanced_greedy(db).balanced_size() >= target
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +172,10 @@ mod tests {
         let best = max_balanced_exact(&db);
         assert!(best.balanced_size() >= 6, "found only {}", best.balanced_size());
         assert!(best.is_valid(&db));
+        // Without background noise the plant is the maximum, no larger.
+        let mut clean = Database::zeros(20, 10);
+        plant_biclique(&mut clean, 5, 5, &mut rng);
+        assert_eq!(max_balanced_exact(&clean).balanced_size(), 5);
     }
 
     #[test]
@@ -205,17 +198,6 @@ mod tests {
             let greedy = max_balanced_greedy(&db).balanced_size();
             assert!(greedy <= exact, "greedy {greedy} > exact {exact}?!");
         }
-    }
-
-    #[test]
-    fn eps_square_detection() {
-        let mut rng = Rng64::seeded(94);
-        let mut db = Database::zeros(20, 10);
-        plant_biclique(&mut db, 5, 5, &mut rng);
-        // ε = 0.25 -> target 5: present.
-        assert!(has_eps_square(&db, 0.25));
-        // ε = 0.4 -> target 8 > 5 columns planted: absent.
-        assert!(!has_eps_square(&db, 0.4));
     }
 
     #[test]

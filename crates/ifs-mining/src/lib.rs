@@ -11,6 +11,10 @@
 //! * [`eclat`] — depth-first vertical mining over packed tid-sets.
 //! * [`fpgrowth`] — FP-tree based mining without candidate generation.
 //!   All three return identical result sets (cross-checked in tests).
+//!   FP-growth is kept as the row-counting oracle: it is the only miner
+//!   that counts from rows (`Database::support` and an FP-tree) and not
+//!   through the tid-set kernels, so it checks the other two
+//!   independently.
 //! * [`summary`] — maximal- and closed-itemset condensation (§1.1.1's
 //!   "condensed representations").
 //! * [`rules`] — association rules with support/confidence/lift.

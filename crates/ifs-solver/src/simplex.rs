@@ -70,11 +70,6 @@ pub enum SimplexOutcome {
 const EPS: f64 = 1e-9;
 
 impl LinearProgram {
-    /// Creates a program with `n` variables and zero objective.
-    pub fn feasibility(n: usize) -> Self {
-        Self { objective: vec![0.0; n], constraints: Vec::new() }
-    }
-
     /// Adds a constraint; panics if arity differs from the objective.
     pub fn push(&mut self, c: Constraint) -> &mut Self {
         assert_eq!(c.coeffs.len(), self.objective.len(), "constraint arity mismatch");
@@ -368,7 +363,7 @@ mod tests {
 
     #[test]
     fn feasibility_program() {
-        let mut lp = LinearProgram::feasibility(2);
+        let mut lp = LinearProgram { objective: vec![0.0; 2], constraints: vec![] };
         lp.push(Constraint::new(vec![1.0, 1.0], Relation::Eq, 1.0));
         match lp.solve() {
             SimplexOutcome::Optimal { x, .. } => {

@@ -44,15 +44,6 @@ impl<T: Hash> CountMinSketch<T> {
         }
     }
 
-    /// Creates a sketch sized for additive error `εN` with failure
-    /// probability δ per query.
-    pub fn with_error(epsilon: f64, delta: f64, conservative: bool, seed: u64) -> Self {
-        assert!(epsilon > 0.0 && epsilon < 1.0 && delta > 0.0 && delta < 1.0);
-        let width = (std::f64::consts::E / epsilon).ceil() as usize;
-        let depth = (1.0 / delta).ln().ceil().max(1.0) as usize;
-        Self::new(width, depth, conservative, seed)
-    }
-
     /// Row-`row` bucket of `item`, via the in-tree seeded mixer
     /// ([`StableHasher`]): `DefaultHasher` is SipHash with no cross-release
     /// stability guarantee, which would silently relocate every counter on a
@@ -230,8 +221,9 @@ mod tests {
 
     #[test]
     fn error_within_epsilon_bound() {
+        // Sized for (ε, δ) = (0.01, 0.01): width ⌈e/ε⌉ = 272, depth ⌈ln(1/δ)⌉ = 5.
         let eps = 0.01;
-        let mut cm = CountMinSketch::<u32>::with_error(eps, 0.01, false, 7);
+        let mut cm = CountMinSketch::<u32>::new(272, 5, false, 7);
         let mut rng = Rng64::seeded(122);
         let n = 10_000;
         let mut counts = std::collections::HashMap::new();

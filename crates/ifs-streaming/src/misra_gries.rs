@@ -29,11 +29,6 @@ impl<T: Hash + Eq + Clone> MisraGries<T> {
     pub fn error_bound(&self) -> u64 {
         self.len / (self.capacity as u64 + 1)
     }
-
-    /// Items currently tracked with their (under-)counts.
-    pub fn tracked(&self) -> impl Iterator<Item = (&T, u64)> {
-        self.counters.iter().map(|(t, &c)| (t, c))
-    }
 }
 
 impl<T: Hash + Eq + Clone> StreamCounter<T> for MisraGries<T> {

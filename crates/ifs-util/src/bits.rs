@@ -289,15 +289,6 @@ pub fn and_assign(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// `dst |= src` element-wise.
-#[inline]
-pub fn or_assign(dst: &mut [u64], src: &[u64]) {
-    debug_assert_eq!(dst.len(), src.len());
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d |= s;
-    }
-}
-
 /// Unrolled-by-[`LANES`] intersection popcount for sub-block tails.
 #[inline]
 fn and_count_unrolled(a: &[u64], b: &[u64]) -> usize {
@@ -771,15 +762,5 @@ mod tests {
         mask_tail(&mut w, 70);
         assert_eq!(w[1], (1u64 << 6) - 1);
         assert_eq!(w[0], u64::MAX);
-    }
-
-    #[test]
-    fn or_and_assign() {
-        let mut a = pack(&[true, false, false, true]);
-        let b = pack(&[false, true, false, true]);
-        or_assign(&mut a, &b);
-        assert_eq!(unpack(&a, 4), vec![true, true, false, true]);
-        and_assign(&mut a, &b);
-        assert_eq!(unpack(&a, 4), vec![false, true, false, true]);
     }
 }

@@ -21,9 +21,8 @@
 //!   for every worker-count variable (the `IFS_THREADS` override used by
 //!   CI's determinism matrix, the server's `IFS_SERVE_WORKERS`), both
 //!   refusing malformed values with a typed `ThreadsParseError`.
-//! * [`tail`] — the Chernoff bounds of Lemmas 10 and 11 of the paper, exact
-//!   binomial tails for small sample counts, and the sample-size calculators
-//!   behind the `SUBSAMPLE` sketch (Lemma 9).
+//! * [`tail`] — the Hoeffding bound of Lemma 11 of the paper and the
+//!   sample-size calculators behind the `SUBSAMPLE` sketch (Lemma 9).
 //! * [`stats`] — summary statistics, medians, and the log–log slope fits used
 //!   by EXPERIMENTS.md to validate asymptotic shapes.
 //! * [`table`] — a tiny plain-text/CSV table writer used by the `tables`

@@ -111,20 +111,6 @@ impl Rng64 {
         }
         chosen.into_iter().collect()
     }
-
-    /// A random bit-vector of length `len`, packed little-endian into `u64`s.
-    pub fn bit_words(&mut self, len: usize) -> Vec<u64> {
-        let words = len.div_ceil(64);
-        let mut out = Vec::with_capacity(words);
-        for w in 0..words {
-            let mut word = self.next_u64();
-            if w == words - 1 && !len.is_multiple_of(64) {
-                word &= (1u64 << (len % 64)) - 1;
-            }
-            out.push(word);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -213,19 +199,6 @@ mod tests {
         let mut r = Rng64::seeded(5);
         let v = r.distinct_sorted(8, 8);
         assert_eq!(v, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn bit_words_masks_tail() {
-        let mut r = Rng64::seeded(9);
-        for len in [1usize, 63, 64, 65, 130] {
-            let w = r.bit_words(len);
-            assert_eq!(w.len(), len.div_ceil(64));
-            if len % 64 != 0 {
-                let tail = w.last().unwrap();
-                assert_eq!(tail >> (len % 64), 0, "tail bits must be clear");
-            }
-        }
     }
 
     #[test]

@@ -42,15 +42,6 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// Median of an integer-valued sample without loss (used by the Theorem 17
-/// boosting construction, where the median of `r` estimates is taken).
-pub fn median_u64(xs: &[u64]) -> u64 {
-    assert!(!xs.is_empty());
-    let mut v = xs.to_vec();
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
 /// Empirical quantile by linear interpolation, `q ∈ [0,1]`.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     if xs.is_empty() {
@@ -94,30 +85,6 @@ pub fn loglog_slope(xs: &[f64], ys: &[f64]) -> f64 {
     ols(&pts.0, &pts.1).1
 }
 
-/// Shannon entropy (bits) of an empirical distribution given raw counts.
-pub fn entropy_bits(counts: &[u64]) -> f64 {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    counts
-        .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
-            let p = c as f64 / total as f64;
-            -p * p.log2()
-        })
-        .sum()
-}
-
-/// Binary entropy function `H(p)` in bits.
-pub fn binary_entropy(p: f64) -> f64 {
-    if p <= 0.0 || p >= 1.0 {
-        return 0.0;
-    }
-    -p * p.log2() - (1.0 - p) * (1.0 - p).log2()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,13 +100,6 @@ mod tests {
     #[test]
     fn variance_of_constant_is_zero() {
         assert_eq!(variance(&[4.0; 10]), 0.0);
-    }
-
-    #[test]
-    fn median_u64_odd_even() {
-        assert_eq!(median_u64(&[3, 1, 2]), 2);
-        // Even length: upper median by construction.
-        assert_eq!(median_u64(&[1, 2, 3, 4]), 3);
     }
 
     #[test]
@@ -165,19 +125,5 @@ mod tests {
         let ys: Vec<f64> = xs.iter().map(|x| 5.0 * x.powf(1.5)).collect();
         let slope = loglog_slope(&xs, &ys);
         assert!((slope - 1.5).abs() < 1e-9, "slope {slope}");
-    }
-
-    #[test]
-    fn entropy_uniform_and_point_mass() {
-        assert!((entropy_bits(&[1, 1, 1, 1]) - 2.0).abs() < 1e-12);
-        assert_eq!(entropy_bits(&[7, 0, 0]), 0.0);
-        assert_eq!(entropy_bits(&[]), 0.0);
-    }
-
-    #[test]
-    fn binary_entropy_symmetry_and_max() {
-        assert!((binary_entropy(0.5) - 1.0).abs() < 1e-12);
-        assert!((binary_entropy(0.1) - binary_entropy(0.9)).abs() < 1e-12);
-        assert_eq!(binary_entropy(0.0), 0.0);
     }
 }

@@ -47,11 +47,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Renders an aligned, boxed console table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();

@@ -4,21 +4,14 @@
 //! paper's Lemma 10 (multiplicative Chernoff) and Lemma 11 (additive
 //! Hoeffding) bound the failure probability of the resulting estimates; the
 //! four clauses of Lemma 9 then pick `s` for each sketch contract. This
-//! module exposes both directions — failure probability for a given `s`, and
-//! the minimal `s` for a target failure probability — plus exact binomial
-//! tails used by tests to check the bounds are actually *bounds*.
+//! module exposes both directions — Lemma 11's failure probability for a
+//! given `s`, and the minimal `s` for a target failure probability. Its
+//! tests compute exact binomial tails to check that Lemma 11's bound is
+//! actually a *bound*.
 //!
 //! Every sample-size calculator is clamped to at least 1: a sketch of zero
 //! rows answers no query (and historically let `Subsample` build an empty
 //! sample), so no `(ε, δ, d, k)` combination may round down to `s = 0`.
-
-use crate::combin::ln_gamma;
-
-/// Lemma 10 (multiplicative Chernoff): for i.i.d. Bernoulli(p) mean `X` of
-/// `s` draws, `P[X ∉ [(1−ε)p, (1+ε)p]] ≤ 2·exp(−s·p·ε²/4)` for `ε < 2e−1`.
-pub fn chernoff_multiplicative_bound(s: u64, p: f64, eps: f64) -> f64 {
-    (2.0 * (-(s as f64) * p * eps * eps / 4.0).exp()).min(1.0)
-}
 
 /// Lemma 11 (additive Hoeffding): `P[X ∉ [p−ε, p+ε]] ≤ 2·exp(−2sε²)`.
 pub fn hoeffding_additive_bound(s: u64, eps: f64) -> f64 {
@@ -56,65 +49,67 @@ pub fn samples_forall_estimator(d: u64, k: u64, eps: f64, delta: f64) -> u64 {
     (((1.0 / (eps * eps)) * ((2.0f64).ln() + log_count + (1.0 / delta).ln())).ceil() as u64).max(1)
 }
 
-/// Exact `P[Bin(s, p) = j]` computed in log-space.
-pub fn binomial_pmf(s: u64, p: f64, j: u64) -> f64 {
-    if j > s {
-        return 0.0;
-    }
-    if p <= 0.0 {
-        return if j == 0 { 1.0 } else { 0.0 };
-    }
-    if p >= 1.0 {
-        return if j == s { 1.0 } else { 0.0 };
-    }
-    let ln_c = ln_gamma((s + 1) as f64) - ln_gamma((j + 1) as f64) - ln_gamma((s - j + 1) as f64);
-    (ln_c + j as f64 * p.ln() + (s - j) as f64 * (1.0 - p).ln()).exp()
-}
-
-/// Exact lower tail `P[Bin(s, p) ≤ j]`.
-pub fn binomial_cdf(s: u64, p: f64, j: u64) -> f64 {
-    (0..=j.min(s)).map(|i| binomial_pmf(s, p, i)).sum::<f64>().min(1.0)
-}
-
-/// Exact upper tail `P[Bin(s, p) ≥ j]`.
-pub fn binomial_sf(s: u64, p: f64, j: u64) -> f64 {
-    if j == 0 {
-        return 1.0;
-    }
-    (1.0 - binomial_cdf(s, p, j - 1)).max(0.0)
-}
-
-/// Exact probability that the empirical mean of `s` Bernoulli(p) draws lands
-/// outside `[p − ε, p + ε]` — the quantity Lemma 11 upper-bounds.
-pub fn exact_additive_failure(s: u64, p: f64, eps: f64) -> f64 {
-    let lo = ((p - eps) * s as f64).ceil() as i64 - 1; // largest j with j/s < p-eps
-    let hi = ((p + eps) * s as f64).floor() as u64 + 1; // smallest j with j/s > p+eps
-    let mut fail = 0.0;
-    if lo >= 0 {
-        // j/s < p - eps  <=>  j < s(p-eps); include j = lo only if strictly below.
-        let mut j = lo as u64;
-        if (j as f64) / (s as f64) >= p - eps {
-            if j == 0 {
-                j = u64::MAX; // nothing below
-            } else {
-                j -= 1;
-            }
-        }
-        if j != u64::MAX {
-            fail += binomial_cdf(s, p, j);
-        }
-    }
-    if (hi as f64) / (s as f64) > p + eps {
-        fail += binomial_sf(s, p, hi);
-    } else {
-        fail += binomial_sf(s, p, hi + 1);
-    }
-    fail.min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combin::ln_gamma;
+
+    /// Exact `P[Bin(s, p) = j]` computed in log-space.
+    fn binomial_pmf(s: u64, p: f64, j: u64) -> f64 {
+        if j > s {
+            return 0.0;
+        }
+        if p <= 0.0 {
+            return if j == 0 { 1.0 } else { 0.0 };
+        }
+        if p >= 1.0 {
+            return if j == s { 1.0 } else { 0.0 };
+        }
+        let ln_c =
+            ln_gamma((s + 1) as f64) - ln_gamma((j + 1) as f64) - ln_gamma((s - j + 1) as f64);
+        (ln_c + j as f64 * p.ln() + (s - j) as f64 * (1.0 - p).ln()).exp()
+    }
+
+    /// Exact lower tail `P[Bin(s, p) ≤ j]`.
+    fn binomial_cdf(s: u64, p: f64, j: u64) -> f64 {
+        (0..=j.min(s)).map(|i| binomial_pmf(s, p, i)).sum::<f64>().min(1.0)
+    }
+
+    /// Exact upper tail `P[Bin(s, p) ≥ j]`.
+    fn binomial_sf(s: u64, p: f64, j: u64) -> f64 {
+        if j == 0 {
+            return 1.0;
+        }
+        (1.0 - binomial_cdf(s, p, j - 1)).max(0.0)
+    }
+
+    /// Exact probability that the empirical mean of `s` Bernoulli(p) draws lands
+    /// outside `[p − ε, p + ε]` — the quantity Lemma 11 upper-bounds.
+    fn exact_additive_failure(s: u64, p: f64, eps: f64) -> f64 {
+        let lo = ((p - eps) * s as f64).ceil() as i64 - 1; // largest j with j/s < p-eps
+        let hi = ((p + eps) * s as f64).floor() as u64 + 1; // smallest j with j/s > p+eps
+        let mut fail = 0.0;
+        if lo >= 0 {
+            // j/s < p - eps  <=>  j < s(p-eps); include j = lo only if strictly below.
+            let mut j = lo as u64;
+            if (j as f64) / (s as f64) >= p - eps {
+                if j == 0 {
+                    j = u64::MAX; // nothing below
+                } else {
+                    j -= 1;
+                }
+            }
+            if j != u64::MAX {
+                fail += binomial_cdf(s, p, j);
+            }
+        }
+        if (hi as f64) / (s as f64) > p + eps {
+            fail += binomial_sf(s, p, hi);
+        } else {
+            fail += binomial_sf(s, p, hi + 1);
+        }
+        fail.min(1.0)
+    }
 
     #[test]
     fn pmf_sums_to_one() {

@@ -102,12 +102,15 @@ fn store_artifact_records_the_space_claim() {
     );
 }
 
-/// The snapshot artifact must record the CPU features its codec numbers
-/// were measured with: those compiled in and those the host reports. The
-/// other artifacts gain both fields when they are next regenerated.
+/// The snapshot and ingest artifacts must record the CPU features their
+/// numbers were measured with: those compiled in and those the host
+/// reports. The store artifact gains both fields when it is next
+/// regenerated.
 #[test]
 fn snapshot_artifact_records_target_features() {
-    require_fields("BENCH_snapshot.json", &TARGET_FEATURE_FIELDS);
+    for name in ["BENCH_snapshot.json", "BENCH_ingest.json"] {
+        require_fields(name, &TARGET_FEATURE_FIELDS);
+    }
 }
 
 /// The kernel artifact's speedups mean little without the CPU features
