@@ -100,18 +100,6 @@ impl BitMatrix {
         (0..self.rows).filter(|&r| self.row_contains_mask(r, mask)).count()
     }
 
-    /// Extracts column `c` as a packed bit-vector over rows.
-    pub fn column(&self, c: usize) -> Vec<u64> {
-        assert!(c < self.cols);
-        let mut out = vec![0u64; bits::words_for(self.rows).max(1)];
-        for r in 0..self.rows {
-            if self.get(r, c) {
-                bits::set(&mut out, r, true);
-            }
-        }
-        out
-    }
-
     /// Total number of ones.
     pub fn total_weight(&self) -> usize {
         bits::count_ones(&self.data)
@@ -224,15 +212,6 @@ mod tests {
         assert!(m.row_contains_mask(0, &mask)); // row 0 is all ones
         assert!(!m.row_contains_mask(1, &mask)); // 3 and 69 are odd columns
         assert_eq!(m.count_rows_containing(&mask), 1);
-    }
-
-    #[test]
-    fn column_extraction() {
-        let m = BitMatrix::from_fn(130, 4, |r, c| (r + c) % 3 == 0);
-        let col = m.column(2);
-        for r in 0..130 {
-            assert_eq!(ifs_util::bits::get(&col, r), (r + 2) % 3 == 0);
-        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! popcount of the AND of `k` column words — `O(k·n/64)` word operations
 //! instead of `O(n·d/64)`. The transpose is word-parallel: each tile of 64
 //! rows × one row word is one [`bits::transpose64`], so the build costs a
-//! few word operations per tile rather than a store per set bit.
+//! few word operations per tile rather than a store per set bit. One tile
+//! loop moves rows into columns: a cold build runs it over the whole
+//! range, and a row append runs it again from the tail's partial tile.
 //!
 //! This is the same representation Eclat uses internally. A `ColumnStore`
 //! is the per-shard kernel of [`crate::ShardedColumnStore`] (the view every
@@ -61,21 +63,53 @@ impl ColumnStore {
     /// `range.start + r` of the source matrix). This is the per-shard
     /// build of [`crate::ShardedColumnStore`]: each shard transposes its
     /// contiguous row slice independently, so shards can be built in
-    /// parallel and their popcounts summed (DESIGN.md §8).
+    /// parallel and their popcounts summed (DESIGN.md §8). It allocates
+    /// the final stride and runs the one tile loop, `extend`.
+    pub fn build_range(matrix: &BitMatrix, range: std::ops::Range<usize>) -> Self {
+        let dims = matrix.cols();
+        let words_per_col = bits::words_for(range.len()).max(1);
+        let mut store = Self { rows: 0, dims, words_per_col, words: vec![0; dims * words_per_col] };
+        store.extend(matrix, range);
+        store
+    }
+
+    /// Extends the tid-sets of rows `range.start ..` to the whole of
+    /// `range`, the row → column move behind every build and every append
+    /// (DESIGN.md §9, §12). `matrix` must hold the store's current rows
+    /// unchanged at `range.start ..`, followed by the new ones.
     ///
     /// Word-parallel: 64 rows × one row word form a 64×64 bit tile, and
     /// one [`bits::transpose64`] turns it into tid word `block` of 64
     /// columns. An all-zero tile is skipped and only nonzero output words
     /// are stored, so sparse data pays for its set tiles, not its area.
-    pub fn build_range(matrix: &BitMatrix, range: std::ops::Range<usize>) -> Self {
+    /// A partial first tile is transposed again from the matrix, old rows
+    /// and new, so its words only gain bits. When the row count needs more
+    /// words per tid-set, every column is first copied once into the wider
+    /// stride, a memcpy. The result is `==` to `build_range` of `range`.
+    pub(crate) fn extend(&mut self, matrix: &BitMatrix, range: std::ops::Range<usize>) {
         assert!(range.start <= range.end && range.end <= matrix.rows(), "row range out of bounds");
+        assert!(
+            matrix.cols() == self.dims && self.rows <= range.len(),
+            "extend keeps the columns and only adds rows"
+        );
         let rows = range.len();
-        let dims = matrix.cols();
+        let dims = self.dims;
         let words_per_col = bits::words_for(rows).max(1);
-        let mut words = vec![0u64; dims * words_per_col];
+        if words_per_col != self.words_per_col {
+            let mut wider = vec![0u64; dims * words_per_col];
+            for (to, from) in wider
+                .chunks_exact_mut(words_per_col)
+                .zip(self.words.chunks_exact(self.words_per_col))
+            {
+                to[..self.words_per_col].copy_from_slice(from);
+            }
+            self.words = wider;
+            self.words_per_col = words_per_col;
+        }
         let words_per_row = matrix.words_per_row();
+        let words = &mut self.words;
         let mut tile = [0u64; 64];
-        for block in 0..bits::words_for(rows) {
+        for block in self.rows / 64..bits::words_for(rows) {
             let lo = range.start + block * 64;
             let hi = (lo + 64).min(range.end);
             let block_rows = &matrix.raw_words()[lo * words_per_row..hi * words_per_row];
@@ -99,40 +133,7 @@ impl ColumnStore {
                 }
             }
         }
-        Self { rows, dims, words_per_col, words }
-    }
-
-    /// Appends `rows` (given as attribute-index sets) to the tid-sets in
-    /// place — the ingestion fast path (DESIGN.md §9).
-    ///
-    /// The store keeps its exact layout invariant: after the append it is
-    /// **bit-identical** (`==`) to `ColumnStore::build` of the extended
-    /// matrix. When the new row count needs more words per tid-set, every
-    /// column is copied once into the wider stride — an `O(d·n/64)` word
-    /// memcpy, cheaper than re-transposing every row — and otherwise only
-    /// the new rows' bits are set.
-    pub fn append_rows(&mut self, rows: &[Itemset]) {
-        let new_rows = self.rows + rows.len();
-        let new_wpc = bits::words_for(new_rows).max(1);
-        if new_wpc != self.words_per_col {
-            let mut wider = vec![0u64; self.dims * new_wpc];
-            for c in 0..self.dims {
-                wider[c * new_wpc..c * new_wpc + self.words_per_col].copy_from_slice(
-                    &self.words[c * self.words_per_col..(c + 1) * self.words_per_col],
-                );
-            }
-            self.words = wider;
-            self.words_per_col = new_wpc;
-        }
-        for (i, row) in rows.iter().enumerate() {
-            let local = self.rows + i;
-            for &c in row.items() {
-                let c = c as usize;
-                assert!(c < self.dims, "item {c} out of range for {} columns", self.dims);
-                self.words[c * self.words_per_col + local / 64] |= 1u64 << (local % 64);
-            }
-        }
-        self.rows = new_rows;
+        self.rows = rows;
     }
 
     /// Number of rows `n` of the source matrix.
@@ -440,32 +441,26 @@ mod tests {
     }
 
     /// Append maintenance must reproduce a fresh transpose bit for bit —
-    /// same stride, same words — across word-boundary row counts.
+    /// same stride, same words — across word-boundary row counts, for
+    /// zero columns, one row word and rows wider than one word (tile
+    /// columns `j ≥ 1`).
     #[test]
     fn append_rows_is_bit_identical_to_rebuild() {
         let mut rng = ifs_util::Rng64::seeded(0xA11D);
-        for base in [0usize, 1, 63, 64, 65, 130] {
-            for added in [0usize, 1, 5, 64, 129] {
-                let d = 10;
-                let db = Database::from_fn(base + added, d, |_, _| rng.bernoulli(0.4));
-                let head = Database::from_fn(base, d, |r, c| db.get(r, c));
-                let mut store = ColumnStore::build(head.matrix());
-                let tail: Vec<Itemset> = (base..base + added).map(|r| db.row_itemset(r)).collect();
-                store.append_rows(&tail);
-                assert_eq!(
-                    store,
-                    ColumnStore::build(db.matrix()),
-                    "append diverged from rebuild at base={base} added={added}"
-                );
+        for d in [0usize, 1, 10, 64, 65, 129] {
+            for base in [0usize, 1, 63, 64, 65, 130] {
+                for added in [0usize, 1, 5, 64, 129] {
+                    let m = BitMatrix::from_fn(base + added, d, |_, _| rng.bernoulli(0.4));
+                    let mut store = ColumnStore::build_range(&m, 0..base);
+                    store.extend(&m, 0..base + added);
+                    assert_eq!(
+                        store,
+                        ColumnStore::build(&m),
+                        "append diverged from rebuild at d={d} base={base} added={added}"
+                    );
+                }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn append_rows_rejects_out_of_range_items() {
-        let mut store = ColumnStore::build(toy().matrix());
-        store.append_rows(&[Itemset::singleton(5)]);
     }
 
     #[test]

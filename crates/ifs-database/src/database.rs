@@ -111,11 +111,13 @@ impl Database {
     /// attribute count (construction-time shape validation alone would let
     /// a malformed ingest batch corrupt the matrix half-applied).
     ///
-    /// A warm columnar view is *extended*, not invalidated: the
-    /// [`ShardedColumnStore`] extends its ragged tail shard in place, so an
-    /// ingest-then-query loop stops paying a full re-transpose per batch.
-    /// The maintained view is bit-identical to a cold rebuild (enforced by
-    /// `tests/streaming_builds.rs`); a cold view simply stays cold.
+    /// The rows land in the matrix first. A warm columnar view is then
+    /// *extended* from the matrix, not invalidated: the
+    /// [`ShardedColumnStore`] runs its tile transpose from its tail's
+    /// partial tile on, so an ingest-then-query loop stops paying a full
+    /// re-transpose per batch. The maintained view is bit-identical to a
+    /// cold rebuild (enforced by `tests/streaming_builds.rs`); a cold view
+    /// simply stays cold.
     pub fn append_rows(&mut self, rows: &[Itemset]) {
         let d = self.dims();
         for (i, row) in rows.iter().enumerate() {
@@ -130,12 +132,14 @@ impl Database {
             self.matrix.push_row(row.items());
         }
         if let Some(store) = self.sharded.get_mut() {
-            store.append_rows(rows);
+            store.extend(&self.matrix);
         }
     }
 
     /// Appends all rows of `other` in place, maintaining a warm view like
-    /// [`Database::append_rows`].
+    /// [`Database::append_rows`]: the matrix halves share a layout, so the
+    /// rows extend as one word memcpy, and the view is extended from the
+    /// grown matrix.
     ///
     /// The batch must have the same attribute count: a column-count
     /// mismatch panics with both widths (shape bugs surface at the append
@@ -148,14 +152,10 @@ impl Database {
             other.dims(),
             self.dims()
         );
-        // The matrix halves share a layout, so the rows always extend as
-        // one word memcpy; only a warm tid-set view needs the appended
-        // rows in itemset form.
-        if let Some(store) = self.sharded.get_mut() {
-            let rows: Vec<Itemset> = (0..other.rows()).map(|r| other.row_itemset(r)).collect();
-            store.append_rows(&rows);
-        }
         self.matrix.extend_rows(other.matrix());
+        if let Some(store) = self.sharded.get_mut() {
+            store.extend(&self.matrix);
+        }
     }
 
     /// The columnar (tid-set) view of this database, built on first use

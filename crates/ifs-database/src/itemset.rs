@@ -72,15 +72,6 @@ impl Itemset {
         Itemset::new(v)
     }
 
-    /// Returns `self` with every index shifted right by `offset` columns.
-    ///
-    /// The lower-bound constructions repeatedly embed an itemset over `[d]`
-    /// into a wider database at a block offset (e.g. `T′ = {j + 2d : j ∈ T}`
-    /// in Theorem 15's amplification step).
-    pub fn shifted(&self, offset: u32) -> Itemset {
-        Itemset { items: self.items.iter().map(|&i| i + offset).collect() }
-    }
-
     /// Packed indicator mask over `cols` columns using `words_per_row` words,
     /// matching a [`crate::BitMatrix`] row layout.
     pub fn mask(&self, cols: usize, words_per_row: usize) -> Vec<u64> {
@@ -168,12 +159,6 @@ mod tests {
         assert_eq!(u.items(), &[1, 3, 7]);
         assert!(u.contains(7));
         assert!(!u.contains(2));
-    }
-
-    #[test]
-    fn shifted_offsets_all() {
-        let t = Itemset::new(vec![0, 2]).shifted(10);
-        assert_eq!(t.items(), &[10, 12]);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!
 //! * **Build**: each shard transposes its row slice independently
 //!   ([`crate::ColumnStore::build_range`]); worker threads drain a shard
-//!   work queue.
+//!   work queue. A row append extends the tail shard through the same
+//!   tile loop and opens further shards the same way, serially.
 //! * **Query batches**: a query log is split into contiguous chunks, one
 //!   worker per chunk, each with its own scratch buffer and output vector;
 //!   the outputs are concatenated in chunk order. Per-query answers never
@@ -88,29 +89,30 @@ impl ShardedColumnStore {
         Self { rows, dims, shard_rows, shards }
     }
 
-    /// Appends `rows` (attribute-index sets) in place — the ingestion fast
+    /// Extends the store to every row of `matrix`, whose first
+    /// [`Self::rows`] rows must be the ones it holds — the ingestion fast
     /// path (DESIGN.md §9): the ragged tail shard is extended up to its
-    /// `shard_rows` capacity via [`ColumnStore::append_rows`], and overflow
-    /// opens fresh tail shards. Because the shard layout is a function of
-    /// the row count alone, the result is **bit-identical** (`==`) to
-    /// rebuilding the store over the extended matrix; earlier shards are
-    /// never touched, so an append costs `O(batch)` instead of the full
-    /// re-transpose.
-    pub fn append_rows(&mut self, rows: &[Itemset]) {
-        let mut next = 0;
-        while next < rows.len() {
-            let fill = self.rows % self.shard_rows;
-            if fill == 0 && self.rows == self.shard_rows * self.shards.len() {
-                // Tail shard is full (or the store is empty): open a new one.
-                let empty = crate::BitMatrix::zeros(0, self.dims);
-                self.shards.push(ColumnStore::build(&empty));
-            }
-            let capacity = self.shard_rows - self.shards.last().expect("tail shard").rows();
-            let take = capacity.min(rows.len() - next);
-            self.shards.last_mut().expect("tail shard").append_rows(&rows[next..next + take]);
-            self.rows += take;
-            next += take;
+    /// `shard_rows` boundary by [`ColumnStore`]'s tile loop, and each
+    /// further shard is opened with [`ColumnStore::build_range`]. Because
+    /// the shard layout is a function of the row count alone, the result
+    /// is **bit-identical** (`==`) to rebuilding the store over `matrix`;
+    /// earlier shards are never touched, so an append costs the new rows'
+    /// tiles plus at most one re-lay of the tail shard, instead of the
+    /// full re-transpose.
+    pub(crate) fn extend(&mut self, matrix: &BitMatrix) {
+        assert!(
+            matrix.cols() == self.dims && matrix.rows() >= self.rows,
+            "extend keeps the columns and only adds rows"
+        );
+        let rows = matrix.rows();
+        let shard_range = |i: usize| i * self.shard_rows..((i + 1) * self.shard_rows).min(rows);
+        if let Some(i) = self.shards.len().checked_sub(1) {
+            self.shards[i].extend(matrix, shard_range(i));
         }
+        for i in self.shards.len()..rows.div_ceil(self.shard_rows) {
+            self.shards.push(ColumnStore::build_range(matrix, shard_range(i)));
+        }
+        self.rows = rows;
     }
 
     /// Number of rows `n` of the source matrix.
@@ -342,17 +344,16 @@ mod tests {
     fn append_rows_is_bit_identical_to_rebuild() {
         let shard_rows = 64;
         let db = random_db(700, 12, 0.35, 0xAB5E);
-        let rows: Vec<Itemset> = (0..db.rows()).map(|r| db.row_itemset(r)).collect();
+        let prefix = |n: usize| BitMatrix::from_fn(n, 12, |r, c| db.get(r, c));
         for split in [0usize, 1, 63, 64, 65, 300] {
-            let head = Database::from_fn(split, 12, |r, c| db.get(r, c));
-            let mut store = ShardedColumnStore::build_with_shard_rows(head.matrix(), shard_rows, 2);
+            let mut store =
+                ShardedColumnStore::build_with_shard_rows(&prefix(split), shard_rows, 2);
             // Feed the remainder in uneven batches so tail shards are
             // extended, exactly filled, and overflowed.
             let mut next = split;
             for batch in [1usize, 62, 64, 65, 200, usize::MAX] {
-                let end = next.saturating_add(batch).min(rows.len());
-                store.append_rows(&rows[next..end]);
-                next = end;
+                next = next.saturating_add(batch).min(db.rows());
+                store.extend(&prefix(next));
             }
             assert_eq!(
                 store,
@@ -368,7 +369,7 @@ mod tests {
         let mut store =
             ShardedColumnStore::build_with_shard_rows(Database::zeros(0, 6).matrix(), 64, 1);
         assert_eq!(store.shard_count(), 0);
-        store.append_rows(&(0..db.rows()).map(|r| db.row_itemset(r)).collect::<Vec<_>>());
+        store.extend(db.matrix());
         assert_eq!(store, ShardedColumnStore::build_with_shard_rows(db.matrix(), 64, 1));
         assert_eq!(store.shard_count(), 3);
     }

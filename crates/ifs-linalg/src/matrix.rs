@@ -128,13 +128,6 @@ impl Matrix {
         self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
     }
 
-    /// Scales every entry in place.
-    pub fn scale(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
-        }
-    }
-
     /// Entry-wise difference `self − other`.
     pub fn sub(&self, other: &Matrix) -> Matrix {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
@@ -252,12 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn sub_and_scale() {
+    fn sub_is_entrywise() {
         let a = Matrix::from_rows(&[vec![2.0, 4.0]]);
         let b = Matrix::from_rows(&[vec![1.0, 1.0]]);
-        let mut c = a.sub(&b);
-        assert_eq!(c.row(0), &[1.0, 3.0]);
-        c.scale(2.0);
-        assert_eq!(c.row(0), &[2.0, 6.0]);
+        assert_eq!(a.sub(&b).row(0), &[1.0, 3.0]);
     }
 }
