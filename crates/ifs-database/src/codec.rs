@@ -13,13 +13,22 @@
 //! Frame layout (all integers little-endian):
 //!
 //! ```text
-//! magic    u32     = 0x4946_5353 ("IFSS")
+//! magic    u32     0x4946_5358 ("IFSX") or the legacy 0x4946_5353 ("IFSS")
 //! kind     u16     sketch-type tag (see `ifs_core::snapshot` for the registry)
 //! version  u16     format version of this kind's body layout
 //! len      varint  body length in bytes
 //! body     len bytes (kind-specific)
-//! check    u64     FNV-1a 64 over every preceding byte of the frame
+//! check    u64     over every preceding byte of the frame: XXH64 (seed 0)
+//!                  under "IFSX", FNV-1a 64 under "IFSS"
 //! ```
+//!
+//! **The magic names the checksum.** [`append_frame`] writes "IFSX"
+//! frames only; "IFSS" frames, written by older builds, decode forever.
+//! The envelope rather than `(kind, version)` names the hash, because
+//! [`peek_frame`] must verify frames of versions it cannot interpret, and
+//! a build that predates "IFSX" refuses such a frame with a typed
+//! [`DecodeError::BadMagic`]. The two envelopes differ in magic and check
+//! only: no kind's version, body layout or frame length depends on them.
 //!
 //! **Version-skew policy.** A decoder accepts exactly the versions it
 //! knows; a frame carrying any other version — in particular a *future*
@@ -31,8 +40,41 @@
 use crate::{BitMatrix, Database, Itemset};
 use ifs_util::bits;
 
-/// Magic header marking a snapshot frame ("IFSS").
-pub const SNAPSHOT_MAGIC: u32 = 0x4946_5353;
+/// Magic of the envelope every frame is written in ("IFSX"): its check
+/// is XXH64 with seed 0.
+pub const SNAPSHOT_MAGIC: u32 = 0x4946_5358;
+
+/// Magic of the legacy envelope ("IFSS"): its check is [`fnv1a64`]. No
+/// build writes it any more; frames that carry it decode forever.
+pub const LEGACY_SNAPSHOT_MAGIC: u32 = 0x4946_5353;
+
+/// The checksum a frame carries, named by its envelope's magic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameCheck {
+    /// [`fnv1a64`], under [`LEGACY_SNAPSHOT_MAGIC`].
+    Fnv1a64,
+    /// XXH64 with seed 0, under [`SNAPSHOT_MAGIC`].
+    Xxh64,
+}
+
+impl FrameCheck {
+    /// The envelope `magic` names, or `None` for a magic no frame carries.
+    fn of_magic(magic: u32) -> Option<Self> {
+        match magic {
+            SNAPSHOT_MAGIC => Some(FrameCheck::Xxh64),
+            LEGACY_SNAPSHOT_MAGIC => Some(FrameCheck::Fnv1a64),
+            _ => None,
+        }
+    }
+
+    /// This checksum over `bytes`.
+    fn digest(self, bytes: &[u8]) -> u64 {
+        match self {
+            FrameCheck::Fnv1a64 => fnv1a64(bytes),
+            FrameCheck::Xxh64 => xxh64(bytes),
+        }
+    }
+}
 
 /// Why a snapshot (or a field inside one) refused to decode.
 ///
@@ -48,7 +90,8 @@ pub enum DecodeError {
         /// Bytes actually available.
         available: usize,
     },
-    /// Frame magic did not match [`SNAPSHOT_MAGIC`].
+    /// Frame magic matched neither [`SNAPSHOT_MAGIC`] nor
+    /// [`LEGACY_SNAPSHOT_MAGIC`].
     BadMagic(u32),
     /// The frame is a valid snapshot of a *different* sketch type.
     WrongKind {
@@ -74,8 +117,9 @@ pub enum DecodeError {
         /// Number of surplus bytes.
         extra: usize,
     },
-    /// The FNV-1a 64 checksum over the frame did not match: bytes were
-    /// corrupted in storage or transit.
+    /// The checksum over the frame (the one its magic names, see
+    /// [`FrameCheck`]) did not match: bytes were corrupted in storage or
+    /// transit.
     ChecksumMismatch {
         /// Checksum recorded in the frame.
         expected: u64,
@@ -116,8 +160,10 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// FNV-1a 64 over `bytes` — the frame checksum. Hand-rolled (DESIGN.md §6)
-/// and byte-order independent by construction.
+/// FNV-1a 64 over `bytes` — the legacy "IFSS" frame checksum and the
+/// sketch log's record checksum. Hand-rolled (DESIGN.md §6) and
+/// byte-order independent by construction; byte-serial (one multiply per
+/// byte).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
@@ -125,6 +171,74 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One XXH64 lane step: fold the little-endian word `lane` into `acc`.
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2)).rotate_left(31).wrapping_mul(XXH_P1)
+}
+
+fn xxh_merge(acc: u64, lane_acc: u64) -> u64 {
+    (acc ^ xxh_round(0, lane_acc)).wrapping_mul(XXH_P1).wrapping_add(XXH_P4)
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
+/// XXH64 with seed 0 over `bytes` — the "IFSX" frame checksum, hand-rolled
+/// (DESIGN.md §6) from the public xxHash specification. Four independent
+/// 64-bit lanes consume 32-byte stripes of little-endian words, so the
+/// loop runs word-parallel rather than byte-serial; the tail's words,
+/// half-word and bytes are folded in one at a time, and a final avalanche
+/// mixes every input bit into every output bit. Byte-order independent by
+/// construction.
+fn xxh64(bytes: &[u8]) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let mut tail = stripes.remainder();
+    let mut acc = if bytes.len() >= 32 {
+        let mut v = [XXH_P1.wrapping_add(XXH_P2), XXH_P2, 0, 0u64.wrapping_sub(XXH_P1)];
+        for stripe in stripes {
+            for (lane, word) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh_round(*lane, le_u64(word));
+            }
+        }
+        let acc = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(acc, |acc, &lane| xxh_merge(acc, lane))
+    } else {
+        XXH_P5
+    };
+    acc = acc.wrapping_add(bytes.len() as u64);
+    while tail.len() >= 8 {
+        acc ^= xxh_round(0, le_u64(&tail[..8]));
+        acc = acc.rotate_left(27).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        let half = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        acc ^= u64::from(half).wrapping_mul(XXH_P1);
+        acc = acc.rotate_left(23).wrapping_mul(XXH_P2).wrapping_add(XXH_P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        acc ^= u64::from(b).wrapping_mul(XXH_P5);
+        acc = acc.rotate_left(11).wrapping_mul(XXH_P1);
+    }
+    acc ^= acc >> 33;
+    acc = acc.wrapping_mul(XXH_P2);
+    acc ^= acc >> 29;
+    acc = acc.wrapping_mul(XXH_P3);
+    acc ^ (acc >> 32)
 }
 
 /// Append-only encoder for snapshot bodies and frames.
@@ -351,8 +465,9 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Appends the complete frame around `body` to `out`, leaving the bytes
-/// already in `out` untouched; the checksum covers only the new frame.
+/// Appends the complete "IFSX" frame around `body` to `out`, leaving the
+/// bytes already in `out` untouched; the checksum covers only the new
+/// frame.
 /// The one frame writer: a caller that wants a fresh frame starts from an
 /// empty (or cleared, capacity-retaining) vector.
 pub fn append_frame(kind: u16, version: u16, body: &[u8], out: &mut Vec<u8>) {
@@ -364,7 +479,7 @@ pub fn append_frame(kind: u16, version: u16, body: &[u8], out: &mut Vec<u8>) {
     w.buf.extend_from_slice(&version.to_le_bytes());
     w.varint(body.len() as u64);
     w.bytes(body);
-    let check = fnv1a64(&w.buf[start..]);
+    let check = xxh64(&w.buf[start..]);
     w.u64(check);
     *out = w.into_bytes();
 }
@@ -380,6 +495,8 @@ pub struct FrameInfo {
     pub kind: u16,
     /// Body-layout version recorded in the frame.
     pub version: u16,
+    /// The checksum the frame's magic names.
+    pub check: FrameCheck,
     /// Offset of the body: the 8 fixed header bytes plus the length varint.
     pub body_start: usize,
     /// Declared body length in bytes.
@@ -411,13 +528,11 @@ pub fn parse_frame_header(prefix: &[u8]) -> Result<Option<FrameInfo>, DecodeErro
     let mut r = Reader::new(prefix);
     let header = (|| {
         let magic = r.u32()?;
-        if magic != SNAPSHOT_MAGIC {
-            return Err(DecodeError::BadMagic(magic));
-        }
+        let check = FrameCheck::of_magic(magic).ok_or(DecodeError::BadMagic(magic))?;
         let kind = u16::from_le_bytes(r.bytes(2)?.try_into().expect("2"));
         let version = u16::from_le_bytes(r.bytes(2)?.try_into().expect("2"));
         let body_len = r.varint_usize()?;
-        Ok(FrameInfo { kind, version, body_start: r.consumed(), body_len })
+        Ok(FrameInfo { kind, version, check, body_start: r.consumed(), body_len })
     })();
     match header {
         Err(DecodeError::Truncated { .. }) => Ok(None),
@@ -433,13 +548,13 @@ pub fn frame_header(bytes: &[u8]) -> Result<FrameInfo, DecodeError> {
         .ok_or(DecodeError::Truncated { needed: bytes.len() + 1, available: bytes.len() })
 }
 
-/// The body of the frame `info` describes, once the checksum over header
-/// and body matches the one recorded after them.
+/// The body of the frame `info` describes, once the checksum its magic
+/// names, over header and body, matches the one recorded after them.
 fn checked_body<'a>(bytes: &'a [u8], info: &FrameInfo) -> Result<&'a [u8], DecodeError> {
     let mut r = Reader::new(&bytes[info.body_start..]);
     let body = r.bytes(info.body_len)?;
     let expected = r.u64()?;
-    let actual = fnv1a64(&bytes[..info.body_start + info.body_len]);
+    let actual = info.check.digest(&bytes[..info.body_start + info.body_len]);
     if expected != actual {
         return Err(DecodeError::ChecksumMismatch { expected, actual });
     }
@@ -911,6 +1026,50 @@ mod tests {
         assert_eq!(long.len() - info.frame_len(), 4);
     }
 
+    /// `frame` with its magic replaced by `magic` and its check recomputed
+    /// with `check` over the new header and the unchanged body.
+    fn reseal(mut frame: Vec<u8>, magic: u32, check: FrameCheck) -> Vec<u8> {
+        frame[..4].copy_from_slice(&magic.to_le_bytes());
+        let end = frame.len() - 8;
+        let sum = check.digest(&frame[..end]);
+        frame[end..].copy_from_slice(&sum.to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn every_bit_flip_of_a_frame_refuses() {
+        let frame = encode(3, 1, b"a small body");
+        for bit in 0..frame.len() * 8 {
+            let mut flipped = frame.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(decode_frame(&flipped, 3, 1).is_err(), "bit {bit} decoded");
+            assert!(peek_frame(&flipped).is_err(), "bit {bit} peeked");
+        }
+    }
+
+    #[test]
+    fn each_envelope_verifies_only_its_own_hash() {
+        let frame = encode(3, 1, b"sketch body bytes");
+        assert_eq!(frame_header(&frame).expect("header").check, FrameCheck::Xxh64);
+        // The legacy envelope decodes to the same body.
+        let legacy = reseal(frame.clone(), LEGACY_SNAPSHOT_MAGIC, FrameCheck::Fnv1a64);
+        let (body, info) = decode_frame(&legacy, 3, 1).expect("an IFSS frame decodes");
+        assert_eq!((body, info.check), (&b"sketch body bytes"[..], FrameCheck::Fnv1a64));
+        assert_eq!(info.frame_len(), frame.len(), "the envelope does not change the length");
+        assert_eq!(peek_frame(&legacy).expect("peeks"), info);
+        // Neither magic accepts the other's hash.
+        for (magic, check) in
+            [(SNAPSHOT_MAGIC, FrameCheck::Fnv1a64), (LEGACY_SNAPSHOT_MAGIC, FrameCheck::Xxh64)]
+        {
+            let crossed = reseal(frame.clone(), magic, check);
+            assert!(
+                matches!(decode_frame(&crossed, 3, 1), Err(DecodeError::ChecksumMismatch { .. })),
+                "{magic:#010x} carrying {check:?}"
+            );
+            assert!(matches!(peek_frame(&crossed), Err(DecodeError::ChecksumMismatch { .. })));
+        }
+    }
+
     #[test]
     fn database_fragment_roundtrips_and_validates() {
         let mut rng = ifs_util::Rng64::seeded(77);
@@ -969,7 +1128,16 @@ mod tests {
     fn peek_frame_reports_tags_without_judging_kind() {
         let frame = encode(42, 9, b"opaque body");
         let info = peek_frame(&frame).expect("well-formed frame peeks");
-        assert_eq!(info, FrameInfo { kind: 42, version: 9, body_start: 9, body_len: 11 });
+        assert_eq!(
+            info,
+            FrameInfo {
+                kind: 42,
+                version: 9,
+                check: FrameCheck::Xxh64,
+                body_start: 9,
+                body_len: 11
+            }
+        );
         assert_eq!(info.frame_len(), frame.len());
         // Trailing bytes are the caller's business, as in decode_frame.
         let mut long = frame.clone();
@@ -1190,5 +1358,16 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171F73967E8);
+    }
+
+    #[test]
+    fn xxh64_golden() {
+        // Published XXH64 (seed 0) vectors: the short path, and one stripe
+        // with a half-word and bytes in its tail.
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(xxh64(b"Nobody inspects the spammish repetition"), 0xFBCE_A83C_8A37_8BF1);
+        assert_eq!(xxh64(b"The quick brown fox jumps over the lazy dog"), 0x0B24_2D36_1FDA_71BC);
     }
 }

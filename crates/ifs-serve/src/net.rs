@@ -245,6 +245,44 @@ mod tests {
         }
     }
 
+    /// One stream that alternates "IFSX" frames with "IFSS" frames, small
+    /// and larger than the buffer, in any chunking: the one reader cuts
+    /// every frame whole, and each decodes to the request it carries.
+    #[test]
+    fn frames_of_both_envelopes_pipeline_through_one_reader() {
+        use ifs_database::codec::{fnv1a64, LEGACY_SNAPSHOT_MAGIC};
+        let legacy = |mut frame: Vec<u8>| {
+            frame[..4].copy_from_slice(&LEGACY_SNAPSHOT_MAGIC.to_le_bytes());
+            let end = frame.len() - 8;
+            let check = fnv1a64(&frame[..end]);
+            frame[end..].copy_from_slice(&check.to_le_bytes());
+            frame
+        };
+        let requests: Vec<Request> = (0..40u64)
+            .map(|id| match id % 5 {
+                4 => Request::Load { id, threads: 1, frame: vec![id as u8; 2 * READ_STEP] },
+                _ => Request::Query { id, mode: QueryMode::Estimate, queries: vec![] },
+            })
+            .collect();
+        let frames: Vec<Vec<u8>> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, r)| if i % 2 == 0 { r.to_bytes() } else { legacy(r.to_bytes()) })
+            .collect();
+        let wire = frames.concat();
+        for chunk in [1, 7, 4093, READ_STEP + 5, usize::MAX] {
+            let mut stream = Chunked { bytes: &wire, chunk };
+            let mut reader = FrameReader::default();
+            for (frame, request) in frames.iter().zip(&requests) {
+                let got = reader.read_frame(&mut stream).unwrap().expect("frame");
+                let got = got.expect("well-formed");
+                assert_eq!(got, frame);
+                assert_eq!(&Request::from_bytes(got).expect("decodes"), request);
+            }
+            assert!(reader.read_frame(&mut stream).unwrap().is_none(), "clean EOF");
+        }
+    }
+
     /// A frame header followed by the varint body length `varint`.
     fn header_with_len(varint: &[u8]) -> Vec<u8> {
         let mut frame = ifs_database::codec::SNAPSHOT_MAGIC.to_le_bytes().to_vec();

@@ -3,7 +3,8 @@
 //! Both directions reuse the snapshot codec substrate
 //! ([`ifs_database::codec`]): every message is one self-describing frame —
 //! magic, a protocol kind tag, a format version, a varint body length, and
-//! an FNV-1a-64 checksum — so a serving connection inherits the exact
+//! the checksum the magic names (XXH64 in the frames this build writes) —
+//! so a serving connection inherits the exact
 //! adversarial-input behavior the sketch snapshots already have. Truncated,
 //! corrupted, skewed, or cross-kind request bytes decode to the same
 //! [`DecodeError`] taxonomy, and never panic.

@@ -9,8 +9,11 @@
 //!
 //! All integers little-endian; varints are the codec's LEB128. The
 //! checksum is FNV-1a-64 over the record's bytes from `op` through the
-//! end of `frame` — the same hash, and the same "judged before trust"
-//! discipline, as the §10 snapshot frames. The frame bytes are themselves
+//! end of `frame`, with the same "judged before trust" discipline as the
+//! §10 snapshot frames. It stays FNV-1a-64 although "IFSX" frames now
+//! carry XXH64: a new record checksum changes the log format, so it waits
+//! for the log's next [`LOG_VERSION`] bump (DESIGN.md §14). The frame
+//! bytes are themselves
 //! a complete §10 frame (validated at append *and* at scan via
 //! [`peek_frame`]), so a log record is checksummed twice over: once by
 //! the record, once by the frame it carries. That redundancy is what lets

@@ -102,13 +102,12 @@ fn store_artifact_records_the_space_claim() {
     );
 }
 
-/// The snapshot and ingest artifacts must record the CPU features their
-/// numbers were measured with: those compiled in and those the host
-/// reports. The store artifact gains both fields when it is next
-/// regenerated.
+/// The snapshot, ingest and store artifacts must record the CPU features
+/// their numbers were measured with: those compiled in and those the host
+/// reports.
 #[test]
 fn snapshot_artifact_records_target_features() {
-    for name in ["BENCH_snapshot.json", "BENCH_ingest.json"] {
+    for name in ["BENCH_snapshot.json", "BENCH_ingest.json", "BENCH_store.json"] {
         require_fields(name, &TARGET_FEATURE_FIELDS);
     }
 }
