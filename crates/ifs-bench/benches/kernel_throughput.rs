@@ -1,8 +1,8 @@
 //! Bench gate: the wide AND+popcount kernels and the 64×64 tile transpose
 //! against their scalar reference twins (DESIGN.md §12).
 //!
-//! Every hot loop in the workspace — `ColumnStore` supports and builds,
-//! Eclat intersections, Hamming decodes — bottoms out in `ifs_util::bits`, so
+//! Every hot loop in the workspace — the sharded engine's supports, tid-set
+//! builds, Eclat intersections, Hamming decodes — bottoms out in `ifs_util::bits`, so
 //! this bench measures exactly those kernels in isolation: L2-resident
 //! operands, deterministic contents, best-of-N wall-clock per kernel with
 //! the scalar and wide samples interleaved, so a noisy neighbor or a drift
@@ -165,7 +165,7 @@ fn main() {
         ),
         // The fused 3-way kernel against the *unfused composition with a
         // reused scratch buffer* — i.e. the strongest scalar opponent, the
-        // exact sequence `support_with_scratch` historically ran for k = 3.
+        // exact sequence the support kernel ran for k = 3 before fusion.
         measure(
             "and3_count",
             WORDS + TAIL,

@@ -7,7 +7,9 @@
 //!   the v1 raw-words body on sparse data. Every run *asserts* the ratio,
 //!   so the claim cannot silently rot.
 //! * **Throughput** — log append, recovery replay (open + strict scan),
-//!   and compaction, in MB/s over the on-disk log size.
+//!   and compaction, in MB/s over the on-disk log size, each the median
+//!   over its timed passes (one pass reads host noise as often as the
+//!   store).
 //! * **Identity** — every pass decodes the v1 and v2 frames back and
 //!   asserts `==` with the source sketch, and materializes the compacted
 //!   log to the same frames as the original: the speed being measured is
@@ -22,6 +24,7 @@ use ifs_core::snapshot::Snapshot;
 use ifs_core::ReleaseDb;
 use ifs_database::generators;
 use ifs_store::{LogOp, SketchLog};
+use ifs_util::stats::median;
 use ifs_util::Rng64;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -107,7 +110,7 @@ fn measured_pass(iters: usize) -> Numbers {
 
     // Append: one merge run plus a few puts, timed over the log bytes.
     let scratch = Scratch::new("append");
-    let mut append_secs = 0.0;
+    let mut append_secs = Vec::new();
     let mut log_bytes = 0;
     let mut log_records = 0;
     for _ in 0..iters {
@@ -118,31 +121,31 @@ fn measured_pass(iters: usize) -> Numbers {
         }
         log.append(LogOp::Put, 1, &v2).expect("append");
         log.append(LogOp::Put, 2, &v1).expect("append");
-        append_secs += t.elapsed().as_secs_f64();
+        append_secs.push(t.elapsed().as_secs_f64());
         log_bytes = log.len_bytes();
         log_records = log.record_count();
     }
 
     // Replay: recovery open + strict scan of the whole file.
-    let mut replay_secs = 0.0;
+    let mut replay_secs = Vec::new();
     for _ in 0..iters {
         let t = Instant::now();
         let (log, report) = SketchLog::open(&scratch.0).expect("open");
         assert!(report.clean());
         black_box(log.records().expect("scan").len());
-        replay_secs += t.elapsed().as_secs_f64();
+        replay_secs.push(t.elapsed().as_secs_f64());
     }
 
     // Compact: fold the merge run, write the superseding log — then
     // assert the compacted log materializes identically.
     let (src, _) = SketchLog::open(&scratch.0).expect("open");
     let dst = Scratch::new("compact");
-    let mut compact_secs = 0.0;
+    let mut compact_secs = Vec::new();
     let mut stats = None;
     for _ in 0..iters {
         let t = Instant::now();
         let (_, s) = src.compact_into(&dst.0).expect("compact");
-        compact_secs += t.elapsed().as_secs_f64();
+        compact_secs.push(t.elapsed().as_secs_f64());
         stats = Some(s);
     }
     let stats = stats.expect("at least one iter");
@@ -159,22 +162,25 @@ fn measured_pass(iters: usize) -> Numbers {
         ReleaseDb::from_snapshot(&compacted.materialize().expect("m")[&0]).expect("decode");
     assert_eq!(folded, ReleaseDb::build(&db, 0.05), "fold == one-shot build");
 
-    let mb = log_bytes as f64 / (1024.0 * 1024.0) * iters as f64;
+    let mb = log_bytes as f64 / (1024.0 * 1024.0);
+    let mbps = |secs: &[f64]| mb / median(secs).max(1e-12);
     Numbers {
         v1_bytes: v1.len(),
         v2_bytes: v2.len(),
         ratio,
-        append_mbps: mb / append_secs.max(1e-12),
-        replay_mbps: mb / replay_secs.max(1e-12),
-        compact_mbps: mb / compact_secs.max(1e-12),
+        append_mbps: mbps(&append_secs),
+        replay_mbps: mbps(&replay_secs),
+        compact_mbps: mbps(&compact_secs),
         log_bytes,
         log_records,
     }
 }
 
+/// Timed passes of each store operation; the artifact records their count.
+const TIMED_PASSES: usize = if cfg!(debug_assertions) { 1 } else { 11 };
+
 fn main() {
-    let iters = if cfg!(debug_assertions) { 1 } else { 10 };
-    let n = measured_pass(iters);
+    let n = measured_pass(TIMED_PASSES);
     println!(
         "sketch_store: ReleaseDb v1 {} bytes, v2 {} bytes ({:.2}x smaller) on sparse \
          {ROWS}x{DIMS} @ {DENSITY}",
@@ -182,7 +188,7 @@ fn main() {
     );
     println!(
         "sketch_store: log {} bytes / {} records; append {:.1} MB/s replay {:.1} MB/s \
-         compact {:.1} MB/s",
+         compact {:.1} MB/s (medians of {TIMED_PASSES} passes)",
         n.log_bytes, n.log_records, n.append_mbps, n.replay_mbps, n.compact_mbps
     );
     let fields = format!(
@@ -191,6 +197,7 @@ fn main() {
          \"v1_bytes\": {},\n    \"v2_bytes\": {},\n    \"v1_over_v2\": {:.2},\n    \
          \"min_required_ratio\": {MIN_V2_RATIO}\n  }},\n  \"log\": {{\n    \
          \"bytes\": {},\n    \"records\": {},\n    \"shards\": {LOG_SHARDS},\n    \
+         \"timed_passes\": {TIMED_PASSES},\n    \
          \"append_mb_per_sec\": {:.1},\n    \"replay_mb_per_sec\": {:.1},\n    \
          \"compact_mb_per_sec\": {:.1}\n  }}",
         n.v1_bytes,

@@ -311,7 +311,8 @@ mod tests {
         let mut merged = ReleaseDb::build(&a, 0.25);
         let _ = merged.database().sharded_columns(1); // warm view: merge must maintain it
         merged.merge(ReleaseDb::build(&b, 0.25)).expect("compatible sketches merge");
-        assert_eq!(merged.database(), &a.stack(&b));
+        let rows = [vec![0, 1], vec![2], vec![3], vec![0, 3]];
+        assert_eq!(merged.database(), &Database::from_rows(4, &rows));
         assert!(merged.database().has_sharded_cache(), "merge rides the append fast path");
         // Width and threshold mismatches refuse.
         let mut x = ReleaseDb::build(&a, 0.25);

@@ -128,25 +128,11 @@ impl BitMatrix {
         }
     }
 
-    /// Appends all rows of `other` in place — the in-place counterpart of
-    /// [`Self::vconcat`], used by the append ingestion path.
+    /// Appends all rows of `other` in place, the append ingestion path.
     pub fn extend_rows(&mut self, other: &BitMatrix) {
         assert_eq!(self.cols, other.cols, "extend_rows requires equal column counts");
         self.rows += other.rows;
         self.data.extend_from_slice(&other.data);
-    }
-
-    /// Vertical concatenation: rows of `self` then rows of `other`.
-    pub fn vconcat(&self, other: &BitMatrix) -> BitMatrix {
-        assert_eq!(self.cols, other.cols, "vconcat requires equal column counts");
-        let mut out = BitMatrix::zeros(self.rows + other.rows, self.cols);
-        for r in 0..self.rows {
-            out.set_row_words(r, self.row_words(r));
-        }
-        for r in 0..other.rows {
-            out.set_row_words(self.rows + r, other.row_words(r));
-        }
-        out
     }
 
     /// Raw packed storage (row-major), exposed for serialization.
@@ -215,16 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn vconcat_layout() {
-        let a = BitMatrix::from_fn(2, 5, |_, _| true);
-        let b = BitMatrix::from_fn(3, 5, |_, _| false);
-        let m = a.vconcat(&b);
-        assert_eq!(m.rows(), 5);
-        assert_eq!(bits::count_ones(m.row_words(0)), 5);
-        assert_eq!(bits::count_ones(m.row_words(4)), 0);
-    }
-
-    #[test]
     fn push_zero_rows_then_set_matches_from_fn() {
         let f = |r: usize, c: usize| (r * 7 + c).is_multiple_of(3);
         let mut m = BitMatrix::from_fn(5, 70, f);
@@ -261,12 +237,12 @@ mod tests {
     }
 
     #[test]
-    fn extend_rows_matches_vconcat() {
-        let a = BitMatrix::from_fn(4, 67, |r, c| (r + c) % 2 == 0);
-        let b = BitMatrix::from_fn(3, 67, |r, c| (r * c) % 5 == 1);
-        let mut m = a.clone();
-        m.extend_rows(&b);
-        assert_eq!(m, a.vconcat(&b));
+    fn extend_rows_matches_from_fn() {
+        let f =
+            |r: usize, c: usize| if r < 4 { (r + c).is_multiple_of(2) } else { (r * c) % 5 == 1 };
+        let mut m = BitMatrix::from_fn(4, 67, f);
+        m.extend_rows(&BitMatrix::from_fn(3, 67, |r, c| f(r + 4, c)));
+        assert_eq!(m, BitMatrix::from_fn(7, 67, f));
     }
 
     #[test]

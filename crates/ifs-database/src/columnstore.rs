@@ -1,4 +1,4 @@
-//! Columnar (vertical) query execution: per-item tid-sets.
+//! Columnar (vertical) layout: per-item tid-sets.
 //!
 //! The row-major [`crate::BitMatrix`] is the right layout for *building*
 //! summaries — one pass over rows — but a query workload touches only the
@@ -14,29 +14,13 @@
 //! range, and a row append runs it again from the tail's partial tile.
 //!
 //! This is the same representation Eclat uses internally. A `ColumnStore`
-//! is the per-shard kernel of [`crate::ShardedColumnStore`] (the view every
-//! [`crate::Database`] query answers on), the whole-column transpose the
-//! miners build per call, and the serial reference the tests compare
-//! against. See DESIGN.md §7 for when each layout is used.
+//! is one shard of [`crate::ShardedColumnStore`] (the view every
+//! [`crate::Database`] query answers on, and the one query surface over
+//! tid-sets) and the whole-column transpose the miners build per call.
+//! See DESIGN.md §7 for when each layout is used.
 
 use crate::{BitMatrix, Itemset};
 use ifs_util::bits;
-
-/// Tid-word block for the batched query path: the same geometry as a row
-/// shard ([`crate::sharded::SHARD_ROWS`] rows = 256 words per column), so
-/// one block of the `k` queried columns plus scratch stays L2-resident
-/// while every query of the batch runs over it (DESIGN.md §12). Blocked
-/// partial supports are exact integer popcounts over disjoint word
-/// ranges, so any block size yields bit-identical answers.
-pub(crate) const QUERY_BLOCK_WORDS: usize = crate::sharded::SHARD_ROWS / 64;
-
-std::thread_local! {
-    /// Scratch for single `support` queries with `k ≥ 4`: grown once per
-    /// thread, reused by every subsequent query (the former code allocated
-    /// a fresh `Vec` per call). Batch APIs still pass their own scratch.
-    static SUPPORT_SCRATCH: std::cell::RefCell<Vec<u64>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
 
 /// Per-item packed tid-set bitmaps over the rows of a [`BitMatrix`].
 ///
@@ -146,11 +130,6 @@ impl ColumnStore {
         self.dims
     }
 
-    /// Words per tid-set (layout detail for callers managing scratch).
-    pub fn words_per_col(&self) -> usize {
-        self.words_per_col
-    }
-
     /// The packed tid-set of item `c`: bit `r` set iff row `r` contains `c`.
     #[inline]
     pub fn tids(&self, c: usize) -> &[u64] {
@@ -164,146 +143,31 @@ impl ColumnStore {
         bits::count_ones(self.tids(c))
     }
 
-    /// The word range `[w0, w1)` of item `c`'s tid-set — the unit the
-    /// blocked batch kernel iterates over.
-    #[inline]
-    fn tids_words(&self, c: usize, w0: usize, w1: usize) -> &[u64] {
-        assert!(c < self.dims, "item {c} out of range for {} columns", self.dims);
-        &self.words[c * self.words_per_col + w0..c * self.words_per_col + w1]
-    }
-
-    /// Intersection kernel over the tid-word range `[w0, w1)`: rows of that
-    /// range containing every item of `itemset` (DESIGN.md §12).
+    /// Intersection kernel: rows of this store containing every item of
+    /// `itemset` (DESIGN.md §12).
     ///
-    /// `k = 0` needs no intersection (every row of the range qualifies);
-    /// `k ≤ 3` runs allocation- and copy-free via [`bits::and_count`] /
-    /// [`bits::and3_count`]; `k ≥ 4` opens with the fused
-    /// [`bits::and_write`], ANDs the middle items into `scratch`, and closes
-    /// with the fused [`bits::and3_count`] — `k − 2` passes over the range
-    /// instead of the historical `k` (copy, `k − 2` ANDs, AND+count).
-    ///
-    /// Because supports over disjoint word ranges are exact integer partial
-    /// popcounts, summing this kernel over any partition of `[0,
-    /// words_per_col)` is bit-identical to one full-width pass — the same
-    /// argument that makes row sharding exact (DESIGN.md §8).
-    fn support_in_words(
-        &self,
-        itemset: &Itemset,
-        w0: usize,
-        w1: usize,
-        scratch: &mut Vec<u64>,
-    ) -> usize {
+    /// `k = 0` needs no intersection (every row qualifies); `k ≤ 3` runs
+    /// allocation- and copy-free via [`bits::and_count`] /
+    /// [`bits::and3_count`] and never touches `scratch`; `k ≥ 4` opens with
+    /// the fused [`bits::and_write`], ANDs the middle items into `scratch`,
+    /// and closes with the fused [`bits::and3_count`] — `k − 2` passes over
+    /// the tid-sets instead of `k` (copy, `k − 2` ANDs, AND+count).
+    pub(crate) fn support(&self, itemset: &Itemset, scratch: &mut Vec<u64>) -> usize {
+        let tids = |c: &u32| self.tids(*c as usize);
         match itemset.items() {
-            [] => self.rows.min(w1 * 64) - self.rows.min(w0 * 64),
-            [a] => bits::count_ones(self.tids_words(*a as usize, w0, w1)),
-            [a, b] => bits::and_count(
-                self.tids_words(*a as usize, w0, w1),
-                self.tids_words(*b as usize, w0, w1),
-            ),
-            [a, b, c] => bits::and3_count(
-                self.tids_words(*a as usize, w0, w1),
-                self.tids_words(*b as usize, w0, w1),
-                self.tids_words(*c as usize, w0, w1),
-            ),
+            [] => self.rows,
+            [a] => bits::count_ones(tids(a)),
+            [a, b] => bits::and_count(tids(a), tids(b)),
+            [a, b, c] => bits::and3_count(tids(a), tids(b), tids(c)),
             [a, b, mid @ .., y, z] => {
-                scratch.resize(w1 - w0, 0);
-                bits::and_write(
-                    scratch,
-                    self.tids_words(*a as usize, w0, w1),
-                    self.tids_words(*b as usize, w0, w1),
-                );
-                for &c in mid {
-                    bits::and_assign(scratch, self.tids_words(c as usize, w0, w1));
+                scratch.resize(self.words_per_col, 0);
+                bits::and_write(scratch, tids(a), tids(b));
+                for c in mid {
+                    bits::and_assign(scratch, tids(c));
                 }
-                bits::and3_count(
-                    scratch,
-                    self.tids_words(*y as usize, w0, w1),
-                    self.tids_words(*z as usize, w0, w1),
-                )
+                bits::and3_count(scratch, tids(y), tids(z))
             }
         }
-    }
-
-    /// Intersection kernel: support of `itemset` using caller-owned scratch
-    /// (the full-width case of `support_in_words`; `k ≤ 3` never
-    /// touches `scratch`).
-    pub fn support_with_scratch(&self, itemset: &Itemset, scratch: &mut Vec<u64>) -> usize {
-        self.support_in_words(itemset, 0, self.words_per_col, scratch)
-    }
-
-    /// Support of `itemset`: rows containing every item. Allocation-free:
-    /// `|itemset| ≤ 3` needs no scratch at all, and larger itemsets borrow a
-    /// thread-local buffer that is grown once and reused by every subsequent
-    /// single query on the thread.
-    pub fn support(&self, itemset: &Itemset) -> usize {
-        if itemset.items().len() <= 3 {
-            // Kernel provably ignores scratch; skip the thread-local borrow.
-            return self.support_in_words(itemset, 0, self.words_per_col, &mut Vec::new());
-        }
-        SUPPORT_SCRATCH
-            .with(|scratch| self.support_with_scratch(itemset, &mut scratch.borrow_mut()))
-    }
-
-    /// Frequency `f_T` ∈ [0, 1]; 0 for an empty store (matching
-    /// [`crate::Database::frequency`]).
-    pub fn frequency(&self, itemset: &Itemset) -> f64 {
-        if self.rows == 0 {
-            return 0.0;
-        }
-        self.support(itemset) as f64 / self.rows as f64
-    }
-
-    /// Accumulates `out[i] += support(itemsets[i])` in cache blocks: the
-    /// outer loop walks tid-word blocks of `block_words`, the inner loop
-    /// runs every query over the current block, so the queried column words
-    /// are loaded into L2 once per *batch* instead of once per *query*.
-    /// Commutative integer accumulation — identical to query-at-a-time.
-    pub(crate) fn add_supports_blocked(
-        &self,
-        itemsets: &[Itemset],
-        out: &mut [usize],
-        block_words: usize,
-        scratch: &mut Vec<u64>,
-    ) {
-        debug_assert_eq!(itemsets.len(), out.len());
-        assert!(block_words > 0, "block_words must be positive");
-        let mut w0 = 0;
-        while w0 < self.words_per_col {
-            let w1 = (w0 + block_words).min(self.words_per_col);
-            for (o, t) in out.iter_mut().zip(itemsets) {
-                *o += self.support_in_words(t, w0, w1, scratch);
-            }
-            w0 = w1;
-        }
-    }
-
-    /// Supports of a whole query log over explicit tid-word blocks — the
-    /// knob exists so tests can straddle block boundaries; production paths
-    /// (each shard of [`crate::ShardedColumnStore`]) and
-    /// [`Self::support_batch`] use `QUERY_BLOCK_WORDS`. Element `i` equals
-    /// `self.support(&itemsets[i])` at **any** block size.
-    pub fn support_batch_blocked(&self, itemsets: &[Itemset], block_words: usize) -> Vec<usize> {
-        let mut out = vec![0usize; itemsets.len()];
-        self.add_supports_blocked(itemsets, &mut out, block_words, &mut Vec::new());
-        out
-    }
-
-    /// Supports of a whole query log, cache-blocked (DESIGN.md §12) and
-    /// sharing one scratch buffer.
-    pub fn support_batch(&self, itemsets: &[Itemset]) -> Vec<usize> {
-        self.support_batch_blocked(itemsets, QUERY_BLOCK_WORDS)
-    }
-
-    /// Frequencies of a whole query log, cache-blocked.
-    ///
-    /// Bit-identical to calling [`Self::frequency`] per itemset: both divide
-    /// the same integer support by the same integer row count.
-    pub fn frequency_batch(&self, itemsets: &[Itemset]) -> Vec<f64> {
-        if self.rows == 0 {
-            return vec![0.0; itemsets.len()];
-        }
-        let n = self.rows as f64;
-        self.support_batch(itemsets).into_iter().map(|s| s as f64 / n).collect()
     }
 }
 
@@ -329,26 +193,7 @@ mod tests {
             Itemset::new(vec![0, 3]),
             Itemset::new(vec![0, 1, 2, 3, 4]),
         ] {
-            assert_eq!(store.support(&t), db.support(&t), "itemset {t}");
-            assert_eq!(store.frequency(&t), db.frequency(&t), "itemset {t}");
-        }
-    }
-
-    #[test]
-    fn batch_matches_scalar() {
-        let db = toy();
-        let store = ColumnStore::build(db.matrix());
-        let queries = vec![
-            Itemset::new(vec![0, 1]),
-            Itemset::empty(),
-            Itemset::new(vec![2, 3]),
-            Itemset::new(vec![0, 1, 4]),
-        ];
-        let supports = store.support_batch(&queries);
-        let freqs = store.frequency_batch(&queries);
-        for (i, t) in queries.iter().enumerate() {
-            assert_eq!(supports[i], store.support(t));
-            assert_eq!(freqs[i], store.frequency(t));
+            assert_eq!(store.support(&t, &mut Vec::new()), db.support(&t), "itemset {t}");
         }
     }
 
@@ -365,10 +210,9 @@ mod tests {
     fn empty_database() {
         let store = ColumnStore::build(Database::zeros(0, 8).matrix());
         assert_eq!(store.rows(), 0);
-        assert_eq!(store.support(&Itemset::empty()), 0);
-        assert_eq!(store.support(&Itemset::new(vec![0, 7])), 0);
-        assert_eq!(store.frequency(&Itemset::empty()), 0.0);
-        assert_eq!(store.frequency_batch(&[Itemset::singleton(3)]), vec![0.0]);
+        assert_eq!(store.support(&Itemset::empty(), &mut Vec::new()), 0);
+        assert_eq!(store.support(&Itemset::new(vec![0, 7]), &mut Vec::new()), 0);
+        assert_eq!(store.support(&Itemset::new(vec![0, 1, 3, 7]), &mut Vec::new()), 0);
     }
 
     #[test]
@@ -376,15 +220,7 @@ mod tests {
         let store = ColumnStore::build(Database::zeros(6, 0).matrix());
         assert_eq!(store.dims(), 0);
         // Only the empty itemset is askable; it is in every row.
-        assert_eq!(store.support(&Itemset::empty()), 6);
-        assert_eq!(store.frequency(&Itemset::empty()), 1.0);
-    }
-
-    #[test]
-    fn empty_itemset_has_frequency_one() {
-        let store = ColumnStore::build(toy().matrix());
-        assert_eq!(store.frequency(&Itemset::empty()), 1.0);
-        assert_eq!(store.frequency_batch(&[Itemset::empty()]), vec![1.0]);
+        assert_eq!(store.support(&Itemset::empty(), &mut Vec::new()), 6);
     }
 
     #[test]
@@ -394,11 +230,13 @@ mod tests {
         let n = 130;
         let db = Database::from_fn(n, 65, |r, c| r == n - 1 || c == 64);
         let store = ColumnStore::build(db.matrix());
-        assert_eq!(store.words_per_col(), 3);
+        assert_eq!(store.words_per_col, 3);
         // Item 64 is in every row; the final row contains everything.
-        assert_eq!(store.support(&Itemset::singleton(64)), n);
-        assert_eq!(store.support(&Itemset::new(vec![0, 64])), 1);
-        assert_eq!(store.support(&Itemset::new(vec![0, 30, 64])), 1);
+        let support = |items: Vec<u32>| store.support(&Itemset::new(items), &mut Vec::new());
+        assert_eq!(support(vec![64]), n);
+        assert_eq!(support(vec![0, 64]), 1);
+        assert_eq!(support(vec![0, 30, 64]), 1);
+        assert_eq!(support(vec![0, 1, 30, 64]), 1);
         assert!(ifs_util::bits::get(store.tids(0), n - 1), "last row, final word tail bit");
     }
 
@@ -416,7 +254,7 @@ mod tests {
                     for start in [0, 1, 7, 63].into_iter().filter(|&s| s <= rows) {
                         let store = ColumnStore::build_range(&m, start..rows);
                         assert_eq!(store.rows(), rows - start);
-                        assert_eq!(store.words_per_col(), bits::words_for(rows - start).max(1));
+                        assert_eq!(store.words_per_col, bits::words_for(rows - start).max(1));
                         for c in 0..dims {
                             let tids = store.tids(c);
                             for r in 0..tids.len() * 64 {
@@ -437,7 +275,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_item_panics() {
-        ColumnStore::build(toy().matrix()).support(&Itemset::singleton(5));
+        ColumnStore::build(toy().matrix()).support(&Itemset::singleton(5), &mut Vec::new());
     }
 
     /// Append maintenance must reproduce a fresh transpose bit for bit —
@@ -463,14 +301,24 @@ mod tests {
         }
     }
 
+    /// One scratch serves every `k ≥ 4` query of a batch and every shard
+    /// of the sharded engine, whose last shard may hold fewer tid words:
+    /// what an earlier query or a wider store left in it never leaks.
     #[test]
     fn scratch_reuse_is_stateless() {
-        let store = ColumnStore::build(toy().matrix());
+        let mut rng = ifs_util::Rng64::seeded(0x5C7A);
+        let db = Database::from_fn(200, 8, |_, _| rng.bernoulli(0.7));
+        let wide = ColumnStore::build(db.matrix());
+        let narrow = ColumnStore::build_range(db.matrix(), 0..70);
+        let a = Itemset::new(vec![0, 1, 2, 3, 5]);
+        let b = Itemset::new(vec![1, 2, 4, 6]);
         let mut scratch = Vec::new();
-        let a = Itemset::new(vec![0, 1, 2]);
-        let b = Itemset::new(vec![1, 2, 3]);
-        let first = store.support_with_scratch(&a, &mut scratch);
-        let _ = store.support_with_scratch(&b, &mut scratch);
-        assert_eq!(store.support_with_scratch(&a, &mut scratch), first);
+        let first = wide.support(&a, &mut scratch);
+        assert_eq!(first, db.support(&a));
+        assert_eq!(wide.support(&b, &mut scratch), db.support(&b));
+        assert_eq!(wide.support(&a, &mut scratch), first);
+        let head = Database::from_fn(70, 8, |r, c| db.get(r, c));
+        assert_eq!(narrow.support(&a, &mut scratch), head.support(&a));
+        assert_eq!(wide.support(&b, &mut scratch), db.support(&b));
     }
 }

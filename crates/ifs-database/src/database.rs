@@ -94,7 +94,7 @@ impl Database {
     /// scratch. This is the only **arbitrary** mutation path — row appends
     /// go through [`Database::append_rows`], which maintains a warm view in
     /// place instead of dropping it, and constructors and derivations
-    /// (`stack`, `repeat_rows`, codec decodes, the generators)
+    /// (`repeat_rows`, codec decodes, the generators)
     /// all produce fresh `Database` values with cold caches, so a stale
     /// view cannot be served (regression-tested in
     /// `caches_never_serve_stale_views`).
@@ -246,11 +246,6 @@ impl Database {
     /// The itemset view of row `i` (its set of 1-columns).
     pub fn row_itemset(&self, row: usize) -> Itemset {
         ifs_util::bits::ones(self.matrix.row_words(row)).map(|i| i as u32).collect()
-    }
-
-    /// Vertically stacks two databases over the same attribute set.
-    pub fn stack(&self, other: &Database) -> Database {
-        Database::from_matrix(self.matrix.vconcat(other.matrix()))
     }
 
     /// Repeats every row `times` times (used by the Theorem 13 construction,
@@ -517,17 +512,18 @@ mod tests {
     fn append_database_matches_stack() {
         let a = toy();
         let b = Database::from_rows(5, &[vec![0, 4], vec![]]);
-        let stacked = a.stack(&b);
-        assert_eq!((stacked.rows(), stacked.dims()), (6, 5));
-        assert_eq!(stacked.row_itemset(4), Itemset::new(vec![0, 4]));
+        let stacked = Database::from_rows(
+            5,
+            &[vec![0, 1, 2], vec![0, 1], vec![1, 2, 3], vec![4], vec![0, 4], vec![]],
+        );
         let mut warm = a.clone();
         let _ = warm.sharded_columns(2);
         warm.append_database(&b);
-        assert_eq!(warm, a.stack(&b));
-        assert_eq!(warm.sharded_columns(1), a.stack(&b).sharded_columns(1));
+        assert_eq!(warm, stacked);
+        assert_eq!(warm.sharded_columns(1), stacked.sharded_columns(1));
         let mut cold = a.clone();
         cold.append_database(&b);
-        assert_eq!(cold, a.stack(&b));
+        assert_eq!(cold, stacked);
         assert!(!cold.has_sharded_cache());
     }
 

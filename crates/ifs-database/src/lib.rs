@@ -13,15 +13,16 @@
 //!   aligned to the matrix layout, so `row ⊇ T` is a handful of AND/CMP ops.
 //! * [`Database`] — rows + dimension bookkeeping, row-scan frequency/support
 //!   queries, and batched queries on its one cached columnar view.
-//! * [`ColumnStore`] — the columnar kernel: per-item packed tid-sets with
-//!   AND+popcount intersection kernels and batched support/frequency
-//!   queries. It is one shard of the view below, and the whole-column
-//!   transpose the miners build per call.
-//! * [`ShardedColumnStore`] — the same tid-sets partitioned into contiguous
-//!   word-aligned row shards, built and queried by multiple threads with
-//!   answers bit-identical to the serial store at every thread count
-//!   (DESIGN.md §8). It is the one view a [`Database`] caches
-//!   ([`Database::sharded_columns`]), behind every batched and sketch query.
+//! * [`ColumnStore`] — per-item packed tid-sets, built by a word-parallel
+//!   tile transpose. It is one shard of the view below, and the
+//!   whole-column transpose the miners build per call.
+//! * [`ShardedColumnStore`] — the one query surface over tid-sets: the
+//!   rows partitioned into contiguous word-aligned shards, each shard one
+//!   cache block of the AND+popcount batch loop, built and queried by
+//!   multiple threads with answers bit-identical to the row-major scan at
+//!   every thread count (DESIGN.md §8). It is the one view a [`Database`]
+//!   caches ([`Database::sharded_columns`]), behind every batched and
+//!   sketch query.
 //! * [`generators`] — workload generators: i.i.d. Bernoulli databases,
 //!   planted itemsets, Zipf-popularity market-basket data with correlated
 //!   bundles, and the binary decomposition of categorical attributes

@@ -1,12 +1,17 @@
 //! Sharded, multi-threaded columnar query execution (DESIGN.md §8).
 //!
-//! [`crate::ColumnStore`] answers a `k`-itemset query with `O(k·n/64)` word
-//! operations on one core. This module partitions the rows into contiguous,
-//! word-aligned shards and keeps one `ColumnStore` per shard: the support of
-//! an itemset is then the **sum of per-shard popcounts**, which is the same
-//! integer the serial store computes (popcount is associative over disjoint
-//! row ranges), so sharded answers are bit-identical to serial answers by
-//! construction — at every thread count.
+//! A `k`-itemset's support over per-item tid-sets costs `O(k·n/64)` word
+//! operations. This module partitions the rows into contiguous,
+//! word-aligned shards and keeps one [`crate::ColumnStore`] per shard: the
+//! support of an itemset is then the **sum of per-shard popcounts**, which
+//! is the integer a row-major scan counts (popcount is associative over
+//! disjoint row ranges), so answers are bit-identical to
+//! [`crate::Database::support`] by construction — at every thread count.
+//!
+//! The shard is also the cache block: a batch runs shard-outer,
+//! query-inner, so one shard's columns are loaded once per batch rather
+//! than once per query (DESIGN.md §12). That and the chunk threading below
+//! are the engine's two execution levels.
 //!
 //! Two axes parallelize:
 //!
@@ -32,15 +37,23 @@
 use crate::{BitMatrix, ColumnStore, Itemset};
 use ifs_util::threads::{clamp_threads, parallel_map_indexed};
 
+std::thread_local! {
+    /// Scratch for single `support` queries with `k ≥ 4`: grown once per
+    /// thread and reused by every later query on it, so a single
+    /// `estimate` allocates nothing. Batches pass their own scratch.
+    static SUPPORT_SCRATCH: std::cell::RefCell<Vec<u64>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// Rows per shard: word-aligned (multiple of 64) so no shard splits a tid
 /// word, and large enough that per-shard bookkeeping is noise next to the
 /// AND+popcount work. 16384 rows × 128 items ≈ 256 KiB of tid words per
-/// shard — it fits in L2 while giving a 100k-row database 7 shards to
-/// spread over cores.
+/// shard — it fits in L2, which makes the shard the batch path's cache
+/// block, while giving a 100k-row database 7 shards to spread over cores.
 pub const SHARD_ROWS: usize = 16_384;
 
 /// Tid words a `rows × dims` store holds: `dims` tid-sets of
-/// `⌈rows/64⌉` words, at least one each as a serial [`ColumnStore`] keeps
+/// `⌈rows/64⌉` words, at least one each as a [`ColumnStore`] keeps
 /// (saturating). With few rows this is up to 64× the row matrix's words —
 /// one row pads every tid-set to a whole word — so decoders bound it
 /// separately from the row words (`codec::read_database`).
@@ -50,9 +63,10 @@ pub(crate) fn tid_words(rows: usize, dims: usize) -> usize {
 
 /// Per-item tid-sets partitioned into contiguous word-aligned row shards.
 ///
-/// Equivalent to a [`ColumnStore`] over the same matrix — same supports,
-/// same frequencies, bit for bit — but buildable and queryable by multiple
-/// threads. See the module docs for the determinism argument.
+/// The one query surface over tid-sets: its supports and frequencies equal
+/// [`crate::Database::support`] and [`crate::Database::frequency`] bit for
+/// bit, and it is buildable and queryable by multiple threads. See the
+/// module docs for the determinism argument.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ShardedColumnStore {
     rows: usize,
@@ -135,13 +149,15 @@ impl ShardedColumnStore {
         self.shard_rows
     }
 
-    /// Support of `itemset`: the sum of per-shard popcounts — the same
-    /// integer [`ColumnStore::support`] computes over the unpartitioned
-    /// rows, and allocation-free like it (each shard borrows its
-    /// thread-local scratch).
+    /// Support of `itemset`: the sum of per-shard popcounts.
+    /// Allocation-free: `|itemset| ≤ 3` needs no scratch, and larger
+    /// itemsets borrow a thread-local buffer that every shard reuses.
     pub fn support(&self, itemset: &Itemset) -> usize {
         self.check_items(itemset);
-        self.shards.iter().map(|s| s.support(itemset)).sum()
+        SUPPORT_SCRATCH.with(|scratch| {
+            let scratch = &mut scratch.borrow_mut();
+            self.shards.iter().map(|s| s.support(itemset, scratch)).sum()
+        })
     }
 
     /// Panics unless every item of `itemset` is a column of this store.
@@ -154,29 +170,26 @@ impl ShardedColumnStore {
     }
 
     /// Frequency `f_T` ∈ [0, 1]; 0 for an empty store, matching
-    /// [`ColumnStore::frequency`] bit for bit (same integer support, same
-    /// division).
+    /// [`crate::Database::frequency`] bit for bit (same integer support,
+    /// same division).
     pub fn frequency(&self, itemset: &Itemset) -> f64 {
         // An empty store's supports are all 0, so `max(1)` only turns
         // 0/0 into 0.
         self.support(itemset) as f64 / self.rows.max(1) as f64
     }
 
-    /// Accumulates `out[i] += support(itemsets[i])` shard by shard: the
-    /// outer loop walks shards (each ≲ 256 KiB of tid words — L2-resident
-    /// by construction, see [`SHARD_ROWS`]), the inner loop runs every
-    /// query of the chunk over the current shard. One shard's columns are
-    /// loaded once per *batch* instead of once per *query* — the sharded
-    /// twin of [`ColumnStore::add_supports_blocked`]. Integer accumulation
-    /// commutes, so the totals equal query-at-a-time shard sums exactly.
+    /// Accumulates `out[i] += support(itemsets[i])` shard by shard, the
+    /// engine's one cache-blocked loop: the outer loop walks shards (each
+    /// ≲ 256 KiB of tid words — L2-resident by construction, see
+    /// [`SHARD_ROWS`]), the inner loop runs every query of the chunk over
+    /// the current shard. One shard's columns are loaded once per *batch*
+    /// instead of once per *query*. Integer accumulation commutes, so the
+    /// totals equal query-at-a-time shard sums exactly.
     fn add_supports(&self, itemsets: &[Itemset], out: &mut [usize], scratch: &mut Vec<u64>) {
         for shard in &self.shards {
-            shard.add_supports_blocked(
-                itemsets,
-                out,
-                crate::columnstore::QUERY_BLOCK_WORDS,
-                scratch,
-            );
+            for (o, t) in out.iter_mut().zip(itemsets) {
+                *o += shard.support(t, scratch);
+            }
         }
     }
 
@@ -260,10 +273,11 @@ mod tests {
             .collect()
     }
 
+    /// Every shard size and thread count answers what a row-major scan
+    /// of the database counts, batch and scalar alike.
     #[test]
     fn matches_serial_store_across_shard_sizes_and_threads() {
         let db = random_db(300, 40, 0.35, 0x51AD);
-        let serial = ColumnStore::build(db.matrix());
         let queries = random_queries(40, 30, 0x51AE);
         for shard_rows in [64, 128, 256, 512] {
             for threads in [1, 2, 4, 8] {
@@ -274,9 +288,10 @@ mod tests {
                 let sup = sharded.support_batch(&queries, threads);
                 let freq = sharded.frequency_batch(&queries, threads);
                 for (i, t) in queries.iter().enumerate() {
-                    assert_eq!(sup[i], serial.support(t), "support {t} sr={shard_rows}");
-                    assert_eq!(freq[i], serial.frequency(t), "frequency {t} sr={shard_rows}");
+                    assert_eq!(sup[i], db.support(t), "support {t} sr={shard_rows}");
+                    assert_eq!(freq[i], db.frequency(t), "frequency {t} sr={shard_rows}");
                     assert_eq!(sharded.support(t), sup[i], "scalar/batch {t}");
+                    assert_eq!(sharded.frequency(t), freq[i], "scalar/batch {t}");
                 }
             }
         }
@@ -313,11 +328,10 @@ mod tests {
         // forces every boundary to be exercised.
         for n in [1usize, 63, 64, 65, 127, 128, 129, 200] {
             let db = random_db(n, 10, 0.5, 0xB0 + n as u64);
-            let serial = ColumnStore::build(db.matrix());
             let sharded = ShardedColumnStore::build_with_shard_rows(db.matrix(), 64, 3);
             for t in random_queries(10, 15, 0xC0 + n as u64) {
-                assert_eq!(sharded.support(&t), serial.support(&t), "n={n} itemset {t}");
-                assert_eq!(sharded.frequency(&t), serial.frequency(&t), "n={n} itemset {t}");
+                assert_eq!(sharded.support(&t), db.support(&t), "n={n} itemset {t}");
+                assert_eq!(sharded.frequency(&t), db.frequency(&t), "n={n} itemset {t}");
             }
         }
     }

@@ -129,6 +129,7 @@ impl Matrix {
     }
 
     /// Entry-wise difference `self − other`.
+    #[cfg(test)]
     pub fn sub(&self, other: &Matrix) -> Matrix {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         let data = self.data.iter().zip(&other.data).map(|(a, b)| a - b).collect();

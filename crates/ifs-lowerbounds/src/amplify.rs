@@ -129,11 +129,6 @@ impl AmplifiedInstance {
             })
             .collect()
     }
-
-    /// Access to the sub-instances (for truth comparison).
-    pub fn inner(&self) -> &[Thm15Instance] {
-        &self.inner
-    }
 }
 
 /// Decodes a recovered codeword with the same deterministic code the inner
@@ -168,7 +163,7 @@ mod tests {
         let msgs = random_messages(m, cap, &mut rng);
         let amp = AmplifiedInstance::encode(d, k, &msgs);
         for idx in 0..m {
-            let inst = &amp.inner()[idx];
+            let inst = &amp.inner[idx];
             for _ in 0..20 {
                 let v = inst.v();
                 let s: Vec<bool> = (0..v).map(|_| rng.bernoulli(0.5)).collect();
@@ -217,7 +212,7 @@ mod tests {
         let cap = AmplifiedInstance::capacity_per_instance(d, k).unwrap();
         let msgs = random_messages(m, cap, &mut rng);
         let amp = AmplifiedInstance::encode(d, k, &msgs);
-        let v = amp.inner()[0].v();
+        let v = amp.inner[0].v();
         let s = vec![true; v];
         assert_eq!(amp.query(1, &s, 0).len(), k);
     }

@@ -8,7 +8,7 @@
 //! # Kernel layout (DESIGN.md §12)
 //!
 //! The AND+popcount folds here are the innermost loops of the whole
-//! workspace — every `ColumnStore` support query, every Eclat tid-set
+//! workspace — every sharded-engine support query, every Eclat tid-set
 //! intersection, every Hamming-distance decode bottoms out in them — so
 //! they are written as explicitly *wide* loops over `u64x4`-style lanes
 //! (`chunks_exact`, plain `[u64; 4]` arrays, independent accumulators),
@@ -33,8 +33,8 @@
 //! first two ANDs with each other) removes whole passes, which on a
 //! memory-bound workload is worth more than any in-register trick.
 //!
-//! [`transpose64`] is the build-side kernel: the row → tid-set transpose
-//! of every `ColumnStore` runs as 64×64 bit tiles through it, word pairs
+//! [`transpose64`] is the build-side kernel: every row → tid-set transpose
+//! (each shard's `ColumnStore`) runs as 64×64 bit tiles through it, word pairs
 //! at a time, instead of moving one set bit at a time.
 
 /// Accumulator lanes per unrolled chunk. Four `u64`s is one cache line

@@ -93,13 +93,14 @@ fn committed_bench_artifacts_are_release_mode() {
 
 /// The store artifact must record the v1/v2 space claim its bench gate
 /// asserts, so the committed number and the enforced floor travel
-/// together.
+/// together, and how many passes its median MB/s figures come from.
 #[test]
 fn store_artifact_records_the_space_claim() {
     require_fields(
         "BENCH_store.json",
         &["\"v1_bytes\":", "\"v2_bytes\":", "\"v1_over_v2\":", "\"min_required_ratio\": 2"],
     );
+    require_fields("BENCH_store.json", &["\"timed_passes\":"]);
 }
 
 /// The snapshot, ingest and store artifacts must record the CPU features
@@ -110,6 +111,13 @@ fn snapshot_artifact_records_target_features() {
     for name in ["BENCH_snapshot.json", "BENCH_ingest.json", "BENCH_store.json"] {
         require_fields(name, &TARGET_FEATURE_FIELDS);
     }
+}
+
+/// The ingest artifact's cold-transpose time is a median over several
+/// builds, and it records how many.
+#[test]
+fn ingest_artifact_records_its_transpose_samples() {
+    require_fields("BENCH_ingest.json", &["\"transpose_build_ms\":", "\"transpose_samples\":"]);
 }
 
 /// The kernel artifact's speedups mean little without the CPU features

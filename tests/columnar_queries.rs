@@ -7,7 +7,7 @@
 //! (fixed case count and seed, like every suite here) are the proof the
 //! acceptance criterion asks for.
 
-use itemset_sketches::database::{ColumnStore, Itemset};
+use itemset_sketches::database::{Itemset, ShardedColumnStore};
 use itemset_sketches::prelude::*;
 use proptest::prelude::*;
 
@@ -31,8 +31,9 @@ fn random_k_queries(d: usize, k: usize, count: usize, rng: &mut Rng64) -> Vec<It
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_and_seed(48, 0xC0_1D))]
 
-    /// ColumnStore supports/frequencies equal the row-major Database ones,
-    /// and the batch APIs equal their own scalar loops.
+    /// Column-store supports/frequencies equal the row-major Database ones:
+    /// a store of one shard spanning every row, and the database's cached
+    /// default-shard view.
     #[test]
     fn column_store_matches_row_major(
         n in 0usize..120,
@@ -42,11 +43,12 @@ proptest! {
         let mut rng = Rng64::seeded(seed);
         let db = generators::uniform(n, d, 0.4, &mut rng);
         let queries = random_queries(d, 25, &mut rng);
-        let store = ColumnStore::build(db.matrix());
-        let supports = store.support_batch(&queries);
+        let one_shard = ShardedColumnStore::build_with_shard_rows(db.matrix(), 128, 1);
+        let supports = one_shard.support_batch(&queries, 1);
         let freqs = db.frequencies(&queries);
         for (i, t) in queries.iter().enumerate() {
             prop_assert_eq!(supports[i], db.support(t), "support diverged on {}", t);
+            prop_assert_eq!(one_shard.support(t), db.support(t), "scalar diverged on {}", t);
             prop_assert_eq!(freqs[i], db.frequency(t), "frequency diverged on {}", t);
         }
     }

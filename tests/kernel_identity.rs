@@ -1,19 +1,21 @@
 //! Property tests pinning the wide kernels to their scalar references and
-//! the blocked batch paths to the unblocked answers (DESIGN.md §12).
+//! the shard-blocked batch path to the row-major answers (DESIGN.md §12).
 //!
 //! The CSA kernels and the tile transpose in `ifs_util::bits` and the
-//! cache-blocked batch loops in `ifs_database` are execution strategies,
-//! never semantics: every result must be bit-identical to the
-//! straightforward scalar fold over the same words. This suite drives that contract with random operands
-//! at adversarial lengths — empty slices, sub-block slices, exact
-//! 64-word CSA blocks, and ragged tails just past a block boundary — and
-//! with batch block sizes that force queries to straddle block edges on
-//! row counts that are not multiples of anything convenient.
+//! shard-outer, query-inner batch loop in `ifs_database` are execution
+//! strategies, never semantics: every result must be bit-identical to the
+//! straightforward scalar fold over the same words, and every support to
+//! the row-major `Database::support`. This suite drives that contract
+//! with random operands at adversarial lengths — empty slices, sub-block
+//! slices, exact 64-word CSA blocks, and ragged tails just past a block
+//! boundary — and with shard sizes (the shard is the batch path's cache
+//! block) that force queries to straddle shard edges on row counts that
+//! are not multiples of anything convenient.
 //!
 //! The scalar twins come from the `scalar-reference` feature of
 //! `ifs-util` (the seed implementations, kept verbatim).
 
-use itemset_sketches::database::{generators, ColumnStore, Itemset, ShardedColumnStore};
+use itemset_sketches::database::{generators, Itemset, ShardedColumnStore};
 use itemset_sketches::util::{bits, Rng64};
 use proptest::prelude::*;
 
@@ -100,86 +102,48 @@ proptest! {
         prop_assert_eq!(wide, narrow);
     }
 
-    /// Blocked batch supports are identical to per-itemset supports at
-    /// every block size — especially ones that make queries straddle
-    /// block boundaries on row counts with ragged final blocks.
+    /// Shard-blocked batch supports are identical to row-major supports
+    /// at every shard size and thread count — especially shard sizes that
+    /// make queries straddle shard boundaries on row counts with ragged
+    /// last shards, and one shard that spans every row.
     #[test]
-    fn support_batch_blocked_matches_unblocked(
+    fn sharded_blocked_batch_matches_unsharded(
         rows in 1usize..400,
         seed in any::<u64>(),
     ) {
         let mut rng = Rng64::seeded(seed);
         let db = generators::uniform(rows, 12, 0.4, &mut rng);
-        let store = ColumnStore::build(db.matrix());
         let queries: Vec<Itemset> = (0..12)
             .map(|_| {
                 let len = rng.below(5);
                 Itemset::new(rng.distinct_sorted(12, len).iter().map(|&i| i as u32).collect())
             })
             .collect();
-        let reference: Vec<usize> = queries.iter().map(|q| store.support(q)).collect();
-        // Block sizes chosen to divide, straddle, and exceed the
-        // column length (rows.div_ceil(64) words per column).
-        for block_words in [1usize, 2, 3, 5, 64, usize::MAX] {
-            prop_assert_eq!(
-                store.support_batch_blocked(&queries, block_words),
-                reference.clone(),
-                "block_words={}", block_words
-            );
-        }
-        prop_assert_eq!(store.support_batch(&queries), reference.clone());
-        // Thread counts only re-partition the query list; answers are
-        // positionally identical on the (here one-shard) engine view.
-        for threads in [1usize, 2, 4] {
-            prop_assert_eq!(
-                ShardedColumnStore::build(db.matrix(), threads).support_batch(&queries, threads),
-                reference.clone(),
-                "threads={}", threads
-            );
-        }
-    }
-
-    /// Sharded batch supports agree with the unsharded store at shard
-    /// sizes that leave ragged final shards, at several thread counts.
-    #[test]
-    fn sharded_blocked_batch_matches_unsharded(
-        rows in 1usize..300,
-        shard_rows_sel in 0usize..4,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = Rng64::seeded(seed);
-        let db = generators::uniform(rows, 10, 0.35, &mut rng);
-        let flat = ColumnStore::build(db.matrix());
-        // 64/128/192/320 rows per shard: none divides most row counts,
-        // so the last shard is ragged and block edges fall mid-query.
-        let shard_rows = 64 * (shard_rows_sel + 1) + 64 * shard_rows_sel;
-        let sharded = ShardedColumnStore::build_with_shard_rows(db.matrix(), shard_rows, 1);
-        let queries: Vec<Itemset> = (0..10)
-            .map(|_| {
-                let len = rng.below(5);
-                Itemset::new(rng.distinct_sorted(10, len).iter().map(|&i| i as u32).collect())
-            })
-            .collect();
-        let reference = flat.support_batch(&queries);
-        for threads in [1usize, 2, 4] {
-            prop_assert_eq!(
-                sharded.support_batch(&queries, threads),
-                reference.clone(),
-                "threads={}", threads
-            );
+        let reference: Vec<usize> = queries.iter().map(|q| db.support(q)).collect();
+        // Shards of 1, 2, 3, 5 and 7 tid words divide, straddle, and
+        // exceed the column length (rows.div_ceil(64) words); the last
+        // spans every row. Thread counts only re-partition the query list.
+        for shard_rows in [64usize, 128, 192, 320, 448, rows.next_multiple_of(64)] {
+            let sharded = ShardedColumnStore::build_with_shard_rows(db.matrix(), shard_rows, 1);
+            for threads in [1usize, 2, 4] {
+                prop_assert_eq!(
+                    sharded.support_batch(&queries, threads),
+                    reference.clone(),
+                    "shard_rows={} threads={}", shard_rows, threads
+                );
+            }
         }
     }
 }
 
 /// Deterministic boundary sweep (not property-based): rows around every
-/// multiple of the 64-row word boundary near a small block edge, so the
-/// final partial word and the final partial block are both exercised.
+/// multiple of the 64-row word boundary near small shard edges, so the
+/// final partial word and the final partial shard are both exercised.
 #[test]
 fn block_boundary_row_counts_are_exact() {
     let mut rng = Rng64::seeded(0xB10C_ED6E);
     for rows in [1usize, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257] {
         let db = generators::uniform(rows, 8, 0.5, &mut rng);
-        let store = ColumnStore::build(db.matrix());
         let queries = vec![
             Itemset::empty(),
             Itemset::singleton(0),
@@ -187,14 +151,13 @@ fn block_boundary_row_counts_are_exact() {
             Itemset::new(vec![1, 4, 6]),
             Itemset::new(vec![0, 2, 3, 5, 7]),
         ];
-        let reference: Vec<usize> = queries.iter().map(|q| store.support(q)).collect();
-        for block_words in [1usize, 2, 3, 4] {
-            assert_eq!(
-                store.support_batch_blocked(&queries, block_words),
-                reference,
-                "rows={rows} block_words={block_words}"
-            );
+        let reference: Vec<usize> = queries.iter().map(|q| db.support(q)).collect();
+        for shard_rows in [64usize, 128, 192, 256, rows.next_multiple_of(64)] {
+            let store = ShardedColumnStore::build_with_shard_rows(db.matrix(), shard_rows, 1);
+            assert_eq!(store.support_batch(&queries, 1), reference, "rows={rows} sr={shard_rows}");
+            for (q, &want) in queries.iter().zip(&reference) {
+                assert_eq!(store.support(q), want, "rows={rows} sr={shard_rows} {q}");
+            }
         }
-        assert_eq!(store.support_batch(&queries), reference, "rows={rows} default block");
     }
 }

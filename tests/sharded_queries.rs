@@ -4,10 +4,12 @@
 //! thread-knobbed sketches, and the threaded miners are *execution
 //! strategies*, never approximations — at every thread count they must
 //! return exactly the serial answers (same integers, same `f64` bits, same
-//! output order). These property tests (fixed case count and seed, like
-//! every suite here) drive thread counts 1–8 and adversarial row counts
-//! (0, 1, 63, 64, 65, and non-multiples of the shard size, so shard-tail
-//! words are exercised).
+//! output order). The engine's reference is the row-major
+//! `Database::support` / `Database::frequency`, which counts rows with a
+//! different algorithm. These property tests (fixed case count and seed,
+//! like every suite here) drive thread counts 1–8 and adversarial row
+//! counts (0, 1, 63, 64, 65, and non-multiples of the shard size, so
+//! shard-tail words are exercised).
 //!
 //! Batches too cheap to repay a thread spawn run inline at any thread
 //! count, so `costly_batches_fan_out_and_match_serial` keeps one batch
@@ -19,7 +21,7 @@
 //! genuinely exercise the serial and 4-worker configurations of every
 //! sketch and miner, and the contract is enforced on every push.
 
-use itemset_sketches::database::{ColumnStore, Itemset, ShardedColumnStore};
+use itemset_sketches::database::{Itemset, ShardedColumnStore};
 use itemset_sketches::prelude::*;
 use itemset_sketches::util::threads::env_threads;
 use proptest::prelude::*;
@@ -52,7 +54,6 @@ fn sharded_store_matches_serial_on_adversarial_shapes() {
     for n in ADVERSARIAL_ROWS {
         for d in [1usize, 7, 64, 65] {
             let db = generators::uniform(n, d, 0.4, &mut rng);
-            let serial = ColumnStore::build(db.matrix());
             let queries = random_queries(d, 20, &mut rng);
             for shard_rows in [64usize, 128, 256] {
                 for threads in 1..=8usize {
@@ -63,12 +64,12 @@ fn sharded_store_matches_serial_on_adversarial_shapes() {
                     for (i, t) in queries.iter().enumerate() {
                         assert_eq!(
                             sup[i],
-                            serial.support(t),
+                            db.support(t),
                             "support n={n} d={d} sr={shard_rows} threads={threads} {t}"
                         );
                         assert_eq!(
                             freq[i],
-                            serial.frequency(t),
+                            db.frequency(t),
                             "frequency n={n} d={d} sr={shard_rows} threads={threads} {t}"
                         );
                     }
@@ -85,7 +86,7 @@ fn sharded_store_matches_serial_on_adversarial_shapes() {
 /// 8 (and CI's `IFS_THREADS`) drive spawned chunks, over a ragged
 /// three-shard store whose tail shard ends mid-word. A `ReleaseDb` over the
 /// same database answers single queries on that store too, so they must
-/// equal both its batches and the serial store.
+/// equal both its batches and the row-major scan.
 #[test]
 fn costly_batches_fan_out_and_match_serial() {
     let mut rng = Rng64::seeded(0xFA_0E);
@@ -96,9 +97,8 @@ fn costly_batches_fan_out_and_match_serial() {
         (0..1024).map(|q| (0..2 + q % 3).map(|_| rng.below(d) as u32).collect()).collect();
     let cost: usize = queries.iter().map(|t| t.len().max(1) * n.div_ceil(64)).sum();
     assert!(cost >= 8 << 17, "batch must cost at least 8 workers' shares, got {cost} words");
-    let serial = ColumnStore::build(db.matrix());
-    let want: Vec<usize> = queries.iter().map(|t| serial.support(t)).collect();
-    let want_freq: Vec<f64> = queries.iter().map(|t| serial.frequency(t)).collect();
+    let want: Vec<usize> = queries.iter().map(|t| db.support(t)).collect();
+    let want_freq: Vec<f64> = queries.iter().map(|t| db.frequency(t)).collect();
     let sharded = ShardedColumnStore::build(db.matrix(), 2);
     for threads in [1usize, 2, 4, 8, ci_threads()] {
         assert_eq!(sharded.support_batch(&queries, threads), want, "sharded, {threads} threads");
@@ -120,7 +120,7 @@ fn costly_batches_fan_out_and_match_serial() {
         let batch = release.estimate_batch(&singles);
         for (t, f) in singles.iter().zip(batch) {
             assert_eq!(release.estimate(t), f, "estimate vs batch {t}, {threads} threads");
-            assert_eq!(release.estimate(t), serial.frequency(t), "estimate {t}, {threads} threads");
+            assert_eq!(release.estimate(t), db.frequency(t), "estimate {t}, {threads} threads");
         }
     }
 }
@@ -129,7 +129,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases_and_seed(32, 0x5A_8D))]
 
     /// Arbitrary shapes: sharded supports/frequencies equal the row-major
-    /// database and serial columnar answers at every thread count.
+    /// database's at every thread count.
     #[test]
     fn sharded_matches_serial_on_random_shapes(
         n in 0usize..400,
@@ -139,8 +139,8 @@ proptest! {
         let mut rng = Rng64::seeded(seed);
         let db = generators::uniform(n, d, 0.35, &mut rng);
         let queries = random_queries(d, 15, &mut rng);
-        let serial_sup = db.support_batch(&queries);
-        let serial_freq = db.frequencies(&queries);
+        let serial_sup: Vec<usize> = queries.iter().map(|t| db.support(t)).collect();
+        let serial_freq: Vec<f64> = queries.iter().map(|t| db.frequency(t)).collect();
         for threads in [1usize, 2, 3, 5, 8] {
             let sup = db.support_batch_with_threads(&queries, threads);
             let freq = db.frequencies_with_threads(&queries, threads);
