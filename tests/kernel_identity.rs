@@ -102,12 +102,13 @@ proptest! {
         prop_assert_eq!(wide, narrow);
     }
 
-    /// Shard-blocked batch supports are identical to row-major supports
-    /// at every shard size and thread count — especially shard sizes that
-    /// make queries straddle shard boundaries on row counts with ragged
-    /// last shards, and one shard that spans every row.
+    /// Blocked batch supports are identical to the unblocked answers —
+    /// per-itemset supports on one shard that spans every row, and the
+    /// row-major `Database::support` — at every shard size (the shard is
+    /// the batch path's cache block), especially ones that make queries
+    /// straddle shard boundaries on row counts with ragged last shards.
     #[test]
-    fn sharded_blocked_batch_matches_unsharded(
+    fn support_batch_blocked_matches_unblocked(
         rows in 1usize..400,
         seed in any::<u64>(),
     ) {
@@ -119,19 +120,61 @@ proptest! {
                 Itemset::new(rng.distinct_sorted(12, len).iter().map(|&i| i as u32).collect())
             })
             .collect();
-        let reference: Vec<usize> = queries.iter().map(|q| db.support(q)).collect();
+        let unblocked =
+            ShardedColumnStore::build_with_shard_rows(db.matrix(), rows.next_multiple_of(64), 1);
+        let reference: Vec<usize> = queries.iter().map(|q| unblocked.support(q)).collect();
+        let row_major: Vec<usize> = queries.iter().map(|q| db.support(q)).collect();
+        prop_assert_eq!(&reference, &row_major);
         // Shards of 1, 2, 3, 5 and 7 tid words divide, straddle, and
-        // exceed the column length (rows.div_ceil(64) words); the last
-        // spans every row. Thread counts only re-partition the query list.
-        for shard_rows in [64usize, 128, 192, 320, 448, rows.next_multiple_of(64)] {
-            let sharded = ShardedColumnStore::build_with_shard_rows(db.matrix(), shard_rows, 1);
-            for threads in [1usize, 2, 4] {
-                prop_assert_eq!(
-                    sharded.support_batch(&queries, threads),
-                    reference.clone(),
-                    "shard_rows={} threads={}", shard_rows, threads
-                );
-            }
+        // exceed the column length (rows.div_ceil(64) words).
+        for shard_rows in [64usize, 128, 192, 320, 448] {
+            prop_assert_eq!(
+                ShardedColumnStore::build_with_shard_rows(db.matrix(), shard_rows, 1)
+                    .support_batch(&queries, 1),
+                reference.clone(),
+                "shard_rows={}", shard_rows
+            );
+        }
+        prop_assert_eq!(unblocked.support_batch(&queries, 1), reference.clone());
+        // Thread counts only re-partition the query list; answers are
+        // positionally identical on the default-shard engine view.
+        for threads in [1usize, 2, 4] {
+            prop_assert_eq!(
+                ShardedColumnStore::build(db.matrix(), threads).support_batch(&queries, threads),
+                reference.clone(),
+                "threads={}", threads
+            );
+        }
+    }
+
+    /// Sharded batch supports agree with the unsharded row-major supports
+    /// at shard sizes that leave ragged final shards, at several thread
+    /// counts.
+    #[test]
+    fn sharded_blocked_batch_matches_unsharded(
+        rows in 1usize..300,
+        shard_rows_sel in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Rng64::seeded(seed);
+        let db = generators::uniform(rows, 10, 0.35, &mut rng);
+        // 64/128/192/320 rows per shard: none divides most row counts,
+        // so the last shard is ragged and shard edges fall mid-query.
+        let shard_rows = 64 * (shard_rows_sel + 1) + 64 * shard_rows_sel;
+        let sharded = ShardedColumnStore::build_with_shard_rows(db.matrix(), shard_rows, 1);
+        let queries: Vec<Itemset> = (0..10)
+            .map(|_| {
+                let len = rng.below(5);
+                Itemset::new(rng.distinct_sorted(10, len).iter().map(|&i| i as u32).collect())
+            })
+            .collect();
+        let reference: Vec<usize> = queries.iter().map(|q| db.support(q)).collect();
+        for threads in [1usize, 2, 4] {
+            prop_assert_eq!(
+                sharded.support_batch(&queries, threads),
+                reference.clone(),
+                "threads={}", threads
+            );
         }
     }
 }
