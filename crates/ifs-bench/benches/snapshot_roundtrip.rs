@@ -11,6 +11,9 @@
 //! A release run emits `bench_results/BENCH_snapshot.json` (bytes per
 //! sketch, `size_bits`, encode/decode MB/s) so snapshot sizes and codec
 //! throughput stay machine-readable across PRs, next to `BENCH_ingest.json`.
+//! It has two `ReleaseDb` rows: the dense 128-item `release_db`, nearly all
+//! RAW row groups, and the sparse 64-item `release_db_basket64`, mostly
+//! ITEMS groups.
 //!
 //! Run with `cargo bench -p ifs-bench --bench snapshot_roundtrip` (release)
 //! or `cargo test --benches` (debug smoke).
@@ -18,7 +21,7 @@
 use ifs_bench::write_bench_json;
 use ifs_core::snapshot::Snapshot;
 use ifs_core::{ReleaseAnswersEstimator, ReleaseAnswersIndicator, ReleaseDb, Subsample};
-use ifs_database::generators;
+use ifs_database::generators::{self, MarketBasketSpec};
 use ifs_streaming::{CountMinSketch, CountSketch, StreamCounter};
 use ifs_util::Rng64;
 use std::hint::black_box;
@@ -77,11 +80,17 @@ where
     }
 }
 
+/// Items of the sparse `ReleaseDb` row: one packed word per row.
+const BASKET_ITEMS: usize = 64;
+
 /// The sketch zoo every pass measures: all six snapshot-backed sketches
-/// over one planted workload.
+/// over one planted workload, plus a sparse one-word `ReleaseDb` whose
+/// rows the codec writes mostly as ITEMS groups, the shape every served
+/// release has (the dense `release_db` row is nearly all RAW groups).
 #[allow(clippy::type_complexity)]
 fn build_zoo() -> (
     Subsample,
+    ReleaseDb,
     ReleaseDb,
     ReleaseAnswersIndicator,
     ReleaseAnswersEstimator,
@@ -102,15 +111,24 @@ fn build_zoo() -> (
         cm.update(x);
         cs.update(x);
     }
-    (sub, rdb, ind, est, cm, cs)
+    // Its own generator, so the rows above keep their bytes.
+    let spec = MarketBasketSpec {
+        transactions: TOTAL_ROWS,
+        items: BASKET_ITEMS,
+        mean_basket: 6.0,
+        ..MarketBasketSpec::default()
+    };
+    let basket = ReleaseDb::build(&generators::market_basket(&spec, &mut Rng64::seeded(SEED)), 0.1);
+    (sub, rdb, basket, ind, est, cm, cs)
 }
 
 fn main() {
-    let (sub, rdb, ind, est, cm, cs) = build_zoo();
+    let (sub, rdb, basket, ind, est, cm, cs) = build_zoo();
     let iters = if cfg!(debug_assertions) { 3 } else { 20 };
     let entries = [
         measure("subsample", &sub, ifs_core::Sketch::size_bits(&sub), iters),
         measure("release_db", &rdb, ifs_core::Sketch::size_bits(&rdb), iters),
+        measure("release_db_basket64", &basket, ifs_core::Sketch::size_bits(&basket), iters),
         measure("release_answers_indicator", &ind, ifs_core::Sketch::size_bits(&ind), iters),
         measure("release_answers_estimator", &est, ifs_core::Sketch::size_bits(&est), iters),
         measure("count_min", &cm, StreamCounter::size_bits(&cm), iters),
@@ -135,7 +153,8 @@ fn main() {
         .collect();
     let fields = format!(
         "  \"rows_total\": {TOTAL_ROWS},\n  \"dims\": {DIMS},\n  \
-         \"sample_rows\": {SAMPLE_ROWS},\n  \"sketches\": [\n{}\n  ]",
+         \"sample_rows\": {SAMPLE_ROWS},\n  \"basket_items\": {BASKET_ITEMS},\n  \
+         \"sketches\": [\n{}\n  ]",
         sketches.join(",\n")
     );
     write_bench_json("snapshot_roundtrip", "BENCH_snapshot.json", &fields);

@@ -18,6 +18,7 @@ use ifs_util::Rng64;
 pub struct BinaryLinearCode {
     n_in: usize,
     codewords: Vec<u64>,
+    /// Exact minimum distance (0 iff the generator is singular).
     min_distance: usize,
 }
 
@@ -69,11 +70,6 @@ impl BinaryLinearCode {
         self.n_in
     }
 
-    /// Exact minimum distance (0 iff the generator is singular).
-    pub fn min_distance(&self) -> usize {
-        self.min_distance
-    }
-
     /// Guaranteed correctable bit errors per block, `⌊(d−1)/2⌋`.
     pub fn correctable(&self) -> usize {
         self.min_distance.saturating_sub(1) / 2
@@ -115,7 +111,7 @@ mod tests {
     #[test]
     fn search_finds_target_distance() {
         let c = default_code();
-        assert!(c.min_distance() >= 9, "found distance {}", c.min_distance());
+        assert!(c.min_distance >= 9, "found distance {}", c.min_distance);
         assert!(c.correctable() >= 4);
         assert_eq!(c.block_len(), 32);
     }
@@ -124,7 +120,7 @@ mod tests {
     fn search_is_deterministic() {
         let a = BinaryLinearCode::search(32, 9, 64).unwrap();
         let b = BinaryLinearCode::search(32, 9, 64).unwrap();
-        assert_eq!(a.min_distance(), b.min_distance());
+        assert_eq!(a.min_distance, b.min_distance);
         assert!((0..=255u8).all(|m| a.encode(m) == b.encode(m)));
     }
 
@@ -164,7 +160,7 @@ mod tests {
                 min_pair = min_pair.min(d);
             }
         }
-        assert!(min_pair >= c.min_distance());
+        assert!(min_pair >= c.min_distance);
     }
 
     #[test]
@@ -176,6 +172,6 @@ mod tests {
     #[test]
     fn degenerate_generator_distance_zero() {
         let c = BinaryLinearCode::from_generator(16, [0; 8]);
-        assert_eq!(c.min_distance(), 0);
+        assert_eq!(c.min_distance, 0);
     }
 }

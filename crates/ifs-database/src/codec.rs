@@ -404,13 +404,20 @@ impl<'a> Reader<'a> {
     /// maximum) or overflowing 64 bits.
     #[inline]
     pub fn varint(&mut self) -> Result<u64, DecodeError> {
-        // One-byte values (every item delta below 128) skip the loop.
+        // One-byte values (every item delta below 128) skip the loop, which
+        // stays out of line so that this test inlines into every caller.
         if let Some(&byte) = self.buf.get(self.pos) {
             if byte & 0x80 == 0 {
                 self.pos += 1;
                 return Ok(u64::from(byte));
             }
         }
+        self.long_varint()
+    }
+
+    /// [`Reader::varint`] past its one-byte case.
+    #[inline(never)]
+    fn long_varint(&mut self) -> Result<u64, DecodeError> {
         let mut v = 0u64;
         for i in 0..10 {
             let byte = self.u8()?;
@@ -459,7 +466,7 @@ impl<'a> Reader<'a> {
     fn words_into(&mut self, out: &mut [u64]) -> Result<(), DecodeError> {
         let raw = self.take(out.len() * 8)?;
         for (word, bytes) in out.iter_mut().zip(raw.chunks_exact(8)) {
-            *word = u64::from_le_bytes(bytes.try_into().expect("8"));
+            *word = le_u64(bytes);
         }
         Ok(())
     }
@@ -643,12 +650,17 @@ pub fn read_database(r: &mut Reader) -> Result<Database, DecodeError> {
 /// Refuses a decoded row whose bits beyond column `dims` are set: a matrix
 /// must keep its padding zero for word-wise subset tests to hold.
 fn check_row_padding(row_words: &[u64], dims: usize, row: usize) -> Result<(), DecodeError> {
-    if !dims.is_multiple_of(64) && row_words[row_words.len() - 1] >> (dims % 64) != 0 {
+    if !padding_is_clear(row_words, dims) {
         return Err(DecodeError::Corrupt(format!(
             "row {row} has nonzero padding bits beyond column {dims}"
         )));
     }
     Ok(())
+}
+
+/// True iff the bits of `row_words` beyond column `dims` are all zero.
+fn padding_is_clear(row_words: &[u64], dims: usize) -> bool {
+    dims.is_multiple_of(64) || row_words[row_words.len() - 1] >> (dims % 64) == 0
 }
 
 /// Row-group payload is a delta-coded itemset (the sparse mode).
@@ -665,6 +677,12 @@ const ROW_GROUP_RAW: u8 = 1;
 /// cap ([`check_tid_words`]).
 const MAX_COMPRESSED_DECODE_BYTES: usize = 1 << 30;
 
+/// The widest rows whose item deltas, and the item count of any row the
+/// encoder writes as ITEMS, always fit one varint byte. Wider bodies mix
+/// one-byte and longer deltas unpredictably, so [`read_database_compressed`]
+/// sends all their groups to the checked path rather than try each.
+const ONE_BYTE_DIMS: usize = 128;
+
 /// Encodes a database as the *compressed* snapshot body fragment (v2
 /// `ReleaseDb` bodies): `rows`, `dims`, then row groups until every row is
 /// covered. A group is `repeat` (varint, ≥ 1 — consecutive identical rows
@@ -677,43 +695,98 @@ const MAX_COMPRESSED_DECODE_BYTES: usize = 1 << 30;
 /// alone), so equal databases produce equal bytes — the compactor's
 /// identity arguments rely on this.
 ///
-/// Rows are encoded straight from their packed words: the item run is
-/// written into `w` as the set bits are walked, and a row is known to be
-/// RAW without writing it when even one byte per item could not beat the
-/// raw words.
+/// Rows are encoded straight from their packed words (DESIGN.md §10):
+/// a run ends at the first row whose words differ, and each group is
+/// written by `write_one_word_group` for one-word rows, else by
+/// `write_items_group` or, if that declines, as RAW words.
 pub fn write_database_compressed(w: &mut Writer, db: &Database) {
     let m = db.matrix();
     w.varint(m.rows() as u64);
     w.varint(m.cols() as u64);
     let raw_len = m.words_per_row() * 8;
-    let mut r = 0;
-    while r < m.rows() {
-        let row = m.row_words(r);
-        let mut end = r + 1;
-        while end < m.rows() && m.row_words(end) == row {
-            end += 1;
+    let mut rows = m.raw_words().chunks_exact(m.words_per_row()).peekable();
+    while let Some(row) = rows.next() {
+        let mut repeat = 1u64;
+        while rows.next_if(|next| next.iter().zip(row).all(|(a, b)| a == b)).is_some() {
+            repeat += 1;
         }
-        w.varint((end - r) as u64);
-        let count = bits::count_ones(row);
-        // Every item costs at least one byte, so this bound already
-        // decides most dense rows.
-        let mut raw = varint_len(count as u64) + count >= raw_len;
-        if !raw {
-            let mode_at = w.len();
-            w.u8(ROW_GROUP_ITEMS);
-            let items_at = w.len();
-            write_item_run(w, count, bits::ones(row).map(|item| item as u32));
-            if w.len() - items_at >= raw_len {
-                w.buf.truncate(mode_at);
-                raw = true;
-            }
-        }
-        if raw {
+        w.varint(repeat);
+        if let &[word] = row {
+            write_one_word_group(w, word);
+        } else if !write_items_group(w, row, raw_len) {
             w.u8(ROW_GROUP_RAW);
             w.words(row);
         }
-        r = end;
     }
+}
+
+/// Most items a one-word row can hold and still be written as ITEMS: the
+/// count byte and one byte per item must stay under the 8 raw bytes.
+const ONE_WORD_MAX_ITEMS: usize = 6;
+
+/// [`write_items_group`]'s bytes for a one-word row (`dims ≤ 64`), without
+/// a data-dependent branch: every delta is below 64, so the payload is
+/// the count byte and one byte per item, and ITEMS wins iff the count is
+/// at most [`ONE_WORD_MAX_ITEMS`]. The lowest six set bits' deltas are
+/// packed into one word in six fixed steps, and the group's payload —
+/// those bytes or the raw word — is chosen by a select, written as 8
+/// bytes and cut to its length. (Branching on the mode and on each set
+/// bit mispredicts about twice per row on market-basket rows, which is
+/// most of what the per-bit walk costs.)
+fn write_one_word_group(w: &mut Writer, word: u64) {
+    let count = word.count_ones() as usize;
+    let mut payload = count as u64;
+    let (mut rest, mut prev) = (word, 0);
+    for byte in 1..=ONE_WORD_MAX_ITEMS {
+        let item = u64::from(rest.trailing_zeros() & 63);
+        if rest != 0 {
+            payload |= (item - prev) << (8 * byte);
+            prev = item;
+        }
+        rest &= rest.wrapping_sub(1);
+    }
+    let as_items = count <= ONE_WORD_MAX_ITEMS;
+    w.u8(if as_items { ROW_GROUP_ITEMS } else { ROW_GROUP_RAW });
+    let at = w.len();
+    w.u64(if as_items { payload } else { word });
+    w.buf.truncate(at + if as_items { 1 + count } else { 8 });
+}
+
+/// Writes `row` as an ITEMS group — the mode byte, the set-bit count, then
+/// each set bit's position as a varint delta from the one before (the
+/// first from zero), found by a trailing-zeros walk over each word — and
+/// returns true, unless the payload would not be shorter than the row's
+/// `raw_len` raw bytes: then it leaves `w` as it found it and returns
+/// false. A row whose count alone shows that one byte per item cannot win
+/// is declined before any item is walked; only a multi-byte delta can
+/// push a walked row to the raw length.
+fn write_items_group(w: &mut Writer, row: &[u64], raw_len: usize) -> bool {
+    let count: usize = row.iter().map(|word| word.count_ones() as usize).sum();
+    if varint_len(count as u64) + count >= raw_len {
+        return false;
+    }
+    let mode_at = w.len();
+    w.u8(ROW_GROUP_ITEMS);
+    let items_at = w.len();
+    w.varint(count as u64);
+    let mut prev = 0;
+    for (at, &word) in row.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            let item = at * 64 + rest.trailing_zeros() as usize;
+            match item - prev {
+                delta @ 0..0x80 => w.buf.push(delta as u8),
+                delta => w.varint(delta as u64),
+            }
+            prev = item;
+            rest &= rest - 1;
+        }
+    }
+    if w.len() - items_at >= raw_len {
+        w.buf.truncate(mode_at);
+        return false;
+    }
+    true
 }
 
 /// Decodes a fragment written by [`write_database_compressed`], validating
@@ -722,6 +795,13 @@ pub fn write_database_compressed(w: &mut Writer, db: &Database) {
 /// large allocation — adversarial headers refuse typed, never panic and
 /// never demand an unbacked terabyte. Each group decodes straight into its
 /// first row's words, then is copied over the rest of its run.
+///
+/// In a body of at most `ONE_BYTE_DIMS` columns, a group whose varints
+/// are all one byte (every group the encoder writes there, but for runs
+/// of 128 rows or more) is parsed straight from the body bytes by
+/// `read_one_byte_group`; any other group, valid or not, is left
+/// unconsumed to the checked path `read_row_group`, so every accepted
+/// body and every refusal is that path's.
 pub fn read_database_compressed(r: &mut Reader) -> Result<Database, DecodeError> {
     let rows = r.varint_usize()?;
     let dims = r.varint_usize()?;
@@ -738,31 +818,23 @@ pub fn read_database_compressed(r: &mut Reader) -> Result<Database, DecodeError>
     let mut words = vec![0u64; total_words];
     let mut covered = 0usize;
     while covered < rows {
-        let repeat = r.varint_usize()?;
-        if repeat == 0 {
-            return Err(DecodeError::Corrupt("row group repeats zero rows".into()));
-        }
-        if repeat > rows - covered {
-            return Err(DecodeError::Corrupt(format!(
-                "row groups cover {} rows, database declares {rows}",
-                covered + repeat
-            )));
-        }
         let base = covered * words_per_row;
+        // The one row sink: either path decodes the group's row here.
         let row = &mut words[base..base + words_per_row];
-        match r.u8()? {
-            ROW_GROUP_ITEMS => {
-                let len = read_item_count(r, dims)?;
-                read_items(r, len, dims, |item| row[item as usize / 64] |= 1u64 << (item % 64))?;
-            }
-            ROW_GROUP_RAW => {
-                r.words_into(row)?;
-                check_row_padding(row, dims, covered)?;
-            }
-            other => {
-                return Err(DecodeError::Corrupt(format!("unknown row-group mode {other}")));
+        let mut quick = None;
+        if dims <= ONE_BYTE_DIMS {
+            quick = read_one_byte_group(&r.buf[r.pos..], dims, rows - covered, row);
+            if quick.is_none() {
+                row.fill(0);
             }
         }
+        let repeat = match quick {
+            Some((repeat, used)) => {
+                r.pos += used;
+                repeat
+            }
+            None => read_row_group(r, dims, rows, covered, row)?,
+        };
         for k in 1..repeat {
             words.copy_within(base..base + words_per_row, base + k * words_per_row);
         }
@@ -770,6 +842,116 @@ pub fn read_database_compressed(r: &mut Reader) -> Result<Database, DecodeError>
     }
     check_tid_words(rows, dims)?;
     Ok(Database::from_matrix(BitMatrix::from_raw(rows, dims, words)))
+}
+
+/// The checked path of [`read_database_compressed`]: reads the group that
+/// starts row `covered` of a `rows`-row database into the zeroed `row`
+/// through [`Reader`] calls, refusing every malformed group, and returns
+/// its repeat.
+fn read_row_group(
+    r: &mut Reader,
+    dims: usize,
+    rows: usize,
+    covered: usize,
+    row: &mut [u64],
+) -> Result<usize, DecodeError> {
+    let repeat = r.varint_usize()?;
+    if repeat == 0 {
+        return Err(DecodeError::Corrupt("row group repeats zero rows".into()));
+    }
+    if repeat > rows - covered {
+        return Err(DecodeError::Corrupt(format!(
+            "row groups cover {} rows, database declares {rows}",
+            covered + repeat
+        )));
+    }
+    match r.u8()? {
+        ROW_GROUP_ITEMS => {
+            let len = read_item_count(r, dims)?;
+            read_items(r, len, dims, |item| row[item as usize / 64] |= 1u64 << (item % 64))?;
+        }
+        ROW_GROUP_RAW => {
+            r.words_into(row)?;
+            check_row_padding(row, dims, covered)?;
+        }
+        other => {
+            return Err(DecodeError::Corrupt(format!("unknown row-group mode {other}")));
+        }
+    }
+    Ok(repeat)
+}
+
+/// The fast path of [`read_database_compressed`]: decodes the group at the
+/// front of `bytes` into the zeroed `row` and returns `(repeat, bytes
+/// used)` when its repeat, mode and item count are single bytes, every
+/// item delta is one byte, and it passes every check [`read_row_group`]
+/// makes. `None` means "take the checked path"; `row` may then hold
+/// partial words. A one-word row's items are gathered in a register and
+/// stored once.
+fn read_one_byte_group(
+    bytes: &[u8],
+    dims: usize,
+    rows_left: usize,
+    row: &mut [u64],
+) -> Option<(usize, usize)> {
+    let (&[repeat, mode], rest) = bytes.split_first_chunk::<2>()?;
+    let repeat = usize::from(repeat);
+    if repeat == 0 || repeat >= 0x80 || repeat > rows_left {
+        return None;
+    }
+    match mode {
+        ROW_GROUP_ITEMS => {
+            let (&count, rest) = rest.split_first()?;
+            if count >= 0x80 {
+                return None;
+            }
+            let deltas = rest.get(..usize::from(count))?;
+            if let [word] = row {
+                let mut bits = 0;
+                walk_one_byte_items(deltas, dims, |item| bits |= 1u64 << item)?;
+                *word = bits;
+            } else {
+                walk_one_byte_items(deltas, dims, |item| row[item / 64] |= 1u64 << (item % 64))?;
+            }
+            Some((repeat, 3 + deltas.len()))
+        }
+        ROW_GROUP_RAW => {
+            let raw = rest.get(..row.len() * 8)?;
+            for (word, bytes) in row.iter_mut().zip(raw.chunks_exact(8)) {
+                *word = le_u64(bytes);
+            }
+            padding_is_clear(row, dims).then_some((repeat, 2 + raw.len()))
+        }
+        _ => None,
+    }
+}
+
+/// Hands each item of a one-byte delta run to `put` and returns `Some`
+/// iff the run is one [`read_items`] accepts: every delta below `0x80`
+/// (else it is the first byte of a longer varint), none zero after the
+/// first, and every item below `dims`. A run it refuses may already have
+/// put some items. At most as many items as `dims` can pass, so a count
+/// over `dims` never does.
+#[inline(always)]
+fn walk_one_byte_items(deltas: &[u8], dims: usize, mut put: impl FnMut(usize)) -> Option<()> {
+    let Some((&first, later)) = deltas.split_first() else {
+        return Some(());
+    };
+    let (mut item, mut any, mut least) = (usize::from(first), first, u8::MAX);
+    if item >= dims {
+        return None;
+    }
+    put(item);
+    for &delta in later {
+        any |= delta;
+        least = least.min(delta);
+        item += usize::from(delta);
+        if item >= dims {
+            return None;
+        }
+        put(item);
+    }
+    (any < 0x80 && least > 0).then_some(())
 }
 
 /// Refuses a database whose tid-set view — which its first query builds —
@@ -818,16 +1000,29 @@ pub fn read_bitset(r: &mut Reader, bit_count: usize) -> Result<Vec<u64>, DecodeE
         )));
     }
     let mut words = vec![0u64; bits::words_for(bit_count).max(1)];
-    for (i, &b) in raw.iter().enumerate() {
-        words[i / 8] |= u64::from(b) << (8 * (i % 8));
+    let mut whole = raw.chunks_exact(8);
+    for (word, bytes) in words.iter_mut().zip(whole.by_ref()) {
+        *word = le_u64(bytes);
+    }
+    let tail = whole.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        words[raw.len() / 8] = u64::from_le_bytes(last);
     }
     Ok(words)
 }
 
 /// Encodes an itemset as a count followed by its sorted items (delta-coded
-/// varints, so dense rows stay near one byte per item).
+/// varints, the first from zero, so dense rows stay near one byte per
+/// item) — the layout of an ITEMS row group's payload too.
 pub fn write_itemset(w: &mut Writer, itemset: &Itemset) {
-    write_item_run(w, itemset.len(), itemset.items().iter().copied());
+    w.varint(itemset.len() as u64);
+    let mut prev = 0;
+    for &item in itemset.items() {
+        w.varint(u64::from(item - prev));
+        prev = item;
+    }
 }
 
 /// Decodes an itemset written by [`write_itemset`], refusing counts or
@@ -844,20 +1039,8 @@ fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
-/// The one item-run encoder behind [`write_itemset`] and the ITEMS row
-/// groups: `count`, then `items` (strictly increasing, exactly `count` of
-/// them) as varint deltas, the first from zero.
-fn write_item_run(w: &mut Writer, count: usize, items: impl Iterator<Item = u32>) {
-    w.varint(count as u64);
-    let mut prev = 0u32;
-    for item in items {
-        w.varint(u64::from(item - prev));
-        prev = item;
-    }
-}
-
 /// The count half of the one validated item-run decoder behind
-/// [`read_itemset`] and the ITEMS row groups: refuses a count that a
+/// [`read_itemset`] and the checked path of the ITEMS row groups: refuses a count that a
 /// `dims`-attribute row or the remaining bytes cannot hold.
 fn read_item_count(r: &mut Reader, dims: usize) -> Result<usize, DecodeError> {
     let len = r.varint_usize()?;
@@ -1269,6 +1452,12 @@ mod tests {
                 }
             }
             rows.extend(shapes.iter().cloned());
+            // Runs at the one-byte edge of the repeat varint.
+            for run in [127, 128, 129] {
+                let shape = &shapes[rng.below(shapes.len())];
+                rows.extend(std::iter::repeat_n(shape.clone(), run));
+                rows.push((0..dims.min(1) as u32).collect());
+            }
             let db = Database::from_rows(dims, &rows);
             let mut w = Writer::new();
             write_database_compressed(&mut w, &db);
@@ -1278,6 +1467,214 @@ mod tests {
             assert_eq!(read_database_compressed(&mut r).expect("roundtrip"), db, "dims={dims}");
             assert_eq!(r.remaining(), 0);
         }
+    }
+
+    /// The row-group decoder as first written, kept as the reference for
+    /// [`read_database_compressed`]: every group goes through [`Reader`]
+    /// calls, one item at a time.
+    fn reference_read_compressed(r: &mut Reader) -> Result<Database, DecodeError> {
+        let rows = r.varint_usize()?;
+        let dims = r.varint_usize()?;
+        let words_per_row = bits::words_for(dims).max(1);
+        let total_words = rows.checked_mul(words_per_row).ok_or_else(|| {
+            DecodeError::Corrupt(format!("database shape {rows}x{dims} overflows a word count"))
+        })?;
+        if total_words.saturating_mul(8) > MAX_COMPRESSED_DECODE_BYTES {
+            return Err(DecodeError::Corrupt(format!(
+                "compressed database decodes to {total_words} words, over the \
+                 {MAX_COMPRESSED_DECODE_BYTES}-byte cap"
+            )));
+        }
+        let mut words = vec![0u64; total_words];
+        let mut covered = 0usize;
+        while covered < rows {
+            let repeat = r.varint_usize()?;
+            if repeat == 0 {
+                return Err(DecodeError::Corrupt("row group repeats zero rows".into()));
+            }
+            if repeat > rows - covered {
+                return Err(DecodeError::Corrupt(format!(
+                    "row groups cover {} rows, database declares {rows}",
+                    covered + repeat
+                )));
+            }
+            let base = covered * words_per_row;
+            let row = &mut words[base..base + words_per_row];
+            match r.u8()? {
+                ROW_GROUP_ITEMS => {
+                    let len = read_item_count(r, dims)?;
+                    read_items(r, len, dims, |item| {
+                        row[item as usize / 64] |= 1u64 << (item % 64)
+                    })?;
+                }
+                ROW_GROUP_RAW => {
+                    r.words_into(row)?;
+                    check_row_padding(row, dims, covered)?;
+                }
+                other => {
+                    return Err(DecodeError::Corrupt(format!("unknown row-group mode {other}")));
+                }
+            }
+            for k in 1..repeat {
+                words.copy_within(base..base + words_per_row, base + k * words_per_row);
+            }
+            covered += repeat;
+        }
+        check_tid_words(rows, dims)?;
+        Ok(Database::from_matrix(BitMatrix::from_raw(rows, dims, words)))
+    }
+
+    /// Asserts that the decoder and its reference return the same
+    /// `Result` on `bytes` and, on success, consume the same bytes.
+    fn assert_decoders_agree(bytes: &[u8], what: &str) -> Result<Database, DecodeError> {
+        let (mut fast, mut slow) = (Reader::new(bytes), Reader::new(bytes));
+        let got = read_database_compressed(&mut fast);
+        assert_eq!(got, reference_read_compressed(&mut slow), "{what}");
+        assert_eq!(fast.consumed(), slow.consumed(), "{what}: bytes consumed");
+        got
+    }
+
+    #[test]
+    fn compressed_decoder_matches_the_reference_on_every_prefix_and_mutation() {
+        let mut rng = ifs_util::Rng64::seeded(0xDEC0);
+        for dims in [1usize, 48, 63, 64, 65, 127, 128, 129, 300] {
+            // Sparse, dense, empty and full rows, with short and long runs.
+            let mut rows: Vec<Vec<u32>> = Vec::new();
+            while rows.len() < 48 {
+                let odds = [2, 8, 32, dims.max(1)][rng.below(4)];
+                let row: Vec<u32> = (0..dims as u32).filter(|_| rng.below(odds) == 0).collect();
+                let run = if rng.below(6) == 0 { 1 + rng.below(5) } else { 1 };
+                rows.extend(std::iter::repeat_n(row, run));
+            }
+            rows.push(vec![]);
+            rows.push((0..dims as u32).collect());
+            let db = Database::from_rows(dims, &rows);
+            let mut w = Writer::new();
+            write_database_compressed(&mut w, &db);
+            let bytes = w.into_bytes();
+            assert_eq!(assert_decoders_agree(&bytes, &format!("dims={dims}")), Ok(db));
+            for cut in 0..bytes.len() {
+                let what = format!("dims={dims} prefix {cut}");
+                assert!(assert_decoders_agree(&bytes[..cut], &what).is_err(), "{what}");
+            }
+            for m in 0..400 {
+                let mut mutated = bytes.clone();
+                let at = rng.below(mutated.len());
+                match m % 4 {
+                    0 => mutated[at] ^= 1 << rng.below(8),
+                    1 => mutated[at] = rng.next_u64() as u8,
+                    2 => mutated[at] = [0x00, 0x01, 0x7F, 0x80, 0xFF][rng.below(5)],
+                    _ => {
+                        mutated.remove(at);
+                    }
+                }
+                let _ =
+                    assert_decoders_agree(&mutated, &format!("dims={dims} mutation {m} at {at}"));
+            }
+        }
+    }
+
+    #[test]
+    fn compressed_decoder_matches_the_reference_at_one_byte_edges() {
+        // `rows`, `dims`, then each group as (repeat, mode, payload varints).
+        fn body(rows: u64, dims: u64, groups: &[(u64, u8, &[u64])]) -> Vec<u8> {
+            let mut w = Writer::new();
+            w.varint(rows);
+            w.varint(dims);
+            for &(repeat, mode, payload) in groups {
+                w.varint(repeat);
+                w.u8(mode);
+                for &v in payload {
+                    if mode == ROW_GROUP_RAW {
+                        w.u64(v);
+                    } else {
+                        w.varint(v);
+                    }
+                }
+            }
+            w.into_bytes()
+        }
+        let run = |count: u64| -> Vec<u64> {
+            std::iter::once(count).chain((0..count).map(|i| u64::from(i > 0))).collect()
+        };
+        let ok = |bytes: Vec<u8>, what: &str| {
+            assert_decoders_agree(&bytes, what).unwrap_or_else(|e| panic!("{what}: {e}"))
+        };
+        let refused = |bytes: Vec<u8>, what: &str, message: &str| {
+            let got = assert_decoders_agree(&bytes, what);
+            assert_eq!(got, Err(DecodeError::Corrupt(message.into())), "{what}");
+        };
+        // Item counts of 127 (one byte) and 128 (two bytes).
+        for dims in [127, 128, 129] {
+            let db = ok(body(1, dims, &[(1, ROW_GROUP_ITEMS, &run(127))]), "count 127");
+            assert_eq!(db.row_itemset(0).len(), 127);
+        }
+        let db = ok(body(1, 128, &[(1, ROW_GROUP_ITEMS, &run(128))]), "count 128");
+        assert_eq!(db.row_itemset(0).len(), 128);
+        refused(
+            body(1, 127, &[(1, ROW_GROUP_ITEMS, &run(128))]),
+            "count 128 over 127 columns",
+            "itemset claims 128 items over 127 attributes",
+        );
+        // Deltas of 127 (one byte) and 128 (two bytes).
+        let db = ok(body(1, 128, &[(1, ROW_GROUP_ITEMS, &[2, 0, 127])]), "delta 127");
+        assert_eq!(db.row_itemset(0).items(), [0, 127]);
+        refused(
+            body(1, 128, &[(1, ROW_GROUP_ITEMS, &[2, 0, 128])]),
+            "delta 128 at 128 columns",
+            "item 128 out of range for 128 attributes",
+        );
+        let db = ok(body(1, 129, &[(1, ROW_GROUP_ITEMS, &[2, 0, 128])]), "delta 128");
+        assert_eq!(db.row_itemset(0).items(), [0, 128]);
+        refused(
+            body(1, 48, &[(1, ROW_GROUP_ITEMS, &[2, 128, 1])]),
+            "first delta 128",
+            "item 128 out of range for 48 attributes",
+        );
+        // Repeats of 127 (one byte) and 128 (two bytes), around fast groups.
+        for (first, second) in [(127, 2), (128, 1), (1, 128)] {
+            let db = ok(
+                body(
+                    129,
+                    48,
+                    &[(first, ROW_GROUP_ITEMS, &[1, 5]), (second, ROW_GROUP_RAW, &[0b1011])],
+                ),
+                &format!("repeats {first} then {second}"),
+            );
+            assert_eq!(db.row_itemset(first as usize - 1).items(), [5]);
+            assert_eq!(db.row_itemset(first as usize).items(), [0, 1, 3]);
+        }
+        refused(
+            body(128, 48, &[(127, ROW_GROUP_ITEMS, &[0]), (2, ROW_GROUP_ITEMS, &[0])]),
+            "repeat past the rows",
+            "row groups cover 129 rows, database declares 128",
+        );
+        // An item equal to `dims`, as the first item and as a later one.
+        for dims in [2, 48, 64, 65, 128] {
+            let what = format!("item {dims} of {dims}");
+            let message = format!("item {dims} out of range for {dims} attributes");
+            refused(body(1, dims, &[(1, ROW_GROUP_ITEMS, &[1, dims])]), &what, &message);
+            let last = [2, 0, dims];
+            refused(body(1, dims, &[(1, ROW_GROUP_ITEMS, &last)]), &what, &message);
+        }
+        // A zero delta is the first item 0, but after it a repeat.
+        let db = ok(body(1, 48, &[(1, ROW_GROUP_ITEMS, &[2, 0, 5])]), "zero first delta");
+        assert_eq!(db.row_itemset(0).items(), [0, 5]);
+        refused(
+            body(1, 48, &[(1, ROW_GROUP_ITEMS, &[3, 4, 5, 0])]),
+            "zero later delta",
+            "itemset items not strictly increasing",
+        );
+        // RAW padding bits, on one-word and two-word rows.
+        for (dims, words) in [(48, &[1u64 << 48][..]), (63, &[1 << 63]), (65, &[0, 2])] {
+            refused(
+                body(2, dims, &[(1, ROW_GROUP_ITEMS, &[0]), (1, ROW_GROUP_RAW, words)]),
+                &format!("padding at {dims}"),
+                &format!("row 1 has nonzero padding bits beyond column {dims}"),
+            );
+        }
+        let db = ok(body(1, 64, &[(1, ROW_GROUP_RAW, &[1 << 63])]), "full-width raw word");
+        assert_eq!(db.row_itemset(0).items(), [63]);
     }
 
     #[test]
@@ -1349,6 +1746,48 @@ mod tests {
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err(), "prefix {cut} decoded");
+        }
+    }
+
+    #[test]
+    fn bitset_roundtrips_word_at_a_time() {
+        let mut rng = ifs_util::Rng64::seeded(0xB175);
+        for bit_count in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000] {
+            let mut words: Vec<u64> =
+                (0..bits::words_for(bit_count).max(1)).map(|_| rng.next_u64()).collect();
+            bits::mask_tail(&mut words, bit_count);
+            if bit_count == 0 {
+                words[0] = 0;
+            }
+            let mut w = Writer::new();
+            write_bitset(&mut w, &words, bit_count);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), bit_count.div_ceil(8), "bit_count={bit_count}");
+            // The per-byte decoder this replaced, as the reference.
+            let mut want = vec![0u64; words.len()];
+            for (i, &b) in bytes.iter().enumerate() {
+                want[i / 8] |= u64::from(b) << (8 * (i % 8));
+            }
+            assert_eq!(want, words, "bit_count={bit_count}");
+            let mut r = Reader::new(&bytes);
+            assert_eq!(read_bitset(&mut r, bit_count), Ok(words), "bit_count={bit_count}");
+            assert_eq!(r.remaining(), 0);
+            if !bit_count.is_multiple_of(8) {
+                let mut padded = bytes.clone();
+                *padded.last_mut().expect("a byte") |= 0x80;
+                assert_eq!(
+                    read_bitset(&mut Reader::new(&padded), bit_count),
+                    Err(DecodeError::Corrupt(format!(
+                        "bitset has nonzero padding bits beyond bit {bit_count}"
+                    ))),
+                );
+            }
+            if let Some(cut) = bytes.len().checked_sub(1) {
+                assert_eq!(
+                    read_bitset(&mut Reader::new(&bytes[..cut]), bit_count),
+                    Err(DecodeError::Truncated { needed: bytes.len(), available: cut }),
+                );
+            }
         }
     }
 

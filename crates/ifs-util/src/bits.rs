@@ -21,7 +21,9 @@
 //! naive fold — plain unrolling is not faster, but replacing fifteen of
 //! every sixteen popcounts with five bitwise vector ops is. Sub-block
 //! tails fall back to unroll-by-[`LANES`] loops, and ragged remainders to
-//! scalar; nothing here is `unsafe` and nothing depends on target
+//! scalar. Operands shorter than one block (a shard under 4,096 rows, a
+//! one-word row) skip the carry-save state and its closing popcounts of
+//! zero words. Nothing here is `unsafe` and nothing depends on target
 //! features. The narrow reference implementations live in [`scalar`] and
 //! every wide kernel is asserted bit-identical to its scalar twin (unit
 //! tests here, proptests in `tests/kernel_identity.rs`, and the
@@ -245,11 +247,15 @@ fn count_ones_unrolled(words: &[u64]) -> usize {
 #[inline]
 pub fn count_ones(words: &[u64]) -> usize {
     let mut blocks = words.chunks_exact(CSA_BLOCK);
-    let mut st = CsaState::new();
-    for blk in blocks.by_ref() {
-        csa_absorb!(st, i => vload(&blk[LANES * i..]));
+    let mut total = 0;
+    if words.len() >= CSA_BLOCK {
+        let mut st = CsaState::new();
+        for blk in blocks.by_ref() {
+            csa_absorb!(st, i => vload(&blk[LANES * i..]));
+        }
+        total = st.finish();
     }
-    st.finish() + count_ones_unrolled(blocks.remainder())
+    total + count_ones_unrolled(blocks.remainder())
 }
 
 /// Returns true iff `sub` is a subset of `sup` bit-wise
@@ -315,11 +321,15 @@ pub fn and_count(a: &[u64], b: &[u64]) -> usize {
     debug_assert_eq!(a.len(), b.len());
     let mut xs = a.chunks_exact(CSA_BLOCK);
     let mut ys = b.chunks_exact(CSA_BLOCK);
-    let mut st = CsaState::new();
-    for (x, y) in xs.by_ref().zip(ys.by_ref()) {
-        csa_absorb!(st, i => vand(vload(&x[LANES * i..]), vload(&y[LANES * i..])));
+    let mut total = 0;
+    if a.len() >= CSA_BLOCK {
+        let mut st = CsaState::new();
+        for (x, y) in xs.by_ref().zip(ys.by_ref()) {
+            csa_absorb!(st, i => vand(vload(&x[LANES * i..]), vload(&y[LANES * i..])));
+        }
+        total = st.finish();
     }
-    st.finish() + and_count_unrolled(xs.remainder(), ys.remainder())
+    total + and_count_unrolled(xs.remainder(), ys.remainder())
 }
 
 #[inline]
@@ -351,14 +361,18 @@ pub fn and3_count(a: &[u64], b: &[u64], c: &[u64]) -> usize {
     let mut xs = a.chunks_exact(CSA_BLOCK);
     let mut ys = b.chunks_exact(CSA_BLOCK);
     let mut zs = c.chunks_exact(CSA_BLOCK);
-    let mut st = CsaState::new();
-    for ((x, y), z) in xs.by_ref().zip(ys.by_ref()).zip(zs.by_ref()) {
-        csa_absorb!(st, i => vand(
-            vand(vload(&x[LANES * i..]), vload(&y[LANES * i..])),
-            vload(&z[LANES * i..])
-        ));
+    let mut total = 0;
+    if a.len() >= CSA_BLOCK {
+        let mut st = CsaState::new();
+        for ((x, y), z) in xs.by_ref().zip(ys.by_ref()).zip(zs.by_ref()) {
+            csa_absorb!(st, i => vand(
+                vand(vload(&x[LANES * i..]), vload(&y[LANES * i..])),
+                vload(&z[LANES * i..])
+            ));
+        }
+        total = st.finish();
     }
-    st.finish() + and3_count_unrolled(xs.remainder(), ys.remainder(), zs.remainder())
+    total + and3_count_unrolled(xs.remainder(), ys.remainder(), zs.remainder())
 }
 
 /// Fused write kernel: `dst = a & b` element-wise in one pass — the
@@ -411,17 +425,22 @@ fn and_count_into_unrolled(dst: &mut [u64], src: &[u64]) -> usize {
 #[inline]
 pub fn and_count_into(dst: &mut [u64], src: &[u64]) -> usize {
     debug_assert_eq!(dst.len(), src.len());
+    let long = dst.len() >= CSA_BLOCK;
     let mut d = dst.chunks_exact_mut(CSA_BLOCK);
     let mut s = src.chunks_exact(CSA_BLOCK);
-    let mut st = CsaState::new();
-    for (x, y) in d.by_ref().zip(s.by_ref()) {
-        csa_absorb!(st, i => {
-            let v = vand(vload(&x[LANES * i..]), vload(&y[LANES * i..]));
-            vstore(&mut x[LANES * i..], v);
-            v
-        });
+    let mut total = 0;
+    if long {
+        let mut st = CsaState::new();
+        for (x, y) in d.by_ref().zip(s.by_ref()) {
+            csa_absorb!(st, i => {
+                let v = vand(vload(&x[LANES * i..]), vload(&y[LANES * i..]));
+                vstore(&mut x[LANES * i..], v);
+                v
+            });
+        }
+        total = st.finish();
     }
-    st.finish() + and_count_into_unrolled(d.into_remainder(), s.remainder())
+    total + and_count_into_unrolled(d.into_remainder(), s.remainder())
 }
 
 /// Iterates the positions of set bits in increasing order.
@@ -465,11 +484,15 @@ pub fn hamming(a: &[u64], b: &[u64]) -> usize {
     debug_assert_eq!(a.len(), b.len());
     let mut xs = a.chunks_exact(CSA_BLOCK);
     let mut ys = b.chunks_exact(CSA_BLOCK);
-    let mut st = CsaState::new();
-    for (x, y) in xs.by_ref().zip(ys.by_ref()) {
-        csa_absorb!(st, i => vxor(vload(&x[LANES * i..]), vload(&y[LANES * i..])));
+    let mut total = 0;
+    if a.len() >= CSA_BLOCK {
+        let mut st = CsaState::new();
+        for (x, y) in xs.by_ref().zip(ys.by_ref()) {
+            csa_absorb!(st, i => vxor(vload(&x[LANES * i..]), vload(&y[LANES * i..])));
+        }
+        total = st.finish();
     }
-    st.finish() + hamming_unrolled(xs.remainder(), ys.remainder())
+    total + hamming_unrolled(xs.remainder(), ys.remainder())
 }
 
 /// In-place 64×64 bit transpose: afterwards bit `r` of `a[c]` is bit `c`

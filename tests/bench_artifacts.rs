@@ -113,6 +113,13 @@ fn snapshot_artifact_records_target_features() {
     }
 }
 
+/// The snapshot artifact must time the codec's ITEMS path, which every
+/// served release takes, next to the mostly-RAW dense `release_db` row.
+#[test]
+fn snapshot_artifact_records_the_sparse_release_row() {
+    require_fields("BENCH_snapshot.json", &["\"name\": \"release_db_basket64\""]);
+}
+
 /// The ingest artifact's cold-transpose time is a median over several
 /// builds, and it records how many.
 #[test]
