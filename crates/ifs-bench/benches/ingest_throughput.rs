@@ -86,12 +86,8 @@ fn run_invalidating(batches: &[Vec<Itemset>], queries: &[Itemset]) -> (Database,
     let mut last = Vec::new();
     for batch in batches {
         let matrix = db.matrix_mut();
-        let base = matrix.rows();
-        matrix.push_zero_rows(batch.len());
-        for (i, row) in batch.iter().enumerate() {
-            for &c in row.items() {
-                matrix.set(base + i, c as usize, true);
-            }
+        for row in batch {
+            matrix.push_row(row.items());
         }
         last = db.frequencies(queries);
         black_box(last.len());

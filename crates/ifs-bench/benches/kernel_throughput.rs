@@ -1,23 +1,24 @@
 //! Bench gate: the wide AND+popcount kernels and the 64×64 tile transpose
 //! against their scalar reference twins (DESIGN.md §12).
 //!
-//! Every hot loop in the workspace — the sharded engine's supports, tid-set
-//! builds, Eclat intersections, Hamming decodes — bottoms out in `ifs_util::bits`, so
-//! this bench measures exactly those kernels in isolation: L2-resident
-//! operands, deterministic contents, best-of-N wall-clock per kernel with
-//! the scalar and wide samples interleaved, so a noisy neighbor or a drift
-//! in host load cannot fail the gate spuriously. Two things are asserted
-//! on every run (debug smoke included) before anything is timed:
+//! Every hot loop in the workspace — the sharded engine's supports and
+//! tid-set builds — bottoms out in `ifs_util::bits`, so this bench
+//! measures exactly those kernels in isolation: L2-resident operands,
+//! deterministic contents, best-of-N wall-clock per kernel with the scalar
+//! and wide samples interleaved, so a noisy neighbor or a drift in host
+//! load cannot fail the gate spuriously. Two things are asserted on every
+//! run (debug smoke included) before anything is timed:
 //!
 //! 1. **Bit-identity** — each wide kernel returns exactly what its scalar
 //!    reference returns on the same operands (the repo-wide determinism
 //!    contract: execution strategy, never semantics).
-//! 2. **Fusion identity** — the fused kernels (`and3_count`,
-//!    `and_count_into`) equal their unfused compositions.
+//! 2. **Fusion identity** — the fused `and3_count` equals its unfused
+//!    composition.
 //!
-//! The release gate then requires the `and_count` family (two-, three-
-//! operand, and fused-update intersections) to run at **≥ 2×** the scalar
-//! baseline measured in the same process — the ROADMAP item-4 target —
+//! The release gate then requires the `and_count` family (the rows whose
+//! name starts with `and`: the two- and three-operand intersection counts)
+//! to run at **≥ 2×** the scalar baseline measured in the same process —
+//! the ROADMAP item-4 target —
 //! and the tile transpose behind every tid-set build (`transpose64`) to
 //! run at **≥ 2×** its per-bit reference. The debug smoke pass skips the
 //! ratios (unoptimized builds do not vectorize either side) but still
@@ -109,7 +110,6 @@ fn assert_kernel_identity(a: &[u64], b: &[u64], c: &[u64]) {
         let (a, b, c) = (&a[..len], &b[..len], &c[..len]);
         assert_eq!(bits::count_ones(a), bits::scalar::count_ones(a), "count_ones len {len}");
         assert_eq!(bits::and_count(a, b), bits::scalar::and_count(a, b), "and_count len {len}");
-        assert_eq!(bits::hamming(a, b), bits::scalar::hamming(a, b), "hamming len {len}");
         assert_eq!(bits::is_subset(a, b), bits::scalar::is_subset(a, b), "is_subset len {len}");
         assert_eq!(
             bits::and3_count(a, b, c),
@@ -126,11 +126,6 @@ fn assert_kernel_identity(a: &[u64], b: &[u64], c: &[u64]) {
         bits::and_write(&mut wide_w, a, b);
         bits::scalar::and_write(&mut narrow_w, a, b);
         assert_eq!(wide_w, narrow_w, "and_write len {len}");
-        let mut wide_i = a.to_vec();
-        let mut narrow_i = a.to_vec();
-        let got = bits::and_count_into(&mut wide_i, b);
-        let want = bits::scalar::and_count_into(&mut narrow_i, b);
-        assert_eq!((wide_i, got), (narrow_i, want), "and_count_into len {len}");
     }
     for (i, tile) in tiles(a).iter().enumerate() {
         let (mut wide, mut narrow) = (*tile, *tile);
@@ -179,35 +174,6 @@ fn main() {
                 }
             },
             || bits::and3_count(black_box(&a), black_box(&b), black_box(&z)),
-        ),
-        // Fused AND-update-and-count against AND-then-count (the Eclat
-        // inner step before and after fusion). No per-rep memcpy on either
-        // side: `buf &= b` is idempotent, so after the first rep every rep
-        // re-runs the identical full kernel (load both operands, AND,
-        // store, count) on `buf == a & b` — a memcpy in the loop would
-        // just dilute both sides of the ratio with the same bandwidth tax.
-        measure(
-            "and_count_into",
-            WORDS + TAIL,
-            {
-                let mut buf = a.clone();
-                let b = &b;
-                move || {
-                    bits::scalar::and_assign(&mut buf, black_box(b));
-                    bits::scalar::count_ones(&buf)
-                }
-            },
-            {
-                let mut buf = a.clone();
-                let b = &b;
-                move || bits::and_count_into(&mut buf, black_box(b))
-            },
-        ),
-        measure(
-            "hamming",
-            WORDS + TAIL,
-            || bits::scalar::hamming(black_box(&a), black_box(&b)),
-            || bits::hamming(black_box(&a), black_box(&b)),
         ),
         // The tid-set build's tile kernel against the per-bit transpose,
         // over the `WORDS / 64` whole tiles of `a`, in place (transposing

@@ -9,8 +9,9 @@
 //! `size_bits()` equals the byte length × 8.
 //!
 //! A release run emits `bench_results/BENCH_snapshot.json` (bytes per
-//! sketch, `size_bits`, encode/decode MB/s) so snapshot sizes and codec
-//! throughput stay machine-readable across PRs, next to `BENCH_ingest.json`.
+//! sketch, `size_bits`, encode/decode MB/s, each the median of
+//! `TIMED_PASSES` passes) so snapshot sizes and codec throughput stay
+//! machine-readable across PRs, next to `BENCH_ingest.json`.
 //! It has two `ReleaseDb` rows: the dense 128-item `release_db`, nearly all
 //! RAW row groups, and the sparse 64-item `release_db_basket64`, mostly
 //! ITEMS groups.
@@ -23,6 +24,7 @@ use ifs_core::snapshot::Snapshot;
 use ifs_core::{ReleaseAnswersEstimator, ReleaseAnswersIndicator, ReleaseDb, Subsample};
 use ifs_database::generators::{self, MarketBasketSpec};
 use ifs_streaming::{CountMinSketch, CountSketch, StreamCounter};
+use ifs_util::stats::median;
 use ifs_util::Rng64;
 use std::hint::black_box;
 use std::time::Instant;
@@ -34,6 +36,11 @@ const TOTAL_ROWS: usize = if cfg!(debug_assertions) { 10_000 } else { 100_000 };
 const DIMS: usize = 128;
 const SAMPLE_ROWS: usize = 4_000;
 const SEED: u64 = 0x5A47;
+/// Encodes (and decodes) per timed pass.
+const ITERS: usize = if cfg!(debug_assertions) { 3 } else { 20 };
+/// Timed passes per sketch; the artifact records their count and the
+/// median pass's MB/s.
+const TIMED_PASSES: usize = if cfg!(debug_assertions) { 1 } else { 11 };
 
 /// One sketch's measurements for the JSON artifact.
 struct Entry {
@@ -44,9 +51,10 @@ struct Entry {
     decode_mbps: f64,
 }
 
-/// Times `iters` encode and decode passes of `sketch`, asserting the
-/// round-trip identity and the measured-size invariant on the way.
-fn measure<S>(name: &'static str, sketch: &S, size_bits: u64, iters: usize) -> Entry
+/// Times `TIMED_PASSES` passes of `ITERS` encodes and `ITERS` decodes of
+/// `sketch`, asserting the round-trip identity and the measured-size
+/// invariant on the way.
+fn measure<S>(name: &'static str, sketch: &S, size_bits: u64) -> Entry
 where
     S: Snapshot + PartialEq + std::fmt::Debug,
 {
@@ -59,24 +67,28 @@ where
     let decoded = S::from_snapshot(&bytes).unwrap_or_else(|e| panic!("{name}: decode failed: {e}"));
     assert!(&decoded == sketch, "{name}: decode(encode(sketch)) != sketch");
 
-    let t = Instant::now();
-    for _ in 0..iters {
-        black_box(sketch.snapshot_bytes().len());
+    let (mut encode, mut decode) = (Vec::new(), Vec::new());
+    for _ in 0..TIMED_PASSES {
+        let t = Instant::now();
+        for _ in 0..ITERS {
+            black_box(sketch.snapshot_bytes().len());
+        }
+        encode.push(t.elapsed().as_secs_f64());
+        // Decode alone: the identity check above stays out of the timed loop.
+        let t = Instant::now();
+        for _ in 0..ITERS {
+            black_box(S::from_snapshot(black_box(&bytes)).expect("roundtrip"));
+        }
+        decode.push(t.elapsed().as_secs_f64());
     }
-    let encode = t.elapsed().as_secs_f64().max(1e-12);
-    // Decode alone: the identity check above stays out of the timed loop.
-    let t = Instant::now();
-    for _ in 0..iters {
-        black_box(S::from_snapshot(black_box(&bytes)).expect("roundtrip"));
-    }
-    let decode = t.elapsed().as_secs_f64().max(1e-12);
-    let mb = (bytes.len() * iters) as f64 / (1024.0 * 1024.0);
+    let mb = (bytes.len() * ITERS) as f64 / (1024.0 * 1024.0);
+    let mbps = |secs: &[f64]| mb / median(secs).max(1e-12);
     Entry {
         name,
         bytes: bytes.len(),
         size_bits,
-        encode_mbps: mb / encode,
-        decode_mbps: mb / decode,
+        encode_mbps: mbps(&encode),
+        decode_mbps: mbps(&decode),
     }
 }
 
@@ -124,15 +136,14 @@ fn build_zoo() -> (
 
 fn main() {
     let (sub, rdb, basket, ind, est, cm, cs) = build_zoo();
-    let iters = if cfg!(debug_assertions) { 3 } else { 20 };
     let entries = [
-        measure("subsample", &sub, ifs_core::Sketch::size_bits(&sub), iters),
-        measure("release_db", &rdb, ifs_core::Sketch::size_bits(&rdb), iters),
-        measure("release_db_basket64", &basket, ifs_core::Sketch::size_bits(&basket), iters),
-        measure("release_answers_indicator", &ind, ifs_core::Sketch::size_bits(&ind), iters),
-        measure("release_answers_estimator", &est, ifs_core::Sketch::size_bits(&est), iters),
-        measure("count_min", &cm, StreamCounter::size_bits(&cm), iters),
-        measure("count_sketch", &cs, StreamCounter::size_bits(&cs), iters),
+        measure("subsample", &sub, ifs_core::Sketch::size_bits(&sub)),
+        measure("release_db", &rdb, ifs_core::Sketch::size_bits(&rdb)),
+        measure("release_db_basket64", &basket, ifs_core::Sketch::size_bits(&basket)),
+        measure("release_answers_indicator", &ind, ifs_core::Sketch::size_bits(&ind)),
+        measure("release_answers_estimator", &est, ifs_core::Sketch::size_bits(&est)),
+        measure("count_min", &cm, StreamCounter::size_bits(&cm)),
+        measure("count_sketch", &cs, StreamCounter::size_bits(&cs)),
     ];
     for e in &entries {
         println!(
@@ -151,9 +162,11 @@ fn main() {
             )
         })
         .collect();
+    println!("snapshot_roundtrip: MB/s are medians of {TIMED_PASSES} passes of {ITERS}");
     let fields = format!(
         "  \"rows_total\": {TOTAL_ROWS},\n  \"dims\": {DIMS},\n  \
          \"sample_rows\": {SAMPLE_ROWS},\n  \"basket_items\": {BASKET_ITEMS},\n  \
+         \"timed_passes\": {TIMED_PASSES},\n  \
          \"sketches\": [\n{}\n  ]",
         sketches.join(",\n")
     );

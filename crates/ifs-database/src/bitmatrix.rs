@@ -105,13 +105,6 @@ impl BitMatrix {
         bits::count_ones(&self.data)
     }
 
-    /// Appends `added` all-zero rows in place (`words_per_row` is
-    /// unchanged because the column count is).
-    pub fn push_zero_rows(&mut self, added: usize) {
-        self.rows += added;
-        self.data.resize(self.rows * self.words_per_row, 0);
-    }
-
     /// Appends one row holding exactly `items` (each `< cols`) — the
     /// ingestion paths' row write: one OR per item into the new row's
     /// words, where a per-cell [`Self::set`] re-derives the row slice and
@@ -198,23 +191,6 @@ mod tests {
         assert!(m.row_contains_mask(0, &mask)); // row 0 is all ones
         assert!(!m.row_contains_mask(1, &mask)); // 3 and 69 are odd columns
         assert_eq!(m.count_rows_containing(&mask), 1);
-    }
-
-    #[test]
-    fn push_zero_rows_then_set_matches_from_fn() {
-        let f = |r: usize, c: usize| (r * 7 + c).is_multiple_of(3);
-        let mut m = BitMatrix::from_fn(5, 70, f);
-        m.push_zero_rows(3);
-        assert_eq!(m.rows(), 8);
-        for r in 5..8 {
-            assert_eq!(bits::count_ones(m.row_words(r)), 0);
-            for c in 0..70 {
-                if f(r, c) {
-                    m.set(r, c, true);
-                }
-            }
-        }
-        assert_eq!(m, BitMatrix::from_fn(8, 70, f));
     }
 
     #[test]

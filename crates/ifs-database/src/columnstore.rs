@@ -13,10 +13,10 @@
 //! loop moves rows into columns: a cold build runs it over the whole
 //! range, and a row append runs it again from the tail's partial tile.
 //!
-//! This is the same representation Eclat uses internally. A `ColumnStore`
-//! is one shard of [`crate::ShardedColumnStore`] (the view every
-//! [`crate::Database`] query answers on, and the one query surface over
-//! tid-sets) and the whole-column transpose the miners build per call.
+//! A `ColumnStore` is one shard of [`crate::ShardedColumnStore`] (the view
+//! every [`crate::Database`] query answers on, and the one query surface
+//! over tid-sets) and the whole-column transpose the biclique search
+//! builds per call.
 //! See DESIGN.md §7 for when each layout is used.
 
 use crate::{BitMatrix, Itemset};

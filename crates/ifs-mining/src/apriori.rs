@@ -121,6 +121,9 @@ mod tests {
         let names: Vec<String> = got.iter().map(|m| m.itemset.to_string()).collect();
         assert_eq!(names, vec!["{0}", "{0,1}", "{1}"]);
         assert_eq!(got[1].frequency, 0.8);
+        // Frequency one demands support in every row: only item 0 has it.
+        let full = mine(&toy(), 1.0, usize::MAX);
+        assert_eq!(full.iter().map(|m| m.itemset.to_string()).collect::<Vec<_>>(), ["{0}"]);
     }
 
     #[test]
@@ -172,6 +175,8 @@ mod tests {
     fn empty_database() {
         let db = Database::zeros(0, 4);
         assert!(mine(&db, 0.5, usize::MAX).is_empty());
+        // Rows without a single item support nothing at any threshold.
+        assert!(mine(&Database::zeros(10, 5), 0.1, usize::MAX).is_empty());
     }
 
     #[test]

@@ -8,13 +8,11 @@
 //! mining pipelines both on raw databases and on sketches:
 //!
 //! * [`apriori`] — level-wise mining with prefix-join candidate generation.
-//! * [`eclat`] — depth-first vertical mining over packed tid-sets.
 //! * [`fpgrowth`] — FP-tree based mining without candidate generation.
-//!   All three return identical result sets (cross-checked in tests).
-//!   FP-growth is kept as the row-counting oracle: it is the only miner
-//!   that counts from rows (`Database::support` and an FP-tree) and not
-//!   through the tid-set kernels, so it checks the other two
-//!   independently.
+//!   Both return identical result sets (cross-checked in tests).
+//!   FP-growth is kept as the row-counting oracle: it counts from rows
+//!   (`Database::support` and an FP-tree), not through the tid-set
+//!   kernels, so it checks apriori independently.
 //! * [`summary`] — maximal- and closed-itemset condensation (§1.1.1's
 //!   "condensed representations").
 //! * [`rules`] — association rules with support/confidence/lift.
@@ -31,7 +29,6 @@
 
 pub mod apriori;
 pub mod biclique;
-pub mod eclat;
 pub mod fpgrowth;
 pub mod oracle;
 pub mod rules;

@@ -8,30 +8,30 @@
 //! # Kernel layout (DESIGN.md §12)
 //!
 //! The AND+popcount folds here are the innermost loops of the whole
-//! workspace — every sharded-engine support query, every Eclat tid-set
-//! intersection, every Hamming-distance decode bottoms out in them — so
-//! they are written as explicitly *wide* loops over `u64x4`-style lanes
-//! (`chunks_exact`, plain `[u64; 4]` arrays, independent accumulators),
-//! with the counting kernels going one step further: a **Harley–Seal
-//! carry-save tree** folds `CSA_BLOCK` words at a time into bit-sliced
-//! counters of weight 1/2/4/8/16, so the expensive per-word popcount runs
-//! on one sixteenth of the data. This matters because without a popcount
-//! instruction (baseline x86-64) `count_ones` compiles to a ~15-op SWAR
-//! sequence per word that the compiler already auto-vectorizes in the
-//! naive fold — plain unrolling is not faster, but replacing fifteen of
-//! every sixteen popcounts with five bitwise vector ops is. Sub-block
-//! tails fall back to unroll-by-[`LANES`] loops, and ragged remainders to
-//! scalar. Operands shorter than one block (a shard under 4,096 rows, a
-//! one-word row) skip the carry-save state and its closing popcounts of
-//! zero words. Nothing here is `unsafe` and nothing depends on target
-//! features. The narrow reference implementations live in [`scalar`] and
-//! every wide kernel is asserted bit-identical to its scalar twin (unit
-//! tests here, proptests in `tests/kernel_identity.rs`, and the
-//! `kernel_throughput` bench gate).
+//! workspace — every sharded-engine support query bottoms out in them —
+//! so they are written as explicitly *wide* loops over `u64x4`-style lanes
+//! (`chunks_exact`, plain `[u64; 4]` arrays), with the counting kernels
+//! going one step further: a **Harley–Seal carry-save tree** folds
+//! `CSA_BLOCK` words at a time into bit-sliced counters of weight
+//! 1/2/4/8/16, so the expensive per-word popcount runs on one sixteenth of
+//! the data. This matters because without a popcount instruction
+//! (baseline x86-64) `count_ones` compiles to a ~15-op SWAR sequence per
+//! word that the compiler already auto-vectorizes in the naive fold —
+//! plain unrolling is not faster, but replacing fifteen of every sixteen
+//! popcounts with five bitwise vector ops is. `count_ones`'s sub-block
+//! tail is that plain fold; the intersection counts keep tails unrolled by
+//! [`LANES`] with independent accumulators, which beat a plain fold by
+//! 5–15 % at 1–8 words. Operands shorter than one block (a shard under
+//! 4,096 rows, a one-word row) skip the carry-save state and its closing
+//! popcounts of zero words. Nothing here is `unsafe` and nothing depends
+//! on target features. The narrow reference implementations live in
+//! [`scalar`] and every wide kernel is asserted bit-identical to its
+//! scalar twin (unit tests here, proptests in `tests/kernel_identity.rs`,
+//! and the `kernel_throughput` bench gate).
 //!
-//! The fused kernels ([`and3_count`], [`and_write`], [`and_count_into`])
-//! exist so callers intersecting `k` tid-sets touch memory `k − 2` times
-//! instead of `k` times: fusing the final AND with the popcount (or the
+//! The fused kernels ([`and3_count`], [`and_write`]) exist so callers
+//! intersecting `k` tid-sets touch memory `k − 2` times instead of `k`
+//! times: fusing the final AND with the popcount (or the
 //! first two ANDs with each other) removes whole passes, which on a
 //! memory-bound workload is worth more than any in-register trick.
 //!
@@ -39,9 +39,10 @@
 //! (each shard's `ColumnStore`) runs as 64×64 bit tiles through it, word pairs
 //! at a time, instead of moving one set bit at a time.
 
-/// Accumulator lanes per unrolled chunk. Four `u64`s is one cache line
-/// half: wide enough to saturate the popcount units and legal to
-/// auto-vectorize, small enough that the ragged tail stays cheap.
+/// Words per `u64x4`-style vector and per unrolled chunk. Four `u64`s is
+/// one cache line half: wide enough to keep independent accumulators in
+/// flight and legal to auto-vectorize, small enough that the ragged tail
+/// stays cheap.
 pub const LANES: usize = 4;
 
 /// Words per Harley–Seal block: 16 vectors of [`LANES`] words. The
@@ -57,14 +58,6 @@ type V = [u64; LANES];
 #[inline(always)]
 fn vload(s: &[u64]) -> V {
     [s[0], s[1], s[2], s[3]]
-}
-
-#[inline(always)]
-fn vstore(s: &mut [u64], v: V) {
-    s[0] = v[0];
-    s[1] = v[1];
-    s[2] = v[2];
-    s[3] = v[3];
 }
 
 #[inline(always)]
@@ -224,26 +217,8 @@ pub fn mask_tail(words: &mut [u64], len: usize) {
     }
 }
 
-/// Unrolled-by-[`LANES`] popcount for sub-block tails.
-#[inline]
-fn count_ones_unrolled(words: &[u64]) -> usize {
-    let mut chunks = words.chunks_exact(LANES);
-    let mut acc = [0usize; LANES];
-    for c in chunks.by_ref() {
-        acc[0] += c[0].count_ones() as usize;
-        acc[1] += c[1].count_ones() as usize;
-        acc[2] += c[2].count_ones() as usize;
-        acc[3] += c[3].count_ones() as usize;
-    }
-    let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for w in chunks.remainder() {
-        total += w.count_ones() as usize;
-    }
-    total
-}
-
 /// Population count across the slice (wide: Harley–Seal carry-save blocks
-/// of `CSA_BLOCK` words, unrolled-by-[`LANES`] tail).
+/// of `CSA_BLOCK` words, plain-fold tail).
 #[inline]
 pub fn count_ones(words: &[u64]) -> usize {
     let mut blocks = words.chunks_exact(CSA_BLOCK);
@@ -255,7 +230,7 @@ pub fn count_ones(words: &[u64]) -> usize {
         }
         total = st.finish();
     }
-    total + count_ones_unrolled(blocks.remainder())
+    total + blocks.remainder().iter().map(|w| w.count_ones() as usize).sum::<usize>()
 }
 
 /// Returns true iff `sub` is a subset of `sup` bit-wise
@@ -396,53 +371,6 @@ pub fn and_write(dst: &mut [u64], a: &[u64], b: &[u64]) {
     }
 }
 
-#[inline]
-fn and_count_into_unrolled(dst: &mut [u64], src: &[u64]) -> usize {
-    let mut d = dst.chunks_exact_mut(LANES);
-    let mut s = src.chunks_exact(LANES);
-    let mut acc = [0usize; LANES];
-    for (x, y) in d.by_ref().zip(s.by_ref()) {
-        x[0] &= y[0];
-        x[1] &= y[1];
-        x[2] &= y[2];
-        x[3] &= y[3];
-        acc[0] += x[0].count_ones() as usize;
-        acc[1] += x[1].count_ones() as usize;
-        acc[2] += x[2].count_ones() as usize;
-        acc[3] += x[3].count_ones() as usize;
-    }
-    let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (x, y) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *x &= y;
-        total += x.count_ones() as usize;
-    }
-    total
-}
-
-/// Fused update kernel: `dst &= src` while counting — returns the
-/// popcount of the updated `dst` in the same pass. An Eclat-style
-/// intersect-then-support step pays one traversal instead of two.
-#[inline]
-pub fn and_count_into(dst: &mut [u64], src: &[u64]) -> usize {
-    debug_assert_eq!(dst.len(), src.len());
-    let long = dst.len() >= CSA_BLOCK;
-    let mut d = dst.chunks_exact_mut(CSA_BLOCK);
-    let mut s = src.chunks_exact(CSA_BLOCK);
-    let mut total = 0;
-    if long {
-        let mut st = CsaState::new();
-        for (x, y) in d.by_ref().zip(s.by_ref()) {
-            csa_absorb!(st, i => {
-                let v = vand(vload(&x[LANES * i..]), vload(&y[LANES * i..]));
-                vstore(&mut x[LANES * i..], v);
-                v
-            });
-        }
-        total = st.finish();
-    }
-    total + and_count_into_unrolled(d.into_remainder(), s.remainder())
-}
-
 /// Iterates the positions of set bits in increasing order.
 pub fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -457,42 +385,6 @@ pub fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
             }
         })
     })
-}
-
-#[inline]
-fn hamming_unrolled(a: &[u64], b: &[u64]) -> usize {
-    let mut xs = a.chunks_exact(LANES);
-    let mut ys = b.chunks_exact(LANES);
-    let mut acc = [0usize; LANES];
-    for (x, y) in xs.by_ref().zip(ys.by_ref()) {
-        acc[0] += (x[0] ^ y[0]).count_ones() as usize;
-        acc[1] += (x[1] ^ y[1]).count_ones() as usize;
-        acc[2] += (x[2] ^ y[2]).count_ones() as usize;
-        acc[3] += (x[3] ^ y[3]).count_ones() as usize;
-    }
-    let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (x, y) in xs.remainder().iter().zip(ys.remainder()) {
-        total += (x ^ y).count_ones() as usize;
-    }
-    total
-}
-
-/// Hamming distance between two equal-length slices (wide: Harley–Seal
-/// blocks over the XOR of the operands).
-#[inline]
-pub fn hamming(a: &[u64], b: &[u64]) -> usize {
-    debug_assert_eq!(a.len(), b.len());
-    let mut xs = a.chunks_exact(CSA_BLOCK);
-    let mut ys = b.chunks_exact(CSA_BLOCK);
-    let mut total = 0;
-    if a.len() >= CSA_BLOCK {
-        let mut st = CsaState::new();
-        for (x, y) in xs.by_ref().zip(ys.by_ref()) {
-            csa_absorb!(st, i => vxor(vload(&x[LANES * i..]), vload(&y[LANES * i..])));
-        }
-        total = st.finish();
-    }
-    total + hamming_unrolled(xs.remainder(), ys.remainder())
 }
 
 /// In-place 64×64 bit transpose: afterwards bit `r` of `a[c]` is bit `c`
@@ -521,22 +413,6 @@ pub fn transpose64(a: &mut [u64; 64]) {
         j /= 2;
         mask ^= mask << j;
     }
-}
-
-/// Packs a `&[bool]` into words.
-pub fn pack(bits: &[bool]) -> Vec<u64> {
-    let mut words = vec![0u64; words_for(bits.len())];
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            words[i / 64] |= 1 << (i % 64);
-        }
-    }
-    words
-}
-
-/// Unpacks `len` bits into a `Vec<bool>`.
-pub fn unpack(words: &[u64], len: usize) -> Vec<bool> {
-    (0..len).map(|i| get(words, i)).collect()
 }
 
 /// Narrow single-accumulator reference kernels — the semantics the wide
@@ -589,17 +465,6 @@ pub mod scalar {
         }
     }
 
-    /// Reference for [`super::and_count_into`]: the unfused AND-then-count.
-    pub fn and_count_into(dst: &mut [u64], src: &[u64]) -> usize {
-        and_assign(dst, src);
-        count_ones(dst)
-    }
-
-    /// Reference for [`super::hamming`].
-    pub fn hamming(a: &[u64], b: &[u64]) -> usize {
-        a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones() as usize).sum()
-    }
-
     /// Reference for [`super::transpose64`]: one bit moved at a time.
     pub fn transpose64(a: &mut [u64; 64]) {
         let mut out = [0u64; 64];
@@ -630,34 +495,17 @@ mod tests {
         assert_eq!(count_ones(&w), 7);
     }
 
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let bits: Vec<bool> = (0..130).map(|i| i % 3 == 0).collect();
-        let words = pack(&bits);
-        assert_eq!(unpack(&words, bits.len()), bits);
-    }
-
-    /// Seeded round-trips at word-boundary lengths, so a packing regression
-    /// is reproducible from the printed seed alone.
-    #[test]
-    fn pack_unpack_roundtrip_seeded_boundaries() {
-        let mut rng = crate::Rng64::seeded(0xB175);
-        for len in [0usize, 1, 63, 64, 65, 127, 128, 129, 300] {
-            let bits: Vec<bool> = (0..len).map(|_| rng.bernoulli(0.5)).collect();
-            let words = pack(&bits);
-            assert_eq!(words.len(), words_for(len), "len {len}");
-            assert_eq!(unpack(&words, len), bits, "len {len}");
-            // Tail bits beyond `len` must be zero so word-wise ops agree.
-            let mut masked = words.clone();
-            mask_tail(&mut masked, len);
-            assert_eq!(masked, words, "len {len} tail must already be clear");
-        }
+    /// The words of a `len`-bit vector whose bit `i` is `f(i)`.
+    fn words_where(len: usize, f: impl Fn(usize) -> bool) -> Vec<u64> {
+        let mut words = vec![0u64; words_for(len)];
+        (0..len).filter(|&i| f(i)).for_each(|i| set(&mut words, i, true));
+        words
     }
 
     #[test]
     fn subset_relation() {
-        let a = pack(&[true, false, true, false]);
-        let b = pack(&[true, true, true, false]);
+        let a = [0b0101u64];
+        let b = [0b0111u64];
         assert!(is_subset(&a, &b));
         assert!(!is_subset(&b, &a));
         assert!(is_subset(&a, &a));
@@ -673,26 +521,18 @@ mod tests {
     }
 
     #[test]
-    fn hamming_distance() {
-        let a = pack(&[true, false, true, true]);
-        let b = pack(&[true, true, false, true]);
-        assert_eq!(hamming(&a, &b), 2);
-        assert_eq!(hamming(&a, &a), 0);
-    }
-
-    #[test]
     fn and_count_matches_manual() {
-        let a = pack(&(0..200).map(|i| i % 2 == 0).collect::<Vec<_>>());
-        let b = pack(&(0..200).map(|i| i % 3 == 0).collect::<Vec<_>>());
+        let a = words_where(200, |i| i % 2 == 0);
+        let b = words_where(200, |i| i % 3 == 0);
         let expect = (0..200).filter(|i| i % 2 == 0 && i % 3 == 0).count();
         assert_eq!(and_count(&a, &b), expect);
     }
 
     #[test]
     fn and3_count_matches_manual() {
-        let a = pack(&(0..300).map(|i| i % 2 == 0).collect::<Vec<_>>());
-        let b = pack(&(0..300).map(|i| i % 3 == 0).collect::<Vec<_>>());
-        let c = pack(&(0..300).map(|i| i % 5 == 0).collect::<Vec<_>>());
+        let a = words_where(300, |i| i % 2 == 0);
+        let b = words_where(300, |i| i % 3 == 0);
+        let c = words_where(300, |i| i % 5 == 0);
         let expect = (0..300).filter(|i| i % 30 == 0).count();
         assert_eq!(and3_count(&a, &b, &c), expect);
     }
@@ -710,27 +550,27 @@ mod tests {
             let mut want = vec![0u64; len];
             scalar::and_write(&mut want, &a, &b);
             assert_eq!(dst, want, "len {len}");
-            let mut wide = a.clone();
-            let mut narrow = a.clone();
-            let n = and_count_into(&mut wide, &b);
-            let m = scalar::and_count_into(&mut narrow, &b);
-            assert_eq!((wide, n), (narrow, m), "len {len}");
         }
     }
 
     /// Every wide kernel must agree with its scalar reference bit for bit,
-    /// across chunk boundaries (lengths around multiples of [`LANES`]) and
-    /// the empty slice. The proptest version with random lengths lives in
-    /// `tests/kernel_identity.rs`; this is the fast deterministic sweep.
+    /// across chunk boundaries (lengths around multiples of [`LANES`]),
+    /// the sub-block tails a 1,024–4,095-row shard runs entirely in (31–63
+    /// words) and the empty slice. The proptest version with random
+    /// lengths lives in `tests/kernel_identity.rs`; this is the fast
+    /// deterministic sweep.
     #[test]
     fn wide_kernels_match_scalar_reference() {
         let mut rng = crate::Rng64::seeded(0x31DE);
-        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 64, 65, 129] {
+        for len in
+            [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 31, 32, 48, 63, 64, 65, 129]
+        {
             let a: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
             let b: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+            let c: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
             assert_eq!(count_ones(&a), scalar::count_ones(&a), "count_ones len {len}");
             assert_eq!(and_count(&a, &b), scalar::and_count(&a, &b), "and_count len {len}");
-            assert_eq!(hamming(&a, &b), scalar::hamming(&a, &b), "hamming len {len}");
+            assert_eq!(and3_count(&a, &b, &c), scalar::and3_count(&a, &b, &c), "and3 len {len}");
             assert_eq!(is_subset(&a, &b), scalar::is_subset(&a, &b), "is_subset len {len}");
             let mut x = a.clone();
             let mut y = a.clone();

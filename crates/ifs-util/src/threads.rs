@@ -9,8 +9,8 @@
 //! count, the host's core count ([`host_cores`]), and the index work queue
 //! ([`parallel_map_indexed`]), the one executor behind every "race for
 //! work, assemble results in order" site (shard builds, the sharded
-//! engine's query-batch chunks, eclat's per-prefix mining, and the chunked
-//! ingestion folds of `ifs_core::streaming`).
+//! engine's query-batch chunks, and the chunked ingestion folds of
+//! `ifs_core::streaming`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};

@@ -114,10 +114,14 @@ fn snapshot_artifact_records_target_features() {
 }
 
 /// The snapshot artifact must time the codec's ITEMS path, which every
-/// served release takes, next to the mostly-RAW dense `release_db` row.
+/// served release takes, next to the mostly-RAW dense `release_db` row,
+/// and record how many passes its median MB/s figures come from.
 #[test]
 fn snapshot_artifact_records_the_sparse_release_row() {
-    require_fields("BENCH_snapshot.json", &["\"name\": \"release_db_basket64\""]);
+    require_fields(
+        "BENCH_snapshot.json",
+        &["\"name\": \"release_db_basket64\"", "\"timed_passes\":"],
+    );
 }
 
 /// The ingest artifact's cold-transpose time is a median over several

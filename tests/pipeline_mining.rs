@@ -15,13 +15,13 @@ fn three_miners_agree_on_market_basket_data() {
     };
     let db = generators::market_basket(&spec, &mut rng);
     let mut a = mining::apriori::mine(&db, 0.08, 4);
-    let mut e = mining::eclat::mine(&db, 0.08, 4);
     let mut g = mining::fpgrowth::mine(&db, 0.08, 4);
+    let mut o = oracle::mine_with_estimator(&ReleaseDb::build(&db, 0.08), spec.items, 0.08, 4);
     mining::sort_results(&mut a);
-    mining::sort_results(&mut e);
     mining::sort_results(&mut g);
-    assert_eq!(a, e, "apriori vs eclat");
+    mining::sort_results(&mut o);
     assert_eq!(a, g, "apriori vs fp-growth");
+    assert_eq!(a, o, "apriori vs mining from RELEASE-DB");
     assert!(!a.is_empty());
 }
 

@@ -5,7 +5,7 @@ use itemset_sketches::codes::{ConcatenatedCode, ReedSolomon};
 use itemset_sketches::database::{Database, Itemset};
 use itemset_sketches::prelude::*;
 use itemset_sketches::solver::repair;
-use itemset_sketches::util::{bits, combin};
+use itemset_sketches::util::combin;
 use proptest::prelude::*;
 
 proptest! {
@@ -21,13 +21,6 @@ proptest! {
         let back = combin::unrank_colex(rank, comb.len() as u32);
         prop_assert_eq!(back, comb);
         items.clear();
-    }
-
-    /// Bit pack/unpack roundtrip at arbitrary lengths.
-    #[test]
-    fn bits_pack_roundtrip(bools in proptest::collection::vec(any::<bool>(), 0..300)) {
-        let words = bits::pack(&bools);
-        prop_assert_eq!(bits::unpack(&words, bools.len()), bools);
     }
 
     /// Frequency is monotone under subset: f(T1) >= f(T2) when T1 ⊆ T2.
