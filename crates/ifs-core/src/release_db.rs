@@ -60,22 +60,29 @@ impl ReleaseDb {
 /// independent). The thread knob of `self` is kept.
 impl MergeableSketch for ReleaseDb {
     fn merge(&mut self, other: Self) -> Result<(), MergeError> {
-        if other.db.dims() != self.db.dims() {
-            return Err(MergeError::Incompatible(format!(
-                "ReleaseDb dimensions differ: {} vs {}",
-                self.db.dims(),
-                other.db.dims()
-            )));
-        }
-        if other.epsilon.to_bits() != self.epsilon.to_bits() {
-            return Err(MergeError::Incompatible(format!(
-                "ReleaseDb thresholds differ: {} vs {}",
-                self.epsilon, other.epsilon
-            )));
-        }
+        check_compatible((self.db.dims(), self.epsilon), (other.db.dims(), other.epsilon))?;
         self.db.append_database(&other.db);
         Ok(())
     }
+}
+
+/// The one compatibility rule for RELEASE-DB merges, sketch or partial:
+/// equal dimensions, then bit-equal thresholds ε.
+fn check_compatible(
+    (dims, epsilon): (usize, f64),
+    (other_dims, other_epsilon): (usize, f64),
+) -> Result<(), MergeError> {
+    if other_dims != dims {
+        return Err(MergeError::Incompatible(format!(
+            "ReleaseDb dimensions differ: {dims} vs {other_dims}"
+        )));
+    }
+    if other_epsilon.to_bits() != epsilon.to_bits() {
+        return Err(MergeError::Incompatible(format!(
+            "ReleaseDb thresholds differ: {epsilon} vs {other_epsilon}"
+        )));
+    }
+    Ok(())
 }
 
 /// Streaming builder for [`ReleaseDb`]: the fold just accumulates rows —
@@ -118,19 +125,7 @@ impl StreamingBuild for ReleaseDbBuilder {
 /// Associative, not commutative; out-of-order partials are refused.
 impl MergeableSketch for ReleaseDbBuilder {
     fn merge(&mut self, other: Self) -> Result<(), MergeError> {
-        if other.matrix.cols() != self.matrix.cols() {
-            return Err(MergeError::Incompatible(format!(
-                "ReleaseDb partials over different widths: {} vs {}",
-                self.matrix.cols(),
-                other.matrix.cols()
-            )));
-        }
-        if other.epsilon.to_bits() != self.epsilon.to_bits() {
-            return Err(MergeError::Incompatible(format!(
-                "ReleaseDb partials with different thresholds: {} vs {}",
-                self.epsilon, other.epsilon
-            )));
-        }
+        check_compatible((self.matrix.cols(), self.epsilon), (other.matrix.cols(), other.epsilon))?;
         let expected = self.offset + self.rows_seen();
         if other.offset != expected {
             return Err(MergeError::NonContiguous { expected, got: other.offset });

@@ -24,17 +24,16 @@
 //! exclusive.
 //!
 //! The transport is the pooled one (DESIGN.md §13): `--workers N` sizes
-//! the handler pool (`0` = auto from the machine's parallelism; the
-//! `IFS_SERVE_WORKERS` environment variable is the flag's default).
+//! the handler pool (`0`, the default, = auto from the machine's
+//! parallelism). `--threads N` is each query's default engine thread
+//! count (default 1). The flags are the only way to set either.
 //!
 //! Operational inputs refuse with a message and a nonzero exit, never a
-//! panic: a malformed `IFS_THREADS` or `IFS_SERVE_WORKERS`, an unreadable
-//! or corrupt snapshot file, or an unbindable address all exit 2 with the
-//! typed error printed.
+//! panic: a malformed flag value, an unreadable or corrupt snapshot file,
+//! or an unbindable address all exit 2 with the typed error printed.
 
 use ifs_serve::{net::FrameReader, pool, ServeConfig, ServeError, SketchServer};
 use ifs_store::SketchLog;
-use ifs_util::threads::env_threads;
 use std::net::TcpListener;
 use std::process::ExitCode;
 
@@ -50,7 +49,7 @@ struct Args {
     max_in_flight: usize,
     threads: usize,
     accept: Option<usize>,
-    workers: Option<usize>,
+    workers: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -61,9 +60,9 @@ fn parse_args() -> Result<Args, String> {
         log: None,
         budget_bits: defaults.budget_bits,
         max_in_flight: defaults.max_in_flight,
-        threads: 0,
+        threads: defaults.default_threads,
         accept: None,
-        workers: None,
+        workers: 0,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
@@ -91,7 +90,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--workers" => {
                 args.workers =
-                    Some(value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?);
+                    value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?;
             }
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
         }
@@ -166,15 +165,7 @@ fn preload_log(server: &SketchServer, path: &str) -> Result<(u64, u64), String> 
 }
 
 fn run() -> Result<(), String> {
-    // The env knobs parse up front: a bad IFS_THREADS or IFS_SERVE_WORKERS
-    // refuses the whole process startup with a message instead of a panic
-    // mid-serve.
-    let default_threads = env_threads("IFS_THREADS").map_err(|e| e.to_string())?.unwrap_or(1);
-    let env_workers = env_threads("IFS_SERVE_WORKERS").map_err(|e| e.to_string())?;
-    let mut args = parse_args()?;
-    if args.threads == 0 {
-        args.threads = default_threads;
-    }
+    let args = parse_args()?;
     let server = SketchServer::new(ServeConfig {
         budget_bits: args.budget_bits,
         max_in_flight: args.max_in_flight,
@@ -190,8 +181,7 @@ fn run() -> Result<(), String> {
     }
     let listener = TcpListener::bind(&args.listen).map_err(|e| format!("{}: {e}", args.listen))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
-    // Flag beats environment beats auto, like --threads/IFS_THREADS.
-    let workers = pool::resolve_workers(args.workers.or(env_workers).unwrap_or(0));
+    let workers = pool::resolve_workers(args.workers);
     // Announce readiness on stdout so scripts can wait for this line.
     println!("ifs-serve listening on {local} (pooled, {workers} workers)");
     pool::serve_pooled(&server, &listener, workers, args.accept).map_err(|e| e.to_string())

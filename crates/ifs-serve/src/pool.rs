@@ -50,8 +50,7 @@ use ifs_util::threads::{clamp_threads, host_cores};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc::{self, TryRecvError};
 use std::time::Duration;
 
 /// Read-ahead bound: parsed-but-unanswered requests buffered per
@@ -317,35 +316,37 @@ pub fn serve_pooled(
     accept_limit: Option<usize>,
 ) -> io::Result<()> {
     let workers = resolve_workers(workers);
-    let inboxes: Vec<Mutex<Vec<TcpStream>>> =
-        (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-    let accepting = AtomicBool::new(true);
     let mut accept_result = Ok(());
     std::thread::scope(|scope| {
-        for inbox in &inboxes {
-            let accepting = &accepting;
-            scope.spawn(move || {
-                let mut worker = PoolWorker::new(server);
-                loop {
-                    {
-                        let mut inbox = inbox.lock().expect("pool inbox poisoned");
-                        for stream in inbox.drain(..) {
-                            worker.push(stream);
+        // One hand-off channel per worker. A worker leaves once its
+        // connections are done and its channel reports `Disconnected`,
+        // which happens when the acceptor drops the senders below.
+        let inboxes: Vec<mpsc::Sender<TcpStream>> = (0..workers)
+            .map(|_| {
+                let (inbox, arrivals) = mpsc::channel();
+                scope.spawn(move || {
+                    let mut worker = PoolWorker::new(server);
+                    let mut accepting = true;
+                    loop {
+                        while accepting {
+                            match arrivals.try_recv() {
+                                Ok(stream) => worker.push(stream),
+                                Err(TryRecvError::Empty) => break,
+                                Err(TryRecvError::Disconnected) => accepting = false,
+                            }
                         }
-                    }
-                    let did = worker.pass();
-                    if worker.is_empty() && !accepting.load(Ordering::Acquire) {
-                        let drained = inbox.lock().expect("pool inbox poisoned").is_empty();
-                        if drained {
+                        let did = worker.pass();
+                        if worker.is_empty() && !accepting {
                             break;
                         }
+                        if !did {
+                            std::thread::sleep(IDLE_SLEEP);
+                        }
                     }
-                    if !did {
-                        std::thread::sleep(IDLE_SLEEP);
-                    }
-                }
-            });
-        }
+                });
+                inbox
+            })
+            .collect();
         let mut accepted = 0usize;
         loop {
             if let Some(limit) = accept_limit {
@@ -367,10 +368,12 @@ pub fn serve_pooled(
                 accept_result = Err(e);
                 break;
             }
-            inboxes[accepted % workers].lock().expect("pool inbox poisoned").push(stream);
+            // A send fails only if that worker panicked; the scope
+            // re-raises the panic, and dropping the stream closes it.
+            let _ = inboxes[accepted % workers].send(stream);
             accepted += 1;
         }
-        accepting.store(false, Ordering::Release);
+        drop(inboxes);
     });
     accept_result
 }

@@ -1,4 +1,4 @@
-//! The append-only sketch log: file format, appends, and the two scans.
+//! The append-only sketch log: file format, appends, and its one scan.
 //!
 //! ## File format
 //!
@@ -19,16 +19,19 @@
 //! the record, once by the frame it carries. That redundancy is what lets
 //! the recovery scan distinguish "torn tail" from "foreign file".
 //!
-//! ## The two scans
+//! ## One scan, two policies
 //!
-//! * **Recovery** ([`SketchLog::open`]) — reads records until the first
-//!   invalid one, truncates the file there, and reports what was dropped.
-//!   This is the WAL posture: a crashed writer loses at most its
-//!   in-flight suffix, never the prefix. The header is never recovered
-//!   *from*: a wrong magic refuses with [`StoreError::NotALog`] — the
-//!   store does not truncate files it did not write.
-//! * **Strict** ([`SketchLog::records`]) — any invalid record is a typed
-//!   error naming its byte offset. This is the scan everything downstream
+//! Both readers run the same scan: the header, then records until the
+//! first invalid one. They differ only in what they do where it stops.
+//!
+//! * **Recovery** ([`SketchLog::open`]) truncates the file there and
+//!   reports what was dropped. This is the WAL posture: a crashed writer
+//!   loses at most its in-flight suffix, never the prefix. The header is
+//!   never recovered *from*: a wrong magic refuses with
+//!   [`StoreError::NotALog`] — the store does not truncate files it did
+//!   not write.
+//! * **Strict** ([`SketchLog::records`]) refuses there with a typed error
+//!   naming the byte offset. This is the read everything downstream
 //!   (materialize, compact, migrate) uses: after a recovering `open`, the
 //!   file has no invalid suffix left, so strictness costs nothing and
 //!   catches corruption that appears *after* open (a concurrent writer, a
@@ -137,67 +140,78 @@ fn header_bytes() -> [u8; LOG_HEADER_LEN] {
     h
 }
 
-/// Outcome of decoding one record from `bytes[offset..]`.
-enum RecordScan {
-    /// A valid record ending at the returned offset.
-    Ok(LogRecord, u64),
-    /// `bytes` ends cleanly at `offset` — no record starts here.
-    End,
-    /// The bytes at `offset` are not a valid record; the string says why.
-    Invalid(String),
-}
-
 /// Decodes the record starting at `offset`, judging everything before
 /// trusting anything: structure first, record checksum second, and the
-/// carried frame's own validation last.
-fn scan_record(bytes: &[u8], offset: u64) -> RecordScan {
+/// carried frame's own validation last. `Ok(None)` means `bytes` ends
+/// cleanly at `offset`; `Err` says why the bytes there are not a record.
+fn scan_record(bytes: &[u8], offset: u64) -> Result<Option<(LogRecord, u64)>, String> {
     let rest = &bytes[offset as usize..];
     if rest.is_empty() {
-        return RecordScan::End;
+        return Ok(None);
     }
     let mut r = Reader::new(rest);
-    let op = match r.u8() {
-        Ok(OP_PUT) => LogOp::Put,
-        Ok(OP_MERGE) => LogOp::Merge,
-        Ok(other) => return RecordScan::Invalid(format!("unknown record op {other:#04x}")),
-        Err(e) => return RecordScan::Invalid(e.to_string()),
+    let op = match r.u8().map_err(|e| e.to_string())? {
+        OP_PUT => LogOp::Put,
+        OP_MERGE => LogOp::Merge,
+        other => return Err(format!("unknown record op {other:#04x}")),
     };
-    let id = match r.varint() {
-        Ok(id) => id,
-        Err(e) => return RecordScan::Invalid(format!("record id: {e}")),
-    };
-    let frame_len = match r.varint_usize() {
-        Ok(n) => n,
-        Err(e) => return RecordScan::Invalid(format!("frame length: {e}")),
-    };
-    let frame = match r.bytes(frame_len) {
-        Ok(f) => f.to_vec(),
-        Err(e) => return RecordScan::Invalid(format!("frame bytes: {e}")),
-    };
+    let id = r.varint().map_err(|e| format!("record id: {e}"))?;
+    let frame_len = r.varint_usize().map_err(|e| format!("frame length: {e}"))?;
+    let frame = r.bytes(frame_len).map_err(|e| format!("frame bytes: {e}"))?.to_vec();
     let hashed = r.consumed();
-    let stored = match r.u64() {
-        Ok(c) => c,
-        Err(e) => return RecordScan::Invalid(format!("record checksum: {e}")),
-    };
+    let stored = r.u64().map_err(|e| format!("record checksum: {e}"))?;
     let computed = codec::fnv1a64(&rest[..hashed]);
     if stored != computed {
-        return RecordScan::Invalid(format!(
+        return Err(format!(
             "record checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
         ));
     }
     // The carried frame must itself be one complete, valid snapshot frame.
-    match peek_frame(&frame) {
-        Ok(info) if info.frame_len() == frame.len() => {}
-        Ok(info) => {
-            return RecordScan::Invalid(format!(
-                "record carries {} bytes beyond its snapshot frame",
-                frame.len() - info.frame_len()
-            ))
-        }
-        Err(e) => return RecordScan::Invalid(format!("carried frame: {e}")),
+    let info = peek_frame(&frame).map_err(|e| format!("carried frame: {e}"))?;
+    if info.frame_len() != frame.len() {
+        return Err(format!(
+            "record carries {} bytes beyond its snapshot frame",
+            frame.len() - info.frame_len()
+        ));
     }
     let end = offset + r.consumed() as u64;
-    RecordScan::Ok(LogRecord { op, id, frame, offset }, end)
+    Ok(Some((LogRecord { op, id, frame, offset }, end)))
+}
+
+/// What [`scan`] found: the valid prefix of a log file and why it ends.
+struct Scan {
+    /// Every valid record, in file order.
+    records: Vec<LogRecord>,
+    /// Byte offset where the valid prefix ends: `0` when the header is
+    /// torn, otherwise the end of the last valid record (or the header).
+    end: u64,
+    /// Why the bytes at `end` are not a record (or a whole header), when
+    /// the scan stopped short of a clean end of file.
+    stop: Option<String>,
+}
+
+/// The one scan behind both policies: the header, then records until the
+/// first invalid one. A foreign or future-version header refuses typed;
+/// everything else is reported as the valid prefix plus the reason it
+/// ends, and the caller truncates there ([`SketchLog::open`]) or refuses
+/// there ([`SketchLog::records`]).
+fn scan(path: &Path, bytes: &[u8]) -> Result<Scan, StoreError> {
+    if let Some(torn) = check_header(path, bytes)? {
+        return Ok(Scan { records: Vec::new(), end: 0, stop: Some(torn) });
+    }
+    let mut records = Vec::new();
+    let mut end = LOG_HEADER_LEN as u64;
+    let stop = loop {
+        match scan_record(bytes, end) {
+            Ok(Some((record, next))) => {
+                records.push(record);
+                end = next;
+            }
+            Ok(None) => break None,
+            Err(why) => break Some(why),
+        }
+    };
+    Ok(Scan { records, end, stop })
 }
 
 /// Validates the header of `bytes`, distinguishing "foreign file" (refuse,
@@ -255,67 +269,32 @@ impl SketchLog {
         let path = path.as_ref();
         let bytes = match std::fs::read(path) {
             Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let log = Self::create(path)?;
-                let report = RecoveryReport {
-                    records: 0,
-                    valid_bytes: LOG_HEADER_LEN as u64,
-                    truncated_bytes: 0,
-                    reason: None,
-                };
-                return Ok((log, report));
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(io_err(path, e)),
         };
-        // An empty file is a freshly created (or crashed-before-header)
-        // log; stamp the header and carry on.
-        if bytes.is_empty() {
-            let log = Self::create(path)?;
-            let report = RecoveryReport {
-                records: 0,
-                valid_bytes: LOG_HEADER_LEN as u64,
-                truncated_bytes: 0,
-                reason: None,
-            };
-            return Ok((log, report));
-        }
-        if let Some(reason) = check_header(path, &bytes)? {
-            let log = Self::create(path)?;
-            let report = RecoveryReport {
-                records: 0,
-                valid_bytes: LOG_HEADER_LEN as u64,
-                truncated_bytes: bytes.len() as u64,
-                reason: Some(reason),
-            };
-            return Ok((log, report));
-        }
-        let mut offset = LOG_HEADER_LEN as u64;
-        let mut records = 0u64;
-        let mut reason = None;
-        loop {
-            match scan_record(&bytes, offset) {
-                RecordScan::Ok(_, end) => {
-                    records += 1;
-                    offset = end;
-                }
-                RecordScan::End => break,
-                RecordScan::Invalid(why) => {
-                    reason = Some(format!("record {records} at byte offset {offset}: {why}"));
-                    break;
-                }
+        let Scan { records, end, stop } = scan(path, &bytes)?;
+        let truncated_bytes = bytes.len() as u64 - end;
+        // A missing or empty file stops at a zero-byte "torn header" but
+        // loses nothing, so only a cut reports a reason.
+        let reason = stop.filter(|_| truncated_bytes > 0).map(|why| match end {
+            0 => why,
+            _ => format!("record {} at byte offset {end}: {why}", records.len()),
+        });
+        let log = if end == 0 {
+            // Missing, empty, or torn inside the header: stamp a fresh one.
+            Self::create(path)?
+        } else {
+            if truncated_bytes > 0 {
+                let file =
+                    OpenOptions::new().write(true).open(path).map_err(|e| io_err(path, e))?;
+                file.set_len(end).map_err(|e| io_err(path, e))?;
             }
-        }
-        let truncated = bytes.len() as u64 - offset;
-        if truncated > 0 {
-            let file = OpenOptions::new().write(true).open(path).map_err(|e| io_err(path, e))?;
-            file.set_len(offset).map_err(|e| io_err(path, e))?;
-        }
-        let file = OpenOptions::new().append(true).open(path).map_err(|e| io_err(path, e))?;
-        let log = Self { path: path.to_path_buf(), file, len: offset, records };
-        Ok((
-            log,
-            RecoveryReport { records, valid_bytes: offset, truncated_bytes: truncated, reason },
-        ))
+            let file = OpenOptions::new().append(true).open(path).map_err(|e| io_err(path, e))?;
+            Self { path: path.to_path_buf(), file, len: end, records: records.len() as u64 }
+        };
+        let report =
+            RecoveryReport { records: log.records, valid_bytes: log.len, truncated_bytes, reason };
+        Ok((log, report))
     }
 
     /// The file this log appends to.
@@ -366,22 +345,10 @@ impl SketchLog {
     /// the store.
     pub fn records(&self) -> Result<Vec<LogRecord>, StoreError> {
         let bytes = std::fs::read(&self.path).map_err(|e| io_err(&self.path, e))?;
-        if let Some(torn) = check_header(&self.path, &bytes)? {
-            return Err(StoreError::BadRecord { offset: 0, detail: torn });
-        }
-        let mut offset = LOG_HEADER_LEN as u64;
-        let mut records = Vec::new();
-        loop {
-            match scan_record(&bytes, offset) {
-                RecordScan::Ok(rec, end) => {
-                    records.push(rec);
-                    offset = end;
-                }
-                RecordScan::End => return Ok(records),
-                RecordScan::Invalid(detail) => {
-                    return Err(StoreError::BadRecord { offset, detail })
-                }
-            }
+        let Scan { records, end, stop } = scan(&self.path, &bytes)?;
+        match stop {
+            None => Ok(records),
+            Some(detail) => Err(StoreError::BadRecord { offset: end, detail }),
         }
     }
 
@@ -497,16 +464,22 @@ pub(crate) mod tests {
         let scratch = Scratch::new("torn");
         let f0 = demo_frame(&[vec![0, 1], vec![3]]);
         let f1 = demo_frame(&[vec![5]]);
-        let mut log = SketchLog::create(&scratch.0).expect("create");
-        log.append(LogOp::Put, 0, &f0).expect("append");
-        let keep = log.len_bytes();
-        log.append(LogOp::Put, 1, &f1).expect("append");
+        let mut writer = SketchLog::create(&scratch.0).expect("create");
+        writer.append(LogOp::Put, 0, &f0).expect("append");
+        let keep = writer.len_bytes();
+        writer.append(LogOp::Put, 1, &f1).expect("append");
         let full = std::fs::read(&scratch.0).expect("read");
-        drop(log);
         // Every torn prefix of the second record recovers to exactly the
-        // first record; a complete file recovers clean.
+        // first record, cut exactly where the strict read refuses; a
+        // complete file recovers clean.
         for cut in keep as usize..full.len() {
             std::fs::write(&scratch.0, &full[..cut]).expect("write");
+            if cut > keep as usize {
+                match writer.records().expect_err("torn tail") {
+                    StoreError::BadRecord { offset, .. } => assert_eq!(offset, keep, "cut={cut}"),
+                    other => panic!("expected BadRecord, got {other}"),
+                }
+            }
             let (log, report) = SketchLog::open(&scratch.0).expect("recover");
             assert_eq!(report.records, 1, "cut={cut}");
             assert_eq!(report.truncated_bytes, cut as u64 - keep, "cut={cut}");

@@ -17,10 +17,10 @@
 //!   to change between Rust releases, which would silently relocate every
 //!   Count-Min/Count-Sketch bucket.
 //! * [`threads`] — the thread-count knob shared by the parallel execution
-//!   layer (DESIGN.md §8): clamping, one parser and one environment reader
-//!   for every worker-count variable (the `IFS_THREADS` override used by
-//!   CI's determinism matrix, the server's `IFS_SERVE_WORKERS`), both
-//!   refusing malformed values with a typed `ThreadsParseError`.
+//!   layer (DESIGN.md §8): clamping, and one parser and one environment
+//!   reader for the `IFS_THREADS` override used by CI's determinism
+//!   matrix, both refusing malformed values with a typed
+//!   `ThreadsParseError`.
 //! * [`tail`] — the Hoeffding bound of Lemma 11 of the paper and the
 //!   sample-size calculators behind the `SUBSAMPLE` sketch (Lemma 9).
 //! * [`stats`] — summary statistics, medians, and the log–log slope fits used

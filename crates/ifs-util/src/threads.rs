@@ -65,8 +65,8 @@ impl std::fmt::Display for ThreadsParseError {
 
 impl std::error::Error for ThreadsParseError {}
 
-/// Parses the value of the worker-count variable `var` (`IFS_THREADS`,
-/// `IFS_SERVE_WORKERS`, …), clamping it like [`clamp_threads`]. A value
+/// Parses the value of the worker-count variable `var` (`IFS_THREADS`),
+/// clamping it like [`clamp_threads`]. A value
 /// that is not an integer refuses with a [`ThreadsParseError`] naming
 /// `var`: silently falling back to serial would skip exactly the
 /// configuration the knob exists to select.
@@ -172,17 +172,16 @@ mod tests {
     }
 
     /// The refusal names the variable, the offending value and the
-    /// accepted range, so a malformed `IFS_THREADS` in CI or
-    /// `IFS_SERVE_WORKERS` at server startup is diagnosable from the
-    /// message alone.
+    /// accepted range, so a malformed worker-count variable is
+    /// diagnosable from the message alone, whatever it is called.
     #[test]
     fn named_var_parse_names_the_variable() {
-        assert_eq!(parse_threads("IFS_SERVE_WORKERS", "8"), Ok(8));
-        let err = parse_threads("IFS_SERVE_WORKERS", "many").expect_err("malformed");
-        assert_eq!(err.var, "IFS_SERVE_WORKERS");
+        assert_eq!(parse_threads("MY_WORKERS", "8"), Ok(8));
+        let err = parse_threads("MY_WORKERS", "many").expect_err("malformed");
+        assert_eq!(err.var, "MY_WORKERS");
         assert_eq!(err.value, "many");
         let msg = err.to_string();
-        assert!(msg.starts_with("IFS_SERVE_WORKERS"), "{msg}");
+        assert!(msg.starts_with("MY_WORKERS"), "{msg}");
         assert!(msg.contains("in 0..=256 (0 means serial), got \"many\""), "{msg}");
     }
 
